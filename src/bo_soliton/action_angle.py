@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import OrderingViolation, RootsNotInLowerHalfPlane, SingularResolvent
 from .profiles import SolitonParameters
-from .spectral import spectral_decompose
+from .spectral import m_formula, spectral_decompose
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,7 @@ class ActionAngles:
 
 def forward_map(params):
     """Phi_N: parameters -> (actions; angles) through the Lax spectrum."""
-    sd = spectral_decompose(params)
-    return ActionAngles(sd.actions, sd.gammas)
+    return aa_from_spectral(spectral_decompose(params))
 
 
 def aa_from_spectral(sd):
@@ -59,19 +58,8 @@ def aa_from_spectral(sd):
 
 
 def m_from_aa(aa):
-    rs = aa.rs
-    al = aa.alphas
-    n = aa.n
-    m = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        for j in range(n):
-            if j == k:
-                m[k, j] = al[j] + np.pi * 1j / rs[j]
-            else:
-                # both actions negative, the ratio is positive; take the
-                # positive real root to dodge branch cuts
-                m[k, j] = 2 * np.pi * 1j / (rs[k] - rs[j]) * np.sqrt(rs[k] / rs[j])
-    return m
+    """The matrix M in action-angle coordinates (module docstring)."""
+    return m_formula(aa.lambdas, aa.alphas)
 
 
 def inverse_map(aa):

@@ -28,7 +28,7 @@ from .errors import DomainError, NumericalError
 from .profiles import SolitonParameters, profile, torus_potential
 from .spectral import spectral_decompose
 from .tableio import fmt as _fmt
-from .tableio import write_csv
+from .tableio import write_csv, write_frames, write_xy
 from .validation import run_validation
 
 log = logging.getLogger("bo_soliton")
@@ -84,11 +84,6 @@ def _parse_grid(text):
     return xmin, xmax, n
 
 
-def _grid_field_rows(field):
-    xs = field.xs()
-    return [(_fmt(x), _fmt(u)) for x, u in zip(xs, field.values)]
-
-
 def _emit_plot_script(path, csv_paths, ylabel):
     lines = [
         "#!/usr/bin/env python3",
@@ -114,7 +109,7 @@ def cmd_synth(args):
     xmin, xmax, n = _parse_grid(args.grid)
     dx = (xmax - xmin) / (n - 1)
     field = profile(params, xmin, dx, n)
-    write_csv(args.out, ("x", "u"), _grid_field_rows(field))
+    write_xy(args.out, ("x", "u"), field.xs(), field.values)
     if args.plot_script:
         _emit_plot_script(args.plot_script, [args.out], "u")
     return 0
@@ -156,16 +151,12 @@ def cmd_evolve(args):
         aa0 = ActionAngles(np.array(args.r), np.array(args.alpha))
     xmin, xmax, n = _parse_grid(args.grid)
     xs = np.linspace(xmin, xmax, n)
-    os.makedirs(args.outdir, exist_ok=True)
+    times = _evolve_times(args.t0, args.t1, args.dt)
+    frame_paths = write_frames(
+        args.outdir, ((t, xs, explicit_solution(aa0, t, xs)) for t in times))
 
-    frame_paths = []
     action_rows = []
-    for t in _evolve_times(args.t0, args.t1, args.dt):
-        u = explicit_solution(aa0, t, xs)
-        path = os.path.join(args.outdir, f"frame_t{t:.4f}.csv")
-        write_csv(path, ("x", "u"),
-                  [(_fmt(x), _fmt(v)) for x, v in zip(xs, u)])
-        frame_paths.append(path)
+    for t in times:
         aa_t = evolve_aa(aa0, t)
         for j in range(aa_t.n):
             action_rows.append((_fmt(t), str(j + 1), _fmt(aa_t.rs[j]),
@@ -194,7 +185,7 @@ def cmd_validate(args):
 def cmd_torus(args):
     params = read_params_csv(args.params_csv)
     field = torus_potential(params, args.m)
-    write_csv(args.out, ("y", "v"), _grid_field_rows(field))
+    write_xy(args.out, ("y", "v"), field.xs(), field.values)
     if args.plot_script:
         _emit_plot_script(args.plot_script, [args.out], "v")
     return 0

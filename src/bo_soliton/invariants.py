@@ -17,12 +17,19 @@ relations {I_j, gamma_k} = delta_jk.
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 
 from .errors import BoundaryNotDecayed, FDStepTooLarge, PoleProximity
 from .profiles import SolitonParameters
-from .rational import inner_product
-from .spectral import spectral_decompose
+from .rational import MP_DPS, PoleResidueForm, inner_product
+from .spectral import (
+    cauchy_entries,
+    cauchy_gram,
+    lax_entries,
+    mp_pairing,
+    spectral_decompose,
+)
 
 FD_STEP_DEFAULT = 1e-5
 
@@ -181,39 +188,18 @@ def h_lambda_resolvent(params, lam):
     :func:`h_lambda`.  Ill-conditioned pole clusters rerun the solve in
     extended precision.
     """
-    import mpmath
-
-    from .rational import PoleResidueForm
-    from .spectral import FAST_COND_LIMIT, _cauchy_kernel, lax_matrix
-
-    n = params.n
-    zs = np.array(params.zs)
-    kern = _cauchy_kernel(zs)
-    tmat = lax_matrix(params)
-    rhs = np.full(n, 1j)
-    bmat = 0.5 * (kern.T + kern.conj())
-    if float(np.linalg.cond(bmat)) <= FAST_COND_LIMIT:
-        coeffs = np.linalg.solve(tmat + lam * np.eye(n), rhs)
+    zs = params.zs
+    rhs = [1j] * params.n
+    _, _, fast = cauchy_gram(zs)
+    if fast:
+        coeffs = np.linalg.solve(np.array(lax_entries(zs, lam)), rhs)
         f = PoleResidueForm(tuple((z, 1, coeffs[r])
                                   for r, z in enumerate(zs)))
         val = inner_product(f, PoleResidueForm(tuple((z, 1, 1j) for z in zs)))
         return float(val.real)
-    with mpmath.workdps(40):
-        z = [mpmath.mpc(v) for v in params.zs]
-        zb = [mpmath.conj(v) for v in z]
-        tm = mpmath.zeros(n, n)
-        for s in range(n):
-            acc = mpmath.mpc(lam)
-            for r in range(n):
-                if r != s:
-                    tm[r, s] = -1j / (z[r] - z[s])
-                    acc += 1j / (z[r] - z[s])
-            for r in range(n):
-                acc -= 1j / (zb[r] - z[s])
-            tm[s, s] = acc
-        sol = mpmath.lu_solve(tm, mpmath.matrix([mpmath.mpc(1j)] * n))
-        val = mpmath.fsum(
-            sol[r] * mpmath.conj(mpmath.mpc(1j)) * 2j * mpmath.pi
-            / (zb[s] - z[r])
-            for r in range(n) for s in range(n))
-        return float(mpmath.re(val))
+    with mpmath.workdps(MP_DPS):
+        z = [mpmath.mpc(v) for v in zs]
+        sol = mpmath.lu_solve(mpmath.matrix(lax_entries(z, lam)),
+                              mpmath.matrix(rhs))
+        return float(mpmath.re(
+            mp_pairing(sol, rhs, cauchy_entries(z, mpmath.pi))))

@@ -11,7 +11,6 @@ propagator exp(i |k| k dt); the quadratic term is 2/3-rule dealiased.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,7 @@ from .errors import (
     GridMismatch,
 )
 from .profiles import GridField, profile_values
+from .tableio import write_frames
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,6 @@ class PdeConfig:
     modes: int = 2 ** 14
     dt: float = 1e-3
     t_end: float = 1.0
-    dealias: bool = True
     snapshot_dt: float = 0.1
 
     def __post_init__(self):
@@ -54,32 +53,23 @@ class PdeConfig:
         return 2 * np.pi * np.fft.fftfreq(self.modes, d=self.dx)
 
 
-def _dealias_mask(k):
-    kmax = np.abs(k).max()
-    return np.abs(k) <= (2.0 / 3.0) * kmax
+def _propagators(cfg):
+    """Wavenumbers, the 2/3-rule dealias mask, and the exact linear
+    propagators exp(i |k| k t) over a full step and a half step."""
+    k = cfg.wavenumbers()
+    mask = np.abs(k) <= (2.0 / 3.0) * np.abs(k).max()
+    e_full = np.exp(1j * np.abs(k) * k * cfg.dt)
+    e_half = np.exp(1j * np.abs(k) * k * (cfg.dt / 2))
+    return k, mask, e_full, e_half
 
 
 def _nonlinear(state, k, mask):
     u = np.fft.ifft(state).real
-    what = np.fft.fft(u * u)
-    if mask is not None:
-        what = what * mask
-    return -1j * k * what
+    return -1j * k * (np.fft.fft(u * u) * mask)
 
 
-def step(state, cfg, nonlinear=True):
-    """One integrating-factor RK4 step of the spectral state."""
-    state = np.asarray(state, dtype=complex)
-    if state.size != cfg.modes:
-        raise DomainError("state length must equal cfg.modes")
-    k = cfg.wavenumbers()
-    mask = _dealias_mask(k) if cfg.dealias else None
-    dt = cfg.dt
-    e_full = np.exp(1j * np.abs(k) * k * dt)
-    e_half = np.exp(1j * np.abs(k) * k * (dt / 2))
-    if not nonlinear:
-        return e_full * state
-
+def _rk4(state, dt, k, mask, e_full, e_half):
+    """One integrating-factor RK4 step with precomputed propagators."""
     n1 = _nonlinear(state, k, mask)
     u2 = e_half * state + (dt / 2) * e_half * n1
     n2 = _nonlinear(u2, k, mask)
@@ -90,6 +80,14 @@ def step(state, cfg, nonlinear=True):
     return e_full * state + (dt / 6) * (e_full * n1 + 2 * e_half * (n2 + n3) + n4)
 
 
+def step(state, cfg):
+    """One integrating-factor RK4 step of the spectral state."""
+    state = np.asarray(state, dtype=complex)
+    if state.size != cfg.modes:
+        raise DomainError("state length must equal cfg.modes")
+    return _rk4(state, cfg.dt, *_propagators(cfg))
+
+
 def run(params0, cfg):
     """Integrate from the soliton profile; returns [(t, GridField), ...].
 
@@ -98,11 +96,8 @@ def run(params0, cfg):
     """
     x = cfg.grid()
     u0 = profile_values(params0, x)
-    k = cfg.wavenumbers()
-    mask = _dealias_mask(k) if cfg.dealias else None
+    prop = _propagators(cfg)
     dt = cfg.dt
-    e_full = np.exp(1j * np.abs(k) * k * dt)
-    e_half = np.exp(1j * np.abs(k) * k * (dt / 2))
 
     n_steps = int(round(cfg.t_end / dt))
     every = max(1, int(round(cfg.snapshot_dt / dt)))
@@ -120,14 +115,7 @@ def run(params0, cfg):
     state = np.fft.fft(u0)
     out = [snap(0, state)]
     for i in range(1, n_steps + 1):
-        n1 = _nonlinear(state, k, mask)
-        u2 = e_half * state + (dt / 2) * e_half * n1
-        n2 = _nonlinear(u2, k, mask)
-        u3 = e_half * state + (dt / 2) * n2
-        n3 = _nonlinear(u3, k, mask)
-        u4 = e_full * state + dt * e_half * n3
-        n4 = _nonlinear(u4, k, mask)
-        state = e_full * state + (dt / 6) * (e_full * n1 + 2 * e_half * (n2 + n3) + n4)
+        state = _rk4(state, dt, *prop)
         if i % every == 0 or i == n_steps:
             out.append(snap(i, state))
     return out
@@ -146,14 +134,4 @@ def compare(pde_field, explicit_field):
 
 def write_snapshots(snapshots, outdir):
     """Dump (t, GridField) pairs as frame_t<t>.csv files; returns the paths."""
-    from .tableio import fmt, write_csv
-
-    os.makedirs(outdir, exist_ok=True)
-    paths = []
-    for t, field in snapshots:
-        path = os.path.join(outdir, f"frame_t{t:.4f}.csv")
-        xs = field.xs()
-        write_csv(path, ("x", "u"),
-                  [(fmt(x), fmt(u)) for x, u in zip(xs, field.values)])
-        paths.append(path)
-    return paths
+    return write_frames(outdir, ((t, f.xs(), f.values) for t, f in snapshots))

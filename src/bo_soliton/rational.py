@@ -27,6 +27,8 @@ from .errors import (
 DEGENERACY_TOL = 1e-9
 DROP_TOL = 1e-14
 POLE_REAL_TOL = 1e-12
+# working precision (decimal digits) of every extended-precision fallback
+MP_DPS = 40
 
 
 def _pole_scale(mods):
@@ -260,7 +262,7 @@ def _mp_bilinear(cf, cg, pf, pg, ind):
     """
     import mpmath
 
-    with mpmath.workdps(40):
+    with mpmath.workdps(MP_DPS):
         terms = []
         for r in range(len(pf)):
             fr = mpmath.mpc(cf[r])

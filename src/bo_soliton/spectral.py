@@ -24,6 +24,7 @@ from .errors import (
 )
 from .profiles import one_minus_theta, u_rational
 from .rational import (
+    MP_DPS,
     PoleResidueForm,
     add,
     derivative,
@@ -42,7 +43,6 @@ IM_M_TOL = 1e-9
 # clustered broad solitons make the partial-fraction Gram ill-conditioned;
 # beyond this gate the small dense eigenproblem runs in extended precision
 FAST_COND_LIMIT = 1e6
-MP_DPS = 40
 
 
 @dataclass(frozen=True)
@@ -125,31 +125,55 @@ def g_apply(params, f):
     return PoleResidueForm(xf.terms, 0j)
 
 
-def lax_matrix(params):
-    """Matrix of L_u in the partial-fraction basis c_r = 1/(x - z_r).
+def lax_entries(z, shift=0):
+    """Entries of L_u + shift in the partial-fraction basis c_r = 1/(x - z_r).
 
-    Closed form: off-diagonal -i/(z_r - z_s); diagonal collects the
-    remaining projected interaction terms.  Agrees with expanding
-    :func:`lax_apply` applied to each c_r.
+    Closed form: off-diagonal -i/(z_r - z_s); the diagonal collects the
+    remaining projected interaction terms.  Plain scalar arithmetic on nested
+    lists, so the same code serves complex doubles and mpmath numbers.
     """
-    zs = np.array(params.zs)
-    n = zs.size
-    t = np.zeros((n, n), dtype=complex)
+    n = len(z)
+    zb = [v.conjugate() for v in z]
+    t = [[None] * n for _ in range(n)]
     for s in range(n):
-        acc = 0j
+        acc = shift
         for r in range(n):
             if r != s:
-                t[r, s] = -1j / (zs[r] - zs[s])
-                acc += 1j / (zs[r] - zs[s])
-        acc -= np.sum(1j / (zs.conj() - zs[s]))
-        t[s, s] = acc
+                t[r][s] = -1j / (z[r] - z[s])
+                acc -= t[r][s]
+        for r in range(n):
+            acc -= 1j / (zb[r] - z[s])
+        t[s][s] = acc
     return t
 
 
-def _cauchy_kernel(zs):
-    """K with <f, g> = f @ K @ conj(g) for coefficients in the c_r basis."""
-    zs = np.asarray(zs)
-    return 2j * np.pi / (zs.conj()[None, :] - zs[:, None])
+def lax_matrix(params):
+    """L_u in the basis c_r, in doubles; agrees with :func:`lax_apply`."""
+    return np.array(lax_entries(params.zs))
+
+
+def cauchy_entries(z, pi):
+    """K with <f, g> = f @ K @ conj(g) for coefficients in the c_r basis.
+
+    K_rs = 2 pi i / (conj(z_s) - z_r); nested lists of plain scalars like
+    :func:`lax_entries`, with ``pi`` at the working precision.
+    """
+    return [[2j * pi / (b.conjugate() - a) for b in z] for a in z]
+
+
+def cauchy_gram(zs):
+    """Cauchy kernel of the poles ``zs``, its Gram condition, and whether
+    that condition lets the dense problems run in double precision."""
+    kern = np.array(cauchy_entries(zs, np.pi))
+    cond = float(np.linalg.cond(0.5 * (kern.T + kern.conj())))
+    return kern, cond, cond <= FAST_COND_LIMIT
+
+
+def mp_pairing(f, g, kern):
+    """<f, g> = sum_rs f_r K_rs conj(g_s), summed exactly (mpmath.fsum)."""
+    n = len(kern)
+    return mpmath.fsum(f[r] * mpmath.conj(g[s]) * kern[r][s]
+                       for r in range(n) for s in range(n))
 
 
 def _eig_float(tmat, kern):
@@ -192,37 +216,20 @@ def _eig_mp(zs):
     n = len(zs)
     with mpmath.workdps(MP_DPS):
         z = [mpmath.mpc(v) for v in zs]
-        zb = [mpmath.conj(v) for v in z]
-        tmat = mpmath.zeros(n, n)
-        for s in range(n):
-            acc = mpmath.mpc(0)
-            for r in range(n):
-                if r != s:
-                    tmat[r, s] = -1j / (z[r] - z[s])
-                    acc += 1j / (z[r] - z[s])
-            for r in range(n):
-                acc -= 1j / (zb[r] - z[s])
-            tmat[s, s] = acc
-        kern = [[2j * mpmath.pi / (zb[s] - z[r]) for s in range(n)]
-                for r in range(n)]
-
-        def pair(f, g):
-            return mpmath.fsum(f[r] * mpmath.conj(g[s]) * kern[r][s]
-                               for r in range(n) for s in range(n))
-
-        lam_all, wmat = mpmath.eig(tmat)
+        kern = cauchy_entries(z, mpmath.pi)
+        lam_all, wmat = mpmath.eig(mpmath.matrix(lax_entries(z)))
         order = sorted(range(n), key=lambda j: mpmath.re(lam_all[j]))
         lam = np.array([float(mpmath.re(lam_all[j])) for j in order])
         cols = []
         for j in order:
             col = [wmat[r, j] for r in range(n)]
-            root = mpmath.sqrt(mpmath.re(pair(col, col)))
+            root = mpmath.sqrt(mpmath.re(mp_pairing(col, col, kern)))
             cols.append([c / root for c in col])
         mmat = np.empty((n, n), dtype=complex)
         for j in range(n):
             gcol = [z[r] * cols[j][r] for r in range(n)]
             for k in range(n):
-                mmat[k, j] = complex(pair(gcol, cols[k]))
+                mmat[k, j] = complex(mp_pairing(gcol, cols[k], kern))
         wout = np.column_stack([np.array([complex(c) for c in col])
                                 for col in cols])
     return lam, wout, mmat
@@ -246,17 +253,13 @@ def spectral_decompose(params):
     """
     n = params.n
     zs = np.array(params.zs)
-    kern = _cauchy_kernel(zs)
-    bmat = kern.T.copy()
-    bmat = 0.5 * (bmat + bmat.conj().T)
-    cond = float(np.linalg.cond(bmat))
+    kern, cond, fast = cauchy_gram(params.zs)
     if cond > COND_LIMIT:
         raise GramIllConditioned(f"Gram condition {cond:.3e} exceeds 1e12")
 
-    tmat = lax_matrix(params)
     lam = wmat = mmat_raw = None
-    if cond <= FAST_COND_LIMIT:
-        lam, wmat = _eig_float(tmat, kern)
+    if fast:
+        lam, wmat = _eig_float(lax_matrix(params), kern)
         norms = np.sqrt(np.abs(np.einsum("rj,rs,sj->j", wmat, kern,
                                          wmat.conj()).real))
         wmat = wmat / norms[None, :]
@@ -265,11 +268,8 @@ def spectral_decompose(params):
         if _orth_defect(wmat, kern) > max(1e-10, noise_floor):
             lam = wmat = None
         else:
-            mmat_raw = np.empty((n, n), dtype=complex)
-            for j in range(n):
-                gv = zs * wmat[:, j]  # G is diagonal on this basis
-                for k in range(n):
-                    mmat_raw[k, j] = gv @ kern @ wmat[:, k].conj()
+            # <G phi_j, phi_k> at [k, j]; G is diagonal on this basis
+            mmat_raw = ((zs[:, None] * wmat).T @ kern @ wmat.conj()).T
     if lam is None:
         lam, wmat, mmat_raw = _eig_mp(params.zs)
 
@@ -313,14 +313,11 @@ def m_formula(lambdas, gammas):
     """
     lam = np.asarray(lambdas, dtype=float)
     gam = np.asarray(gammas, dtype=float)
-    n = lam.size
-    m = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        for j in range(n):
-            if j == k:
-                m[k, j] = gam[j] - 1j / (2 * abs(lam[j]))
-            else:
-                m[k, j] = 1j / (lam[k] - lam[j]) * np.sqrt(abs(lam[k]) / abs(lam[j]))
+    mag = np.abs(lam)
+    gaps = lam[:, None] - lam[None, :]
+    np.fill_diagonal(gaps, 1.0)  # the diagonal is overwritten below
+    m = 1j / gaps * np.sqrt(mag[:, None] / mag[None, :])
+    np.fill_diagonal(m, gam - 1j / (2 * mag))
     return m
 
 

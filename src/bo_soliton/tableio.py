@@ -1,5 +1,5 @@
 """Shared CSV output helpers: 17-significant-digit floats, LF endings,
-atomic replace."""
+atomic replace, and the (x, y) frame files of profiles and evolutions."""
 
 import os
 import tempfile
@@ -23,3 +23,18 @@ def write_csv(path, header, rows):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_xy(path, header, xs, ys):
+    """Atomic two-column table: the header, then one (x, y) row per point."""
+    write_csv(path, header, [(fmt(x), fmt(y)) for x, y in zip(xs, ys)])
+
+
+def write_frames(outdir, frames):
+    """Write each (t, xs, us) as outdir/frame_t<t>.csv; returns the paths."""
+    os.makedirs(outdir, exist_ok=True)
+    paths = []
+    for t, xs, us in frames:
+        paths.append(os.path.join(outdir, f"frame_t{t:.4f}.csv"))
+        write_xy(paths[-1], ("x", "u"), xs, us)
+    return paths

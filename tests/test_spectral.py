@@ -1,12 +1,15 @@
+import mpmath
 import numpy as np
 import pytest
 
+from bo_soliton.invariants import h_lambda, h_lambda_resolvent
 from bo_soliton.profiles import (
     SolitonParameters,
     one_minus_theta,
     u_rational,
 )
 from bo_soliton.rational import (
+    MP_DPS,
     PoleResidueForm,
     add,
     evaluate,
@@ -17,6 +20,8 @@ from bo_soliton.spectral import (
     g_apply,
     hpp_basis,
     lax_apply,
+    lax_entries,
+    lax_matrix,
     m_formula,
     spectral_decompose,
     verify_m_matrix,
@@ -245,10 +250,26 @@ class TestHardConfigurations:
         im_m = (sd.m_matrix - sd.m_matrix.conj().T) / 2j
         assert np.linalg.eigvalsh(im_m).max() < 1e-9
 
+    def test_h_lambda_routes_agree(self):
+        params = self.blob()
+        sd = spectral_decompose(params)
+        assert sd.gram_cond > 1e6  # the resolvent solve runs in mpmath too
+        for lam in (0.7, 2.5, 9.0):
+            assert h_lambda_resolvent(params, lam) == pytest.approx(
+                h_lambda(sd, lam), rel=1e-9)
+
+
+def test_lax_entries_in_mpmath_match_lax_matrix(rng):
+    params = random_params(rng, 5)
+    for shift in (0, 2.5):
+        with mpmath.workdps(MP_DPS):
+            entries = lax_entries([mpmath.mpc(z) for z in params.zs], shift)
+            tmat = np.array([[complex(v) for v in row] for row in entries])
+        tmat -= shift * np.eye(5)
+        assert np.abs(tmat - lax_matrix(params)).max() < 1e-12
+
 
 def test_lax_matrix_matches_lax_apply(rng):
-    from bo_soliton.spectral import lax_matrix
-
     params = random_params(rng, 5)
     tmat = lax_matrix(params)
     pole_index = {z: i for i, z in enumerate(params.zs)}
