@@ -70,6 +70,10 @@ class GramIllConditioned(NumericalError):
     """Gram matrix condition number exceeds the trusted range."""
 
 
+class RefinementStalled(NumericalError):
+    """Iterative refinement did not reach its residual gate."""
+
+
 class RootsNotInLowerHalfPlane(NumericalError):
     """Recovered translation-scaling parameters left the lower half-plane."""
 

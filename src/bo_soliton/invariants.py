@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BoundaryNotDecayed, FDStepTooLarge, PoleProximity
 from .profiles import SolitonParameters
-from .rational import MP_DPS, PoleResidueForm, inner_product
+from .rational import MP_DPS
 from .spectral import (
     cauchy_entries,
     cauchy_gram,
@@ -190,13 +190,10 @@ def h_lambda_resolvent(params, lam):
     """
     zs = params.zs
     rhs = [1j] * params.n
-    _, _, fast = cauchy_gram(zs)
+    kern, _, fast = cauchy_gram(zs)
     if fast:
         coeffs = np.linalg.solve(np.array(lax_entries(zs, lam)), rhs)
-        f = PoleResidueForm(tuple((z, 1, coeffs[r])
-                                  for r, z in enumerate(zs)))
-        val = inner_product(f, PoleResidueForm(tuple((z, 1, 1j) for z in zs)))
-        return float(val.real)
+        return float((coeffs @ kern @ np.conj(rhs)).real)
     with mpmath.workdps(MP_DPS):
         z = [mpmath.mpc(v) for v in zs]
         sol = mpmath.lu_solve(mpmath.matrix(lax_entries(z, lam)),

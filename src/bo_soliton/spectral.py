@@ -2,10 +2,14 @@
 
 For an N-soliton profile u, the operator L_u = D - T_u restricted to the
 N-dimensional invariant subspace span{x^k / Q_u} has N simple negative
-eigenvalues.  This module builds that restriction with residue inner
-products, extracts normalized eigenfunctions, the angle variables
-gamma_j = Re<G phi_j, phi_j> of the frequency-shift generator G, and the full
-matrix M of G in the eigenbasis.
+eigenvalues.  This module builds that restriction as a closed-form matrix in
+the partial-fraction basis 1/(x - z_r), whose L2 Gram is a Cauchy kernel,
+and diagonalizes it in doubles; clustered configurations refine those
+eigenpairs to 40 digits under a residual gate.  From the eigenvectors come
+normalized eigenfunctions, the angle variables gamma_j = Re<G phi_j, phi_j>
+of the frequency-shift generator G, and the full matrix M of G in the
+eigenbasis.  The pole-residue operators ``lax_apply`` and ``g_apply`` are
+the general-calculus oracles the closed forms are tested against.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .errors import (
     GramIllConditioned,
     InvariantViolation,
     PositivityFailure,
+    RefinementStalled,
 )
 from .profiles import one_minus_theta, u_rational
 from .rational import (
@@ -43,6 +48,10 @@ IM_M_TOL = 1e-9
 # clustered broad solitons make the partial-fraction Gram ill-conditioned;
 # beyond this gate the small dense eigenproblem runs in extended precision
 FAST_COND_LIMIT = 1e6
+# the extended-precision refinement stops once max|T X - X Lambda| falls below
+# REFINE_TOL * max|T| max|X0|, and gives up after REFINE_SWEEPS corrections
+REFINE_TOL = 1e-30
+REFINE_SWEEPS = 4
 
 
 @dataclass(frozen=True)
@@ -176,6 +185,13 @@ def mp_pairing(f, g, kern):
                        for r in range(n) for s in range(n))
 
 
+def _eig_sorted(tmat):
+    """Double-precision eigenpairs of the Lax matrix, by real part."""
+    lam_c, w = scipy.linalg.eig(tmat)
+    order = np.argsort(lam_c.real)
+    return lam_c.real[order].copy(), w[:, order].astype(complex)
+
+
 def _eig_float(tmat, kern):
     """Eigenpairs of the Lax matrix with inverse-iteration polish.
 
@@ -184,10 +200,7 @@ def _eig_float(tmat, kern):
     eigenvector error.
     """
     n = tmat.shape[0]
-    lam_c, w = scipy.linalg.eig(tmat)
-    order = np.argsort(lam_c.real)
-    lam = lam_c.real[order].copy()
-    w = w[:, order].astype(complex)
+    lam, w = _eig_sorted(tmat)
     eye = np.eye(n)
     for j in range(n):
         v = w[:, j]
@@ -206,50 +219,96 @@ def _eig_float(tmat, kern):
     return lam[order], w[:, order]
 
 
-def _eig_mp(zs):
-    """Extended-precision eigenpairs and raw generator matrix.
+def _mp_array(a):
+    """Object array of mpmath numbers at the working precision."""
+    return np.array([mpmath.mpc(v) for v in np.ravel(a)],
+                    dtype=object).reshape(np.shape(a))
 
-    Used for near-degenerate configurations; returns the eigenvalues, the
-    L2-normalized eigenvector columns (phases not yet fixed), and the matrix
-    <G phi_j, phi_k> for those representatives, all rounded to doubles.
+
+def _mp_matmul(a, b):
+    """a @ b for object arrays of mpmath numbers, one mpmath.fdot per entry
+    (exact products, one rounding)."""
+    cols = b.T.tolist()
+    return np.array([[mpmath.fdot(row, col) for col in cols]
+                     for row in a.tolist()], dtype=object)
+
+
+def _eig_refined(tmat, z):
+    """Eigenpairs of the Lax matrix refined from doubles to MP_DPS digits.
+
+    Newton-type refinement of the double eigendecomposition (Dongarra,
+    Moler & Wilkinson, SIAM J. Numer. Anal. 20, 1983).  Each sweep forms the
+    residual R = T X - X Lambda in extended precision, the correction
+    F = X0^{-1} R in doubles, and updates lambda_j += Re F_jj (the spectrum
+    is real) and X += X E with E_ij = F_ij / (lambda_j - lambda_i),
+    E_jj = 0.  A sweep shrinks the residual by about cond(X0) * eps.  It must
+    fall below REFINE_TOL * max|T| max|X0| within REFINE_SWEEPS corrections,
+    else RefinementStalled.  ``z`` holds the poles as mpmath numbers; call
+    inside ``mpmath.workdps(MP_DPS)``.  Returns the eigenvalues in doubles
+    and the (unnormalized) eigenvector columns as an object array.
     """
-    n = len(zs)
-    with mpmath.workdps(MP_DPS):
-        z = [mpmath.mpc(v) for v in zs]
-        kern = cauchy_entries(z, mpmath.pi)
-        lam_all, wmat = mpmath.eig(mpmath.matrix(lax_entries(z)))
-        order = sorted(range(n), key=lambda j: mpmath.re(lam_all[j]))
-        lam = np.array([float(mpmath.re(lam_all[j])) for j in order])
-        cols = []
-        for j in order:
-            col = [wmat[r, j] for r in range(n)]
-            root = mpmath.sqrt(mpmath.re(mp_pairing(col, col, kern)))
-            cols.append([c / root for c in col])
-        mmat = np.empty((n, n), dtype=complex)
-        for j in range(n):
-            gcol = [z[r] * cols[j][r] for r in range(n)]
-            for k in range(n):
-                mmat[k, j] = complex(mp_pairing(gcol, cols[k], kern))
-        wout = np.column_stack([np.array([complex(c) for c in col])
-                                for col in cols])
-    return lam, wout, mmat
+    lam0, x0 = _eig_sorted(tmat)
+    y0 = np.linalg.inv(x0)
+    gaps = lam0[None, :] - lam0[:, None]
+    np.fill_diagonal(gaps, 1.0)  # E_jj is set to 0 below
+    scale_ = np.abs(tmat).max() * np.abs(x0).max()
+    t = np.array(lax_entries(z), dtype=object)
+    lam = np.array([mpmath.mpf(v) for v in lam0], dtype=object)
+    x = _mp_array(x0)
+    for sweep in range(REFINE_SWEEPS + 1):
+        resid = np.asarray(_mp_matmul(t, x) - x * lam, dtype=complex)
+        rel = np.abs(resid).max() / scale_
+        if rel < REFINE_TOL:
+            break
+        if sweep == REFINE_SWEEPS:
+            raise RefinementStalled(
+                f"eigen-residual {rel:.1e} after {REFINE_SWEEPS} "
+                "refinement sweeps")
+        f = y0 @ resid
+        lam = lam + f.diagonal().real
+        e = f / gaps
+        np.fill_diagonal(e, 0.0)
+        x = x + _mp_matmul(x, _mp_array(e))
+    return np.array([float(v) for v in lam]), x
 
 
-def _orth_defect(w, kern):
-    gram = w.T @ kern @ w.conj()
-    return float(np.abs(gram - np.eye(w.shape[1])).max())
+def _kw_products(z, w, kern, matmul=np.matmul):
+    """Everything downstream of the eigenvectors, from one product K conj(W).
+
+    KW = K conj(W) is formed in the precision of ``w`` and ``kern``: complex
+    doubles, or mpmath numbers with ``matmul=_mp_matmul``.  From it,
+    norm_j^2 = Re (W^T KW)_jj; the raw generator matrix
+    M_raw = ((z o W)^T KW)^T, <G phi_j, phi_k> at [k, j], since G is
+    diagonal on the basis c_r; and <u, phi_j> = <Pi u, phi_j> = i sum_r KW_rj,
+    since Pi u has coefficients (i, ..., i) and conj(Pi u) pairs to 0 with
+    Hardy functions.  Returns W, KW, M_raw and <u, phi_j> for the unit-norm
+    columns, in complex doubles.
+    """
+    kw = matmul(kern, w.conj())
+    mraw = matmul((z[:, None] * w).T, kw).T
+    w, kw, mraw, sq, pairing = (
+        np.asarray(a, dtype=complex)
+        for a in (w, kw, mraw, (w * kw).sum(axis=0), 1j * kw.sum(axis=0)))
+    norms = np.sqrt(np.abs(sq.real))
+    return w / norms, kw / norms, mraw / np.outer(norms, norms), \
+        pairing / norms
 
 
 def spectral_decompose(params):
     """Eigen-decomposition of L_u restricted to the pure-point subspace.
 
-    The restriction is assembled in the partial-fraction basis (its matrix
-    has a closed form and the Gram is a Cauchy kernel), solved densely, and
-    polished.  Configurations whose Gram is too ill-conditioned for double
-    precision fall back to an extended-precision solve.  Eigenfunctions are
-    normalized with the phase fixed so that <u, phi_j> is real positive
-    (= sqrt(2 pi |lambda_j|)); the angles and the generator matrix come from
-    M_{kj} = <G phi_j, phi_k>, with G acting diagonally on the basis.
+    The restriction is assembled in the partial-fraction basis c_r =
+    1/(x - z_r), where its matrix T has a closed form and the L2 Gram is the
+    Cauchy kernel K, and T is diagonalized in doubles.  Well-conditioned
+    configurations polish that by inverse iteration.  When the Gram
+    condition exceeds FAST_COND_LIMIT, or the eigenvectors come out
+    non-orthonormal, the double eigenpairs are instead refined to MP_DPS
+    digits until the eigen-residual passes REFINE_TOL (else
+    RefinementStalled).  The norms, the generator matrix
+    M_{kj} = <G phi_j, phi_k> and the pairings <u, phi_j> all come from one
+    product K conj(W) in the precision of the path.  Each eigenfunction's
+    phase is fixed so that <u, phi_j> is real positive
+    (= sqrt(2 pi |lambda_j|)); gamma_j = Re M_jj.
     """
     n = params.n
     zs = np.array(params.zs)
@@ -257,21 +316,22 @@ def spectral_decompose(params):
     if cond > COND_LIMIT:
         raise GramIllConditioned(f"Gram condition {cond:.3e} exceeds 1e12")
 
-    lam = wmat = mmat_raw = None
+    tmat = lax_matrix(params)
+    refine = not fast
     if fast:
-        lam, wmat = _eig_float(lax_matrix(params), kern)
-        norms = np.sqrt(np.abs(np.einsum("rj,rs,sj->j", wmat, kern,
-                                         wmat.conj()).real))
-        wmat = wmat / norms[None, :]
+        lam, wmat = _eig_float(tmat, kern)
+        wmat, kw, mmat_raw, pairing = _kw_products(zs, wmat, kern)
         amp = float(np.abs(wmat).max())
         noise_floor = 100 * n * n * 1e-16 * max(1.0, amp * amp)
-        if _orth_defect(wmat, kern) > max(1e-10, noise_floor):
-            lam = wmat = None
-        else:
-            # <G phi_j, phi_k> at [k, j]; G is diagonal on this basis
-            mmat_raw = ((zs[:, None] * wmat).T @ kern @ wmat.conj()).T
-    if lam is None:
-        lam, wmat, mmat_raw = _eig_mp(params.zs)
+        orth_defect = float(np.abs(wmat.T @ kw - np.eye(n)).max())
+        refine = orth_defect > max(1e-10, noise_floor)
+    if refine:
+        with mpmath.workdps(MP_DPS):
+            z = _mp_array(zs)
+            lam, wmat = _eig_refined(tmat, z)
+            wmat, _, mmat_raw, pairing = _kw_products(
+                z, wmat, np.array(cauchy_entries(z, mpmath.pi), dtype=object),
+                _mp_matmul)
 
     if np.any(lam >= 0):
         raise PositivityFailure("Lax operator produced a nonnegative eigenvalue")
@@ -279,19 +339,17 @@ def spectral_decompose(params):
         raise DegenerateSpectrum(
             f"eigenvalue gap {np.diff(lam).min():.3e} below tolerance")
 
-    u_rat = u_rational(params)
-    phis = []
-    rots = np.empty(n, dtype=complex)
-    for j in range(n):
-        v = wmat[:, j]
-        phi = PoleResidueForm(tuple((z, 1, v[r]) for r, z in enumerate(zs)))
-        pairing = inner_product(u_rat, phi)
-        target = np.sqrt(2 * np.pi * abs(lam[j]))
-        if abs(pairing) < 1e-10 * target:
-            raise PositivityFailure(
-                f"<u, phi_{j + 1}> vanished; forbidden for eigenfunctions")
-        rots[j] = np.exp(1j * np.angle(pairing))
-        phis.append(scale(phi, rots[j]))
+    target = np.sqrt(2 * np.pi * np.abs(lam))
+    small = np.abs(pairing) < 1e-10 * target
+    if small.any():
+        raise PositivityFailure(
+            f"<u, phi_{int(np.argmax(small)) + 1}> vanished; forbidden for "
+            "eigenfunctions")
+    rots = np.exp(1j * np.angle(pairing))
+    wmat = wmat * rots
+    phis = tuple(PoleResidueForm(tuple((z, 1, wmat[r, j])
+                                       for r, z in enumerate(zs)))
+                 for j in range(n))
 
     # phase rotation acts on M as a unitary diagonal congruence
     mmat = rots.conj()[:, None] * mmat_raw * rots[None, :]
@@ -302,7 +360,7 @@ def spectral_decompose(params):
     if top > IM_M_TOL:
         raise InvariantViolation(f"Im M has positive eigenvalue {top:.3e}")
 
-    return SpectralData(lam, gammas, tuple(phis), mmat, cond)
+    return SpectralData(lam, gammas, phis, mmat, cond)
 
 
 def m_formula(lambdas, gammas):

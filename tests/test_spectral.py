@@ -2,6 +2,8 @@ import mpmath
 import numpy as np
 import pytest
 
+from bo_soliton import spectral
+from bo_soliton.errors import RefinementStalled
 from bo_soliton.invariants import h_lambda, h_lambda_resolvent
 from bo_soliton.profiles import (
     SolitonParameters,
@@ -17,12 +19,15 @@ from bo_soliton.rational import (
     scale,
 )
 from bo_soliton.spectral import (
+    cauchy_entries,
+    cauchy_gram,
     g_apply,
     hpp_basis,
     lax_apply,
     lax_entries,
     lax_matrix,
     m_formula,
+    mp_pairing,
     spectral_decompose,
     verify_m_matrix,
 )
@@ -220,6 +225,29 @@ def test_scaling_covariance(rng):
         assert np.abs(sdc.gammas - sd.gammas / c).max() < 1e-9
 
 
+def mpmath_eig_reference(params):
+    """lambda_j and gamma_j from ``mpmath.eig`` of the Lax matrix at MP_DPS.
+
+    The oracle for the refined 40-digit path: an independent dense
+    eigensolver, with gamma_j = Re<G phi_j, phi_j> / <phi_j, phi_j> paired
+    exactly in the Cauchy kernel.
+    """
+    n = params.n
+    with mpmath.workdps(MP_DPS):
+        z = [mpmath.mpc(v) for v in params.zs]
+        kern = cauchy_entries(z, mpmath.pi)
+        lam, wmat = mpmath.eig(mpmath.matrix(lax_entries(z)))
+        order = sorted(range(n), key=lambda j: mpmath.re(lam[j]))
+        gam = []
+        for j in order:
+            col = [wmat[r, j] for r in range(n)]
+            gcol = [z[r] * col[r] for r in range(n)]
+            gam.append(float(mpmath.re(mp_pairing(gcol, col, kern))
+                             / mpmath.re(mp_pairing(col, col, kern))))
+        lam = [float(mpmath.re(lam[j])) for j in order]
+    return np.array(lam), np.array(gam)
+
+
 class TestHardConfigurations:
     """Clustered broad solitons: the Gram of the natural basis is nearly
     singular and the eigenproblem runs through the extended-precision path."""
@@ -249,6 +277,24 @@ class TestHardConfigurations:
         assert verify_m_matrix(sd) < 1e-8
         im_m = (sd.m_matrix - sd.m_matrix.conj().T) / 2j
         assert np.linalg.eigvalsh(im_m).max() < 1e-9
+
+    def test_refined_path_matches_mpmath_eig(self, rng):
+        cases = [self.blob()]
+        while len(cases) < 5:
+            params = random_params(rng, 6 + len(cases))
+            if 1e6 < cauchy_gram(params.zs)[1] <= 1e12:
+                cases.append(params)
+        for params in cases:
+            sd = spectral_decompose(params)
+            lam, gam = mpmath_eig_reference(params)
+            assert np.abs(sd.lambdas - lam).max() < 1e-14 * np.abs(lam).max()
+            assert np.abs(sd.gammas - gam).max() < 1e-12
+            assert verify_m_matrix(sd) < 1e-8
+
+    def test_refinement_stall_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "REFINE_SWEEPS", 0)
+        with pytest.raises(RefinementStalled):
+            spectral_decompose(self.blob())
 
     def test_h_lambda_routes_agree(self):
         params = self.blob()
