@@ -15,7 +15,7 @@ from bo_soliton.invariants import (
     poisson_bracket_table,
     symplectomorphism_check,
 )
-from bo_soliton.profiles import SolitonParameters, pi_u, profile
+from bo_soliton.profiles import GridField, SolitonParameters, pi_u, profile
 from bo_soliton.rational import inner_product
 from bo_soliton.spectral import spectral_decompose
 from conftest import random_params
@@ -141,6 +141,21 @@ class TestE1Quadrature:
         g = profile(params, -1e4, 2e4 / 2 ** 19, 2 ** 19)
         assert e1_quadrature(g) == pytest.approx(
             e_n_from_spectrum(sd, 1), rel=1e-4)
+
+    @pytest.mark.parametrize("kind", ["soliton", "random_even", "random_odd"])
+    def test_half_spectrum_matches_full_fft(self, kind, rng):
+        if kind == "soliton":
+            g = profile(SolitonParameters((-3.0 - 1j, 4.0 - 0.5j)),
+                        -2000, 4000 / 2 ** 14, 2 ** 14)
+        else:
+            n = 4096 if kind == "random_even" else 4095
+            g = GridField(0.0, 0.05, rng.standard_normal(n))
+        u, dx, n = g.values, g.dx, g.values.size
+        k = 2 * np.pi * np.fft.fftfreq(n, d=dx)
+        quad = (dx / (2 * n)) * np.sum(np.abs(k) * np.abs(np.fft.fft(u)) ** 2)
+        expected = quad - np.sum(u ** 3) * dx / 3.0
+        assert e1_quadrature(g, periodic=True) == pytest.approx(
+            expected, rel=1e-12)
 
     def test_boundary_guard(self):
         g = profile(SolitonParameters((-1j,)), -5, 0.1, 101)

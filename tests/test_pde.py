@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -15,23 +17,29 @@ def small_cfg(**kw):
 class TestStep:
     def test_zero_fixed_point(self):
         cfg = small_cfg()
-        out = step(np.zeros(cfg.modes, dtype=complex), cfg)
+        out = step(np.zeros(cfg.modes // 2 + 1, dtype=complex), cfg)
         assert np.abs(out).max() == 0
 
     def test_constant_preserved(self):
         cfg = small_cfg()
-        state = np.fft.fft(np.full(cfg.modes, 0.7))
+        state = np.fft.rfft(np.full(cfg.modes, 0.7))
         out = step(state, cfg)
-        assert np.abs(np.fft.ifft(out).real - 0.7).max() < 1e-13
+        assert np.abs(np.fft.irfft(out, cfg.modes) - 0.7).max() < 1e-13
 
     def test_linear_phase_rotation(self, rng):
         cfg = small_cfg()
-        state = rng.standard_normal(cfg.modes) + 1j * rng.standard_normal(cfg.modes)
-        _, _, e_full, _ = _propagators(cfg)
+        size = cfg.modes // 2 + 1
+        state = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        _, e_full, _ = _propagators(cfg)
         out = e_full * state
         k = cfg.wavenumbers()
         assert np.abs(np.abs(out) - np.abs(state)).max() < 1e-13 * np.abs(state).max()
         assert np.abs(out - np.exp(1j * np.abs(k) * k * cfg.dt) * state).max() < 1e-12
+
+    def test_rejects_full_spectrum(self):
+        cfg = small_cfg()
+        with pytest.raises(DomainError):
+            step(np.zeros(cfg.modes, dtype=complex), cfg)
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -70,6 +78,50 @@ class TestRun:
             run(params, cfg)
 
 
+# Oracle: the full complex-spectrum integrator the half-spectrum state
+# replaced, kept verbatim (two complex FFTs per nonlinear evaluation, the
+# mask and -i k applied per call) so that step() can be checked against it.
+def _oracle_nonlinear(state, k, mask):
+    u = np.fft.ifft(state).real
+    return -1j * k * (np.fft.fft(u * u) * mask)
+
+
+def _oracle_rk4(state, dt, k, mask, e_full, e_half):
+    n1 = _oracle_nonlinear(state, k, mask)
+    u2 = e_half * state + (dt / 2) * e_half * n1
+    n2 = _oracle_nonlinear(u2, k, mask)
+    u3 = e_half * state + (dt / 2) * n2
+    n3 = _oracle_nonlinear(u3, k, mask)
+    u4 = e_full * state + dt * e_half * n3
+    n4 = _oracle_nonlinear(u4, k, mask)
+    return e_full * state + (dt / 6) * (e_full * n1 + 2 * e_half * (n2 + n3) + n4)
+
+
+def _oracle_field(params, cfg, n_steps):
+    k = 2 * np.pi * np.fft.fftfreq(cfg.modes, d=cfg.dx)
+    mask = np.abs(k) <= (2.0 / 3.0) * np.abs(k).max()
+    e_full = np.exp(1j * np.abs(k) * k * cfg.dt)
+    e_half = np.exp(1j * np.abs(k) * k * (cfg.dt / 2))
+    state = np.fft.fft(profile_values(params, cfg.grid()))
+    for _ in range(n_steps):
+        state = _oracle_rk4(state, cfg.dt, k, mask, e_full, e_half)
+    return np.fft.ifft(state).real
+
+
+@pytest.mark.parametrize("modes", [512, 4096])
+def test_half_spectrum_matches_full_spectrum_oracle(modes):
+    # at 512 modes (dx 0.39) the product u^2 has much of its spectrum past
+    # the 2/3 cut, so the mask and every propagator factor show in the field
+    params = SolitonParameters((-10.0 - 1j, 10.0 - 0.5j))
+    cfg = small_cfg(domain_half_width=100.0, modes=modes)
+    state = np.fft.rfft(profile_values(params, cfg.grid()))
+    for _ in range(20):
+        state = step(state, cfg)
+    field = np.fft.irfft(state, cfg.modes)
+    expected = _oracle_field(params, cfg, 20)
+    assert np.abs(field - expected).max() < 1e-13 * np.abs(expected).max()
+
+
 class TestCompare:
     def test_identical(self):
         f = GridField(0.0, 0.1, np.linspace(1, 2, 64))
@@ -99,6 +151,17 @@ class TestCompare:
         exact = GridField(field.x0, field.dx, profile_values(params, field.xs()))
         l2_rel, sup = compare(field, exact)
         assert sup < 1e-12
+
+
+def test_run_logs_timing(caplog):
+    cfg = small_cfg(domain_half_width=200.0, t_end=0.005)
+    with caplog.at_level(logging.DEBUG, logger="bo_soliton.pde"):
+        run(SolitonParameters((0.0 - 1j,)), cfg)
+    (rec,) = [r for r in caplog.records if r.name == "bo_soliton.pde"]
+    assert rec.levelno == logging.DEBUG
+    msg = rec.getMessage()
+    assert msg.startswith("run: 512 modes, 5 steps, dt 0.001, ")
+    assert msg.endswith(" ms/step")
 
 
 def test_write_snapshots(tmp_path):
