@@ -67,11 +67,18 @@ class PositivityFailure(NumericalError):
 
 
 class GramIllConditioned(NumericalError):
-    """Gram matrix condition number exceeds the trusted range."""
+    """Gram matrix condition number exceeds the trusted range.
+
+    No longer raised by the forward map, which works in an orthonormal
+    basis; kept because callers (the benchmark among them) import it.
+    """
 
 
 class RefinementStalled(NumericalError):
-    """Iterative refinement did not reach its residual gate."""
+    """Iterative refinement did not reach its residual gate.
+
+    No longer raised; kept importable like GramIllConditioned.
+    """
 
 
 class RootsNotInLowerHalfPlane(NumericalError):

@@ -32,6 +32,9 @@ from .spectral import (
 )
 
 FD_STEP_DEFAULT = 1e-5
+# Gram condition of the basis 1/(x - z_r) above which h_lambda_resolvent
+# solves and pairs in MP_DPS digits instead of doubles
+RESOLVENT_FAST_COND = 1e6
 
 
 def _pairing_block(params):
@@ -187,14 +190,14 @@ def h_lambda_resolvent(params, lam):
     """H_lambda via the N x N solve (L_u + lambda) f = Pi u on the subspace.
 
     Works in the partial-fraction basis, where Pi u has coefficient vector
-    (i, ..., i) exactly; independent of the eigendecomposition route in
-    :func:`h_lambda`.  Ill-conditioned pole clusters rerun the solve in
-    extended precision.
+    (i, ..., i) exactly; independent of the Malmquist-Takenaka eigen-route
+    behind :func:`h_lambda`.  Pole clusters whose Gram condition exceeds
+    RESOLVENT_FAST_COND rerun the solve in MP_DPS digits.
     """
     zs = params.zs
     rhs = [1j] * params.n
-    kern, _, fast = cauchy_gram(zs)
-    if fast:
+    kern, cond = cauchy_gram(zs)
+    if cond <= RESOLVENT_FAST_COND:
         coeffs = np.linalg.solve(np.array(lax_entries(zs, lam)), rhs)
         return float((coeffs @ kern @ np.conj(rhs)).real)
     with mpmath.workdps(MP_DPS):

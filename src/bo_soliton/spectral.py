@@ -2,31 +2,33 @@
 
 For an N-soliton profile u, the operator L_u = D - T_u restricted to the
 N-dimensional invariant subspace span{x^k / Q_u} has N simple negative
-eigenvalues.  This module builds that restriction as a closed-form matrix in
-the partial-fraction basis 1/(x - z_r), whose L2 Gram is a Cauchy kernel,
-and diagonalizes it in doubles; clustered configurations refine those
-eigenpairs to 40 digits under a residual gate.  From the eigenvectors come
-normalized eigenfunctions, the angle variables gamma_j = Re<G phi_j, phi_j>
-of the frequency-shift generator G, and the full matrix M of G in the
-eigenbasis.  The pole-residue operators ``lax_apply`` and ``g_apply`` are
-the general-calculus oracles the closed forms are tested against.
+eigenvalues.  The forward map works in the orthonormal Malmquist-Takenaka
+basis of that subspace (Nikolski, *Operators, Functions, and Systems*, 2002)
+
+    b_k = i sqrt(eta_k / pi) / (x - z_k) * prod_{m<k} (x - conj z_m)/(x - z_m).
+
+There the frequency-shift generator G is the upper-triangular matrix
+diag(z) - 2i triu(s s^T, 1), s_k = sqrt(eta_k), and L_u is the unique
+solution L of G L - L G* = iI, the pairing of L_u with G that Gerard &
+Kappeler (CPAM 74, 2021) use on the torus.  One triangular Sylvester solve
+(Bartels & Stewart 1972) gives L and one Hermitian eigensolve its
+eigenpairs; M = U* G U then gives the angles gamma_j = Re M_jj.  The
+partial-fraction basis 1/(x - z_r) carries the eigenfunctions' pole-residue
+form and the oracles the closed forms are tested against: ``lax_entries``
+and ``cauchy_entries`` in that basis, and the pole-residue operators
+``lax_apply`` and ``g_apply``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import mpmath
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import ztrsyl
 
-from .errors import (
-    DegenerateSpectrum,
-    GramIllConditioned,
-    InvariantViolation,
-    PositivityFailure,
-    RefinementStalled,
-)
+from .errors import DegenerateSpectrum, InvariantViolation, PositivityFailure
 from .profiles import one_minus_theta, u_rational
 from .rational import (
     MP_DPS,
@@ -43,26 +45,26 @@ from .rational import (
 
 ORDER_RESIDUAL_TOL = 1e-8
 GAP_TOL = 1e-10
-COND_LIMIT = 1e12
 IM_M_TOL = 1e-9
-# clustered broad solitons make the partial-fraction Gram ill-conditioned;
-# beyond this gate the small dense eigenproblem runs in extended precision
-FAST_COND_LIMIT = 1e6
-# the extended-precision refinement stops once max|T X - X Lambda| falls below
-# REFINE_TOL * max|T| max|X0|, and gives up after REFINE_SWEEPS corrections
-REFINE_TOL = 1e-30
-REFINE_SWEEPS = 4
+# max|2 |lambda_j| p_j^2 - 1|, p = U* s: the Wu identity <u, phi_j>^2 =
+# 2 pi |lambda_j| in the MT basis, at criterion 3's tolerance
+WU_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigenvalues, angles, eigenfunctions, and the generator matrix M."""
+    """Eigenvalues, angles and the generator matrix M of L_u.
+
+    ``zs`` are the poles and ``vectors`` the phase-fixed eigenvectors in the
+    Malmquist-Takenaka basis (columns); the eigenfunctions are built from
+    them on first use.
+    """
 
     lambdas: np.ndarray
     gammas: np.ndarray
-    eigenfunctions: tuple
     m_matrix: np.ndarray
-    gram_cond: float
+    zs: tuple
+    vectors: np.ndarray
 
     def __post_init__(self):
         lam = np.asarray(self.lambdas, dtype=float)
@@ -83,6 +85,28 @@ class SpectralData:
     @property
     def actions(self):
         return 2 * np.pi * self.lambdas
+
+    @cached_property
+    def eigen_coeffs(self):
+        """Coefficients of phi_j in the basis 1/(x - z_r), to MP_DPS digits.
+
+        Entry j lists the mpmath coefficients of phi_j: column j of
+        W = R U, with R = :func:`mt_residues`.  Clustered poles make these
+        coefficients large and cancelling, so pairings that must stay
+        accurate use them with :func:`mp_pairing`.
+        """
+        with mpmath.workdps(MP_DPS):
+            rmat = mt_residues([mpmath.mpc(v) for v in self.zs])
+            w = mpmath.matrix(rmat) * mpmath.matrix(self.vectors.tolist())
+            return tuple([w[r, j] for r in range(self.n)]
+                         for j in range(self.n))
+
+    @cached_property
+    def eigenfunctions(self):
+        """phi_j in pole-residue form, coefficients rounded to doubles."""
+        return tuple(PoleResidueForm(tuple((z, 1, complex(c))
+                                           for z, c in zip(self.zs, col)))
+                     for col in self.eigen_coeffs)
 
 
 def hpp_basis(params):
@@ -171,11 +195,9 @@ def cauchy_entries(z, pi):
 
 
 def cauchy_gram(zs):
-    """Cauchy kernel of the poles ``zs``, its Gram condition, and whether
-    that condition lets the dense problems run in double precision."""
+    """Cauchy kernel of the poles ``zs`` and its Gram condition."""
     kern = np.array(cauchy_entries(zs, np.pi))
-    cond = float(np.linalg.cond(0.5 * (kern.T + kern.conj())))
-    return kern, cond, cond <= FAST_COND_LIMIT
+    return kern, float(np.linalg.cond(0.5 * (kern.T + kern.conj())))
 
 
 def mp_pairing(f, g, kern):
@@ -185,153 +207,66 @@ def mp_pairing(f, g, kern):
                        for r in range(n) for s in range(n))
 
 
-def _eig_sorted(tmat):
-    """Double-precision eigenpairs of the Lax matrix, by real part."""
-    lam_c, w = scipy.linalg.eig(tmat)
-    order = np.argsort(lam_c.real)
-    return lam_c.real[order].copy(), w[:, order].astype(complex)
+def mt_generator(zs):
+    """G = diag(z) - 2i triu(s s^T, 1) in the Malmquist-Takenaka basis, and s.
 
-
-def _eig_float(tmat, kern):
-    """Eigenpairs of the Lax matrix with inverse-iteration polish.
-
-    The Rayleigh quotient is taken in the L2 metric (kern), where the
-    operator is self-adjoint, so eigenvalue errors are quadratic in the
-    eigenvector error.
+    s_k = sqrt(eta_k), so (G - G*)/2i = -s s^T and Im M = -p p* <= 0 in any
+    orthonormal eigenbasis, p = U* s.
     """
-    n = tmat.shape[0]
-    lam, w = _eig_sorted(tmat)
-    eye = np.eye(n)
-    for j in range(n):
-        v = w[:, j]
-        for _ in range(2):
-            try:
-                v2 = np.linalg.solve(tmat - lam[j] * eye, v)
-            except np.linalg.LinAlgError:
-                v2 = v
-            if np.all(np.isfinite(v2)):
-                v = v2 / np.linalg.norm(v2)
-            num = (tmat @ v) @ kern @ v.conj()
-            den = v @ kern @ v.conj()
-            lam[j] = (num / den).real
-        w[:, j] = v
-    order = np.argsort(lam)
-    return lam[order], w[:, order]
+    z = np.asarray(zs, dtype=complex)
+    s = np.sqrt(-z.imag)
+    return np.diag(z) - 2j * np.triu(np.outer(s, s), 1), s
 
 
-def _mp_array(a):
-    """Object array of mpmath numbers at the working precision."""
-    return np.array([mpmath.mpc(v) for v in np.ravel(a)],
-                    dtype=object).reshape(np.shape(a))
+def mt_lax(gmat):
+    """L_u in the Malmquist-Takenaka basis: the solution of G L - L G* = iI.
 
-
-def _mp_matmul(a, b):
-    """a @ b for object arrays of mpmath numbers, one mpmath.fdot per entry
-    (exact products, one rounding)."""
-    cols = b.T.tolist()
-    return np.array([[mpmath.fdot(row, col) for col in cols]
-                     for row in a.tolist()], dtype=object)
-
-
-def _eig_refined(tmat, z):
-    """Eigenpairs of the Lax matrix refined from doubles to MP_DPS digits.
-
-    Newton-type refinement of the double eigendecomposition (Dongarra,
-    Moler & Wilkinson, SIAM J. Numer. Anal. 20, 1983).  Each sweep forms the
-    residual R = T X - X Lambda in extended precision, the correction
-    F = X0^{-1} R in doubles, and updates lambda_j += Re F_jj (the spectrum
-    is real) and X += X E with E_ij = F_ij / (lambda_j - lambda_i),
-    E_jj = 0.  A sweep shrinks the residual by about cond(X0) * eps.  It must
-    fall below REFINE_TOL * max|T| max|X0| within REFINE_SWEEPS corrections,
-    else RefinementStalled.  ``z`` holds the poles as mpmath numbers; call
-    inside ``mpmath.workdps(MP_DPS)``.  Returns the eigenvalues in doubles
-    and the (unnormalized) eigenvector columns as an object array.
+    G is upper triangular, so this is one LAPACK ztrsyl call.  The spectra
+    of G (lower half-plane) and G* (upper) are disjoint, so the solution is
+    unique and Hermitian.
     """
-    lam0, x0 = _eig_sorted(tmat)
-    y0 = np.linalg.inv(x0)
-    gaps = lam0[None, :] - lam0[:, None]
-    np.fill_diagonal(gaps, 1.0)  # E_jj is set to 0 below
-    scale_ = np.abs(tmat).max() * np.abs(x0).max()
-    t = np.array(lax_entries(z), dtype=object)
-    lam = np.array([mpmath.mpf(v) for v in lam0], dtype=object)
-    x = _mp_array(x0)
-    for sweep in range(REFINE_SWEEPS + 1):
-        resid = np.asarray(_mp_matmul(t, x) - x * lam, dtype=complex)
-        rel = np.abs(resid).max() / scale_
-        if rel < REFINE_TOL:
-            break
-        if sweep == REFINE_SWEEPS:
-            raise RefinementStalled(
-                f"eigen-residual {rel:.1e} after {REFINE_SWEEPS} "
-                "refinement sweeps")
-        f = y0 @ resid
-        lam = lam + f.diagonal().real
-        e = f / gaps
-        np.fill_diagonal(e, 0.0)
-        x = x + _mp_matmul(x, _mp_array(e))
-    return np.array([float(v) for v in lam]), x
+    lmat, scale_, info = ztrsyl(gmat, gmat, 1j * np.eye(len(gmat)),
+                                trana="N", tranb="C", isgn=-1)
+    if info != 0:
+        raise InvariantViolation(f"Sylvester solve failed: ztrsyl info {info}")
+    return lmat / scale_
 
 
-def _kw_products(z, w, kern, matmul=np.matmul):
-    """Everything downstream of the eigenvectors, from one product K conj(W).
+def mt_residues(z):
+    """R with b_k = sum_q R_qk / (x - z_q): the Malmquist-Takenaka basis in
+    the partial-fraction basis.
 
-    KW = K conj(W) is formed in the precision of ``w`` and ``kern``: complex
-    doubles, or mpmath numbers with ``matmul=_mp_matmul``.  From it,
-    norm_j^2 = Re (W^T KW)_jj; the raw generator matrix
-    M_raw = ((z o W)^T KW)^T, <G phi_j, phi_k> at [k, j], since G is
-    diagonal on the basis c_r; and <u, phi_j> = <Pi u, phi_j> = i sum_r KW_rj,
-    since Pi u has coefficients (i, ..., i) and conj(Pi u) pairs to 0 with
-    Hardy functions.  Returns W, KW, M_raw and <u, phi_j> for the unit-norm
-    columns, in complex doubles.
+    R_qk = i sqrt(eta_k/pi) prod_{m<k} (z_q - conj z_m)
+    / prod_{m<=k, m!=q} (z_q - z_m) for q <= k, else 0.  ``z`` holds mpmath
+    numbers; call inside ``mpmath.workdps``.  Nested lists, like
+    :func:`lax_entries`.
     """
-    kw = matmul(kern, w.conj())
-    mraw = matmul((z[:, None] * w).T, kw).T
-    w, kw, mraw, sq, pairing = (
-        np.asarray(a, dtype=complex)
-        for a in (w, kw, mraw, (w * kw).sum(axis=0), 1j * kw.sum(axis=0)))
-    norms = np.sqrt(np.abs(sq.real))
-    return w / norms, kw / norms, mraw / np.outer(norms, norms), \
-        pairing / norms
+    n = len(z)
+    r = [[mpmath.mpc(0)] * n for _ in range(n)]
+    for k in range(n):
+        lead = 1j * mpmath.sqrt(-z[k].imag / mpmath.pi)
+        for q in range(k + 1):
+            num = mpmath.fprod(z[q] - z[m].conjugate() for m in range(k))
+            den = mpmath.fprod(z[q] - z[m] for m in range(k + 1) if m != q)
+            r[q][k] = lead * num / den
+    return r
 
 
 def spectral_decompose(params):
     """Eigen-decomposition of L_u restricted to the pure-point subspace.
 
-    The restriction is assembled in the partial-fraction basis c_r =
-    1/(x - z_r), where its matrix T has a closed form and the L2 Gram is the
-    Cauchy kernel K, and T is diagonalized in doubles.  Well-conditioned
-    configurations polish that by inverse iteration.  When the Gram
-    condition exceeds FAST_COND_LIMIT, or the eigenvectors come out
-    non-orthonormal, the double eigenpairs are instead refined to MP_DPS
-    digits until the eigen-residual passes REFINE_TOL (else
-    RefinementStalled).  The norms, the generator matrix
-    M_{kj} = <G phi_j, phi_k> and the pairings <u, phi_j> all come from one
-    product K conj(W) in the precision of the path.  Each eigenfunction's
-    phase is fixed so that <u, phi_j> is real positive
-    (= sqrt(2 pi |lambda_j|)); gamma_j = Re M_jj.
+    In the orthonormal Malmquist-Takenaka basis (module docstring) the
+    generator G has a closed form and L = L_u solves G L - L G* = iI; one
+    triangular Sylvester solve and one ``eigh`` give lambda and U.  Each
+    eigenvector's phase is fixed so that p = U* s is real positive, which
+    is <u, phi_j> > 0 because Pi u = -2 sqrt(pi) L s in this basis.  Then
+    M = U* G U, M_kj = <G phi_j, phi_k>, and gamma_j = Re M_jj.  Gates:
+    strictly negative, separated eigenvalues, nonvanishing <u, phi_j>, the
+    Wu identity 2 |lambda_j| p_j^2 = 1 within WU_TOL and Im M <= IM_M_TOL.
     """
     n = params.n
-    zs = np.array(params.zs)
-    kern, cond, fast = cauchy_gram(params.zs)
-    if cond > COND_LIMIT:
-        raise GramIllConditioned(f"Gram condition {cond:.3e} exceeds 1e12")
-
-    tmat = lax_matrix(params)
-    refine = not fast
-    if fast:
-        lam, wmat = _eig_float(tmat, kern)
-        wmat, kw, mmat_raw, pairing = _kw_products(zs, wmat, kern)
-        amp = float(np.abs(wmat).max())
-        noise_floor = 100 * n * n * 1e-16 * max(1.0, amp * amp)
-        orth_defect = float(np.abs(wmat.T @ kw - np.eye(n)).max())
-        refine = orth_defect > max(1e-10, noise_floor)
-    if refine:
-        with mpmath.workdps(MP_DPS):
-            z = _mp_array(zs)
-            lam, wmat = _eig_refined(tmat, z)
-            wmat, _, mmat_raw, pairing = _kw_products(
-                z, wmat, np.array(cauchy_entries(z, mpmath.pi), dtype=object),
-                _mp_matmul)
+    gmat, s = mt_generator(params.zs)
+    lam, vecs = np.linalg.eigh(mt_lax(gmat))
 
     if np.any(lam >= 0):
         raise PositivityFailure("Lax operator produced a nonnegative eigenvalue")
@@ -339,20 +274,21 @@ def spectral_decompose(params):
         raise DegenerateSpectrum(
             f"eigenvalue gap {np.diff(lam).min():.3e} below tolerance")
 
-    target = np.sqrt(2 * np.pi * np.abs(lam))
-    small = np.abs(pairing) < 1e-10 * target
+    p = vecs.conj().T @ s
+    mag = np.abs(lam)
+    # <u, phi_j> = 2 sqrt(pi) |lambda_j| p_j, relative to sqrt(2 pi |lambda_j|)
+    small = np.abs(p) * np.sqrt(2 * mag) < 1e-10
     if small.any():
         raise PositivityFailure(
             f"<u, phi_{int(np.argmax(small)) + 1}> vanished; forbidden for "
             "eigenfunctions")
-    rots = np.exp(1j * np.angle(pairing))
-    wmat = wmat * rots
-    phis = tuple(PoleResidueForm(tuple((z, 1, wmat[r, j])
-                                       for r, z in enumerate(zs)))
-                 for j in range(n))
+    vecs = vecs * (p / np.abs(p))
+    p = np.abs(p)
+    wu = float(np.abs(2 * mag * p * p - 1).max())
+    if wu > WU_TOL:
+        raise InvariantViolation(f"Wu defect {wu:.3e} exceeds {WU_TOL:g}")
 
-    # phase rotation acts on M as a unitary diagonal congruence
-    mmat = rots.conj()[:, None] * mmat_raw * rots[None, :]
+    mmat = vecs.conj().T @ gmat @ vecs
     gammas = mmat.diagonal().real.copy()
 
     im_m = (mmat - mmat.conj().T) / 2j
@@ -360,7 +296,7 @@ def spectral_decompose(params):
     if top > IM_M_TOL:
         raise InvariantViolation(f"Im M has positive eigenvalue {top:.3e}")
 
-    return SpectralData(lam, gammas, phis, mmat, cond)
+    return SpectralData(lam, gammas, mmat, params.zs, vecs)
 
 
 def m_formula(lambdas, gammas):

@@ -141,6 +141,12 @@ class TestValidate:
         assert "FAIL" not in out
         assert "roundtrip" in out
 
+    def test_clustered_draw_passes(self, capsys):
+        # seed 75 draws an N = 10 input with Gram condition 6.9e12
+        code = main(["validate", "--n", "10", "--trials", "10", "--seed", "75"])
+        assert code == 0
+        assert "FAIL" not in capsys.readouterr().out
+
     def test_deterministic(self, capsys):
         main(["validate", "--n", "2", "--trials", "3", "--seed", "7"])
         first = capsys.readouterr().out

@@ -2,8 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from bo_soliton import spectral
-from bo_soliton.errors import RefinementStalled
+from bo_soliton.action_angle import aa_from_spectral, inverse_map
 from bo_soliton.invariants import h_lambda, h_lambda_resolvent
 from bo_soliton.profiles import (
     SolitonParameters,
@@ -28,6 +27,9 @@ from bo_soliton.spectral import (
     lax_matrix,
     m_formula,
     mp_pairing,
+    mt_generator,
+    mt_lax,
+    mt_residues,
     spectral_decompose,
     verify_m_matrix,
 )
@@ -228,9 +230,9 @@ def test_scaling_covariance(rng):
 def mpmath_eig_reference(params):
     """lambda_j and gamma_j from ``mpmath.eig`` of the Lax matrix at MP_DPS.
 
-    The oracle for the refined 40-digit path: an independent dense
-    eigensolver, with gamma_j = Re<G phi_j, phi_j> / <phi_j, phi_j> paired
-    exactly in the Cauchy kernel.
+    The oracle for the forward map: an independent dense eigensolver in the
+    partial-fraction basis, with gamma_j = Re<G phi_j, phi_j> / <phi_j, phi_j>
+    paired exactly in the Cauchy kernel.
     """
     n = params.n
     with mpmath.workdps(MP_DPS):
@@ -249,8 +251,8 @@ def mpmath_eig_reference(params):
 
 
 class TestHardConfigurations:
-    """Clustered broad solitons: the Gram of the natural basis is nearly
-    singular and the eigenproblem runs through the extended-precision path."""
+    """Clustered broad solitons: the Gram of the partial-fraction basis is
+    nearly singular, while the Malmquist-Takenaka basis stays orthonormal."""
 
     def blob(self):
         zs = tuple(complex(0.8 * k - 2.8, -(3.0 + 0.4 * ((k * 7) % 5)))
@@ -259,8 +261,8 @@ class TestHardConfigurations:
 
     def test_wu_and_orthonormality_survive(self):
         params = self.blob()
+        assert cauchy_gram(params.zs)[1] > 1e6
         sd = spectral_decompose(params)
-        assert sd.gram_cond > 1e6
         u = u_rational(params)
         for j, phi in enumerate(sd.eigenfunctions):
             ip = inner_product(u, phi)
@@ -279,10 +281,15 @@ class TestHardConfigurations:
         assert np.linalg.eigvalsh(im_m).max() < 1e-9
 
     def test_refined_path_matches_mpmath_eig(self, rng):
+        # clustered draws, then well-conditioned ones (Gram condition <= 1e6)
         cases = [self.blob()]
         while len(cases) < 5:
             params = random_params(rng, 6 + len(cases))
             if 1e6 < cauchy_gram(params.zs)[1] <= 1e12:
+                cases.append(params)
+        while len(cases) < 9:
+            params = random_params(rng, len(cases) - 1)
+            if cauchy_gram(params.zs)[1] <= 1e6:
                 cases.append(params)
         for params in cases:
             sd = spectral_decompose(params)
@@ -291,15 +298,64 @@ class TestHardConfigurations:
             assert np.abs(sd.gammas - gam).max() < 1e-12
             assert verify_m_matrix(sd) < 1e-8
 
-    def test_refinement_stall_raises(self, monkeypatch):
-        monkeypatch.setattr(spectral, "REFINE_SWEEPS", 0)
-        with pytest.raises(RefinementStalled):
-            spectral_decompose(self.blob())
+    def test_mt_matrices_match_partial_fraction_transform(self, rng):
+        # keeps criterion 4 independent of the Sylvester algebra: in MP_DPS
+        # digits, R^-1 T R is the Sylvester L and R^-1 diag(z) R is G
+        cases = [self.blob()]
+        while len(cases) < 4:
+            params = random_params(rng, 8 + len(cases))
+            if cauchy_gram(params.zs)[1] > 1e6:
+                cases.append(params)
+        for params in cases:
+            gmat, _ = mt_generator(params.zs)
+            lmat = mt_lax(gmat)
+            with mpmath.workdps(MP_DPS):
+                z = [mpmath.mpc(v) for v in params.zs]
+                rmat = mpmath.matrix(mt_residues(z))
+                rinv = rmat ** -1
+                lax_mt = rinv * mpmath.matrix(lax_entries(z)) * rmat
+                gen_mt = rinv * mpmath.diag(z) * rmat
+                lax_mt, gen_mt = (np.array(a.tolist(), dtype=complex)
+                                  for a in (lax_mt, gen_mt))
+            assert np.abs(lax_mt - lmat).max() < 1e-13 * np.abs(lmat).max()
+            assert np.abs(gen_mt - gmat).max() < 1e-14 * np.abs(gmat).max()
+
+    def test_inputs_beyond_the_old_gram_limit(self, rng):
+        # criteria 2 and 4 on N = 12 with Gram condition above 1e13, which
+        # the partial-fraction route refused above 1e12
+        while True:
+            params = random_params(rng, 12)
+            if cauchy_gram(params.zs)[1] > 1e13:
+                break
+        sd = spectral_decompose(params)
+        aa = aa_from_spectral(sd)
+        back = inverse_map(aa)
+        aa2 = aa_from_spectral(spectral_decompose(back))
+        roundtrip = max(np.abs(np.array(back.zs) - np.array(params.zs)).max(),
+                        np.abs(aa2.rs - aa.rs).max(),
+                        np.abs(aa2.alphas - aa.alphas).max())
+        assert roundtrip < 1e-7
+        self.assert_criterion_4(sd)
+
+    def test_m_checks_at_n16(self, rng):
+        # criterion 4 on random_params draws at N = 16 (Gram condition up to
+        # 2.5e16).  Criterion 2 is not asserted: at this N the roundtrip is
+        # limited by the eigenvalue condition of M, not by the forward map,
+        # and one of these draws reads 1.1e-7
+        for _ in range(6):
+            self.assert_criterion_4(spectral_decompose(random_params(rng, 16)))
+
+    @staticmethod
+    def assert_criterion_4(sd):
+        assert verify_m_matrix(sd) < 1e-8
+        im_m = (sd.m_matrix - sd.m_matrix.conj().T) / 2j
+        assert np.linalg.eigvalsh(im_m).max() <= 1e-9
 
     def test_h_lambda_routes_agree(self):
         params = self.blob()
+        # the resolvent solve runs in mpmath too
+        assert cauchy_gram(params.zs)[1] > 1e6
         sd = spectral_decompose(params)
-        assert sd.gram_cond > 1e6  # the resolvent solve runs in mpmath too
         for lam in (0.7, 2.5, 9.0):
             assert h_lambda_resolvent(params, lam) == pytest.approx(
                 h_lambda(sd, lam), rel=1e-9)
