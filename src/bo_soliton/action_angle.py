@@ -14,13 +14,23 @@ X_j = sqrt(|lambda_j|), Y_j = 1/sqrt(|lambda_j|).
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import OrderingViolation, RootsNotInLowerHalfPlane, SingularResolvent
 from .profiles import SolitonParameters
 from .spectral import m_formula, spectral_decompose
+
+log = logging.getLogger("bo_soliton.action_angle")
+
+# A shift within SINGULAR_RTOL * max|T| of a diagonal entry of the Schur
+# factor T is an eigenvalue of the matrix to within about 4500 rounding
+# errors of its largest entry; the resolvent pairing refuses it.
+SINGULAR_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -81,35 +91,56 @@ def _xy_vectors(lambdas):
     return x, 1.0 / x
 
 
-def _resolvent_pairing(m0, shift, lambdas):
-    """<(m0 - shift)^{-1} X, Y> batched over the trailing shift axis."""
+def _resolvent_pairing(schur, shift, lambdas):
+    """<(m0 - s)^{-1} X, Y> for every entry s of ``shift``, in its shape.
+
+    ``schur`` is the complex Schur form ``(T, Q)`` of m0, m0 = Q T Q* with
+    T upper triangular, so the pairing is c (T - s)^{-1} b with b = Q* X
+    and c = Y^T Q, both formed once.  (T - s) w = b is solved by back
+    substitution over the N rows, each row for every shift at once; no
+    matrix is factored per shift.  A shift within SINGULAR_RTOL * max|T| of
+    a diagonal entry of T, an eigenvalue of m0, raises SingularResolvent,
+    and so does a non-finite result (overflow, or a NaN shift).
+    """
+    tri, q = schur
     x, y = _xy_vectors(lambdas)
-    n = lambdas.size
-    shift = np.asarray(shift, dtype=complex)
-    mats = m0[None, :, :] - shift.reshape(-1, 1, 1) * np.eye(n)[None, :, :]
-    rhs = np.tile(x.astype(complex)[None, :, None], (shift.size, 1, 1))
-    try:
-        sol = np.linalg.solve(mats, rhs)[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularResolvent(str(exc)) from exc
-    vals = sol @ y
+    s = np.asarray(shift).ravel()
+    gaps = np.diagonal(tri)[:, None] - s
+    closest, scale = np.abs(gaps).min(initial=np.inf), np.abs(tri).max()
+    if closest <= SINGULAR_RTOL * scale:
+        raise SingularResolvent(f"shift within {closest:.3e} of an "
+                                f"eigenvalue (max|T| = {scale:.3e})")
+    b = q.conj().T @ x
+    w = np.empty(gaps.shape, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(lambdas.size - 1, -1, -1):
+            w[k] = (b[k] - tri[k, k + 1:] @ w[k + 1:]) / gaps[k]
+        vals = (y @ q) @ w
     if not np.all(np.isfinite(vals)):
         raise SingularResolvent("resolvent pairing produced non-finite values")
-    return vals.reshape(shift.shape)
+    return vals.reshape(np.shape(shift))
 
 
 def explicit_solution(aa0, t, x):
     """u(t, x) = 2 Im <(M0 - x - (t/pi) diag(I_j))^{-1} X, Y>.
 
-    Vectorized over x (scalar or array); one dense solve per point.
+    Vectorized over x (a scalar gives a float, an array keeps its shape):
+    one complex Schur form of M0 - (t/pi) diag(I_j), then back substitution
+    over all points at once (``_resolvent_pairing``).  At debug level the
+    ``bo_soliton.action_angle`` logger gets N, the point count, the Schur
+    residual max|Q T Q* - M| and the seconds spent.
     """
-    m0 = m_from_aa(aa0)
-    lam = aa0.lambdas
-    shift_diag = np.diag(aa0.rs * (t / np.pi))
+    start = time.perf_counter()
+    m = m_from_aa(aa0) - np.diag(aa0.rs * (t / np.pi))
+    schur = scipy.linalg.schur(m, output="complex")
     xs = np.asarray(x, dtype=float)
-    vals = _resolvent_pairing(m0 - shift_diag, xs, lam)
-    out = 2 * np.imag(vals)
-    if np.asarray(x).shape == ():
+    out = 2 * np.imag(_resolvent_pairing(schur, xs, aa0.lambdas))
+    if log.isEnabledFor(logging.DEBUG):
+        tri, q = schur
+        resid = np.abs(q @ tri @ q.conj().T - m).max()
+        log.debug("explicit_solution: N=%d, %d points, schur residual %.2e, "
+                  "%.4f s", aa0.n, xs.size, resid, time.perf_counter() - start)
+    if xs.shape == ():
         return float(out)
     return out
 
@@ -117,7 +148,8 @@ def explicit_solution(aa0, t, x):
 def pi_u_resolvent(sd, x):
     """Pi u(x) = -i <(M - x)^{-1} X, Y> from spectral data alone."""
     xs = np.asarray(x, dtype=complex)
-    vals = -1j * _resolvent_pairing(sd.m_matrix, xs, sd.lambdas)
+    schur = scipy.linalg.schur(sd.m_matrix, output="complex")
+    vals = -1j * _resolvent_pairing(schur, xs, sd.lambdas)
     if np.asarray(x).shape == ():
         return complex(vals)
     return vals

@@ -86,7 +86,7 @@ class RootsNotInLowerHalfPlane(NumericalError):
 
 
 class SingularResolvent(NumericalError):
-    """Resolvent solve hit a (numerically) singular matrix."""
+    """Resolvent shift on an eigenvalue to rounding, or non-finite pairing."""
 
 
 class FDStepTooLarge(NumericalError):

@@ -1,3 +1,6 @@
+import logging
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ from bo_soliton.action_angle import (
     m_from_aa,
     pi_u_resolvent,
 )
-from bo_soliton.errors import OrderingViolation
+from bo_soliton.errors import OrderingViolation, SingularResolvent
 from bo_soliton.profiles import SolitonParameters, pi_u, profile_values
 from bo_soliton.rational import evaluate
 from bo_soliton.spectral import spectral_decompose
@@ -119,6 +122,42 @@ class TestExplicitSolution:
                 u2 = profile_values(inverse_map(evolve_aa(aa, t)), xs)
                 assert np.abs(u1 - u2).max() < 1e-9
 
+    def test_two_path_consistency_large_n(self, rng):
+        # The Schur back substitution shares the eigenvalues' rounding with
+        # inverse_map; per-point LU solves read 4.8e-12 on these draws.
+        for n in (8, 12, 16):
+            params = random_params(rng, n)
+            aa = forward_map(params)
+            xs = np.linspace(-50, 50, 501)
+            for t in (0.1, 1.0, 10.0):
+                u1 = explicit_solution(aa, t, xs)
+                u2 = profile_values(inverse_map(evolve_aa(aa, t)), xs)
+                assert np.abs(u1 - u2).max() < 2e-12
+
+    def test_output_shapes(self, rng):
+        aa = forward_map(random_params(rng, 3))
+        xs = np.linspace(-10, 10, 12)
+        flat = explicit_solution(aa, 2.0, xs)
+        grid = explicit_solution(aa, 2.0, xs.reshape(3, 4))
+        assert grid.shape == (3, 4)
+        assert np.array_equal(grid.ravel(), flat)
+        scalar = explicit_solution(aa, 2.0, 1.5)
+        assert type(scalar) is float
+        assert scalar == explicit_solution(aa, 2.0, np.array([1.5]))[0]
+        assert explicit_solution(aa, 2.0, np.empty(0)).shape == (0,)
+
+    def test_debug_log_line(self, caplog):
+        xs = np.linspace(-5, 5, 40)
+        with caplog.at_level(logging.DEBUG, logger="bo_soliton.action_angle"):
+            explicit_solution(unit_aa(), 1.0, xs)
+        (rec,) = [r for r in caplog.records
+                  if r.name == "bo_soliton.action_angle"]
+        msg = rec.getMessage()
+        assert msg.startswith(
+            "explicit_solution: N=1, 40 points, schur residual ")
+        assert float(msg.split("schur residual ")[1].split(",")[0]) < 1e-14
+        assert msg.endswith(" s")
+
 
 class TestPiUResolvent:
     def test_unit_soliton_algebra(self):
@@ -140,3 +179,26 @@ class TestPiUResolvent:
         bound = 1.1 * np.sum(np.sqrt(lam)) * np.sum(1 / np.sqrt(lam))
         for x in (1e6, -1e6):
             assert abs(pi_u_resolvent(sd, x)) <= bound / abs(x)
+
+    def test_scalar_is_complex(self):
+        sd = spectral_decompose(SolitonParameters((-1j,)))
+        assert type(pi_u_resolvent(sd, 0.5)) is complex
+        assert pi_u_resolvent(sd, np.zeros((2, 3))).shape == (2, 3)
+
+    def _assert_refused(self, sd, z):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularResolvent):
+                pi_u_resolvent(sd, z)
+
+    def test_pole_of_unit_soliton_refused(self):
+        self._assert_refused(spectral_decompose(SolitonParameters((-1j,))),
+                             -1j)
+
+    def test_computed_eigenvalues_refused(self, rng):
+        sd = spectral_decompose(random_params(rng, 2))
+        for z in np.linalg.eigvals(sd.m_matrix):
+            self._assert_refused(sd, z)
+            # a shift one part in 1e8 away is a regular point
+            near = pi_u_resolvent(sd, z + 1e-8 * np.abs(sd.m_matrix).max())
+            assert np.isfinite(near)

@@ -1,0 +1,34 @@
+import numpy as np
+
+from bo_soliton.tableio import fmt, write_csv, write_xy
+
+EDGE = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308,
+                 0.1, 1 / 3, 2.0 ** 60 + 2.0 ** 8, 3.0, -7.0])
+
+
+def per_value_body(xs, ys):
+    return "".join(f"{fmt(x)},{fmt(y)}\n" for x, y in zip(xs, ys))
+
+
+def test_write_xy_bytes_match_fmt(tmp_path):
+    path = tmp_path / "xy.csv"
+    ys = EDGE[::-1]
+    write_xy(str(path), ("x", "u"), EDGE, ys)
+    assert path.read_bytes() == ("x,u\n" + per_value_body(EDGE, ys)).encode()
+
+
+def test_write_xy_integer_input(tmp_path):
+    xs = np.arange(-3, 4)
+    ys = [10 ** 20, 0, -1, 2 ** 53 + 1, 5, 6, 7]
+    path = tmp_path / "ints.csv"
+    write_xy(str(path), ("x", "u"), xs, ys)
+    assert path.read_bytes() == ("x,u\n" + per_value_body(xs, ys)).encode()
+
+
+def test_write_csv_rows(tmp_path):
+    path = tmp_path / "rows.csv"
+    rows = [(str(j), fmt(v)) for j, v in enumerate(EDGE)]
+    write_csv(str(path), ("j", "v"), iter(rows))
+    body = "".join(f"{j},{v}\n" for j, v in rows)
+    assert path.read_bytes() == ("j,v\n" + body).encode()
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
