@@ -20,8 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import zgeev
 
-from .errors import OrderingViolation, RootsNotInLowerHalfPlane, SingularResolvent
+from .errors import (
+    EigensolveFailed,
+    NonFiniteInput,
+    OrderingViolation,
+    RootsNotInLowerHalfPlane,
+    SingularResolvent,
+)
 from .profiles import SolitonParameters
 from .spectral import m_formula, spectral_decompose
 
@@ -45,7 +52,9 @@ class ActionAngles:
         object.__setattr__(self, "alphas", al)
         if rs.size != al.size or rs.size < 1:
             raise OrderingViolation("need matching nonempty action/angle lists")
-        if np.any(rs >= 0) or np.any(np.diff(rs) <= 0):
+        if not (np.isfinite(rs).all() and np.isfinite(al).all()):
+            raise NonFiniteInput("actions and angles must be finite")
+        if not (rs[-1] < 0 and (rs[:-1] < rs[1:]).all()):
             raise OrderingViolation(
                 "actions must satisfy r1 < r2 < ... < rN < 0")
 
@@ -73,12 +82,14 @@ def m_from_aa(aa):
 
 
 def inverse_map(aa):
-    """Phi_N^{-1}: the parameters are the eigenvalues of M."""
-    roots = np.linalg.eigvals(m_from_aa(aa))
-    if np.any(roots.imag >= 0):
+    """Phi_N^{-1}: the parameters are the eigenvalues of M (LAPACK zgeev)."""
+    roots, _, _, info = zgeev(m_from_aa(aa), compute_vl=0, compute_vr=0)
+    if info != 0:
+        raise EigensolveFailed(f"eigenvalues of M failed: zgeev info {info}")
+    if not roots.imag.max() < 0:
         raise RootsNotInLowerHalfPlane(
             f"spectrum of M left the lower half-plane: {roots}")
-    return SolitonParameters(tuple(roots))
+    return SolitonParameters(roots)
 
 
 def evolve_aa(aa, t):

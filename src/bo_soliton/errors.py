@@ -48,6 +48,10 @@ class GridMismatch(DomainError):
     """Two grid fields do not share the same grid."""
 
 
+class NonFiniteInput(DomainError):
+    """A parameter, action or angle is NaN or infinite."""
+
+
 # -- numerical errors -------------------------------------------------------
 
 class RootFindingFailed(NumericalError):
@@ -79,6 +83,10 @@ class RefinementStalled(NumericalError):
 
     No longer raised; kept importable like GramIllConditioned.
     """
+
+
+class EigensolveFailed(NumericalError):
+    """A LAPACK eigensolver returned a nonzero info."""
 
 
 class RootsNotInLowerHalfPlane(NumericalError):

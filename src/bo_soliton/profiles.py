@@ -16,7 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateParameters, DomainError, RootFindingFailed
+from .errors import (
+    DegenerateParameters,
+    DomainError,
+    NonFiniteInput,
+    RootFindingFailed,
+)
 from .rational import (
     DEGENERACY_TOL,
     PoleResidueForm,
@@ -26,25 +31,33 @@ from .rational import (
 
 @dataclass(frozen=True)
 class SolitonParameters:
-    """Unordered multiset {z_j} in the lower half-plane, stored sorted."""
+    """Unordered multiset {z_j} in the lower half-plane, stored sorted.
+
+    The z_j must be finite (else NonFiniteInput) and pairwise at least
+    DEGENERACY_TOL * max(1, max|z_j|) apart (else DegenerateParameters).
+    """
 
     zs: tuple = field(default=())
 
     def __post_init__(self):
-        zs = tuple(complex(z) for z in self.zs)
-        if len(zs) < 1:
+        z = np.array(self.zs, dtype=complex)
+        if z.ndim != 1 or z.size < 1:
             raise DomainError("at least one soliton is required")
-        for z in zs:
-            if not z.imag < 0:
-                raise DomainError(
-                    f"parameter {z} must lie in the lower half-plane (eta > 0)")
-        scale = max(1.0, max(abs(z) for z in zs))
-        ordered = sorted(zs, key=lambda z: (z.real, z.imag))
-        for a, b in zip(ordered, ordered[1:]):
-            if abs(a - b) < DEGENERACY_TOL * scale:
-                raise DegenerateParameters(
-                    f"parameters {a} and {b} collide within tolerance")
-        object.__setattr__(self, "zs", tuple(ordered))
+        if not np.isfinite(z).all():
+            raise NonFiniteInput(f"parameters must be finite: {z}")
+        if not z.imag.max() < 0:
+            raise DomainError(f"parameter {z[np.argmax(z.imag)]} must lie in "
+                              "the lower half-plane (eta > 0)")
+        # every pair: neighbours in sort order can miss a collision
+        dist = np.abs(z[:, None] - z)
+        dist.flat[::z.size + 1] = np.inf
+        close = dist.argmin()
+        if not dist.flat[close] >= DEGENERACY_TOL * max(1.0, np.abs(z).max()):
+            j, k = divmod(close, z.size)
+            raise DegenerateParameters(
+                f"parameters {z[j]} and {z[k]} collide within tolerance")
+        # complex sort: by real part, then imaginary part
+        object.__setattr__(self, "zs", tuple(np.sort(z).tolist()))
 
     @property
     def n(self):

@@ -26,9 +26,15 @@ from functools import cached_property
 
 import mpmath
 import numpy as np
-from scipy.linalg.lapack import ztrsyl
+from scipy.linalg.blas import zgemm, ztrmm
+from scipy.linalg.lapack import zheevd, ztrsyl
 
-from .errors import DegenerateSpectrum, InvariantViolation, PositivityFailure
+from .errors import (
+    DegenerateSpectrum,
+    EigensolveFailed,
+    InvariantViolation,
+    PositivityFailure,
+)
 from .profiles import one_minus_theta, u_rational
 from .rational import (
     MP_DPS,
@@ -73,9 +79,9 @@ class SpectralData:
         object.__setattr__(self, "gammas", gam)
         object.__setattr__(self, "m_matrix",
                            np.asarray(self.m_matrix, dtype=complex))
-        if np.any(lam >= 0):
+        if not lam[-1] < 0:
             raise PositivityFailure("eigenvalues must be strictly negative")
-        if np.any(np.diff(lam) <= 0):
+        if not (lam[:-1] < lam[1:]).all():
             raise DegenerateSpectrum("eigenvalues must be strictly increasing")
 
     @property
@@ -215,7 +221,10 @@ def mt_generator(zs):
     """
     z = np.asarray(zs, dtype=complex)
     s = np.sqrt(-z.imag)
-    return np.diag(z) - 2j * np.triu(np.outer(s, s), 1), s
+    k = np.arange(z.size)
+    gmat = np.outer(s, -2j * s) * (k[:, None] < k)
+    gmat.flat[::z.size + 1] = z
+    return gmat, s
 
 
 def mt_lax(gmat):
@@ -257,46 +266,58 @@ def spectral_decompose(params):
 
     In the orthonormal Malmquist-Takenaka basis (module docstring) the
     generator G has a closed form and L = L_u solves G L - L G* = iI; one
-    triangular Sylvester solve and one ``eigh`` give lambda and U.  Each
-    eigenvector's phase is fixed so that p = U* s is real positive, which
-    is <u, phi_j> > 0 because Pi u = -2 sqrt(pi) L s in this basis.  Then
-    M = U* G U, M_kj = <G phi_j, phi_k>, and gamma_j = Re M_jj.  Gates:
-    strictly negative, separated eigenvalues, nonvanishing <u, phi_j>, the
-    Wu identity 2 |lambda_j| p_j^2 = 1 within WU_TOL and Im M <= IM_M_TOL.
+    triangular Sylvester solve (LAPACK ztrsyl) and one Hermitian eigensolve
+    (zheevd) give lambda and U.  Each eigenvector's phase is fixed so that
+    p = U* s is real positive, which is <u, phi_j> > 0 because
+    Pi u = -2 sqrt(pi) L s in this basis.  Then M = U* G U,
+    M_kj = <G phi_j, phi_k>, and gamma_j = Re M_jj.
+
+    Gates, each tripped by NaN as well: strictly negative, separated
+    eigenvalues (GAP_TOL), nonvanishing <u, phi_j>, the Wu identity
+    2 |lambda_j| p_j^2 = 1 within WU_TOL, and Im M = -p p^T within IM_M_TOL.
+    The last holds exactly, since Im M = (M - M*)/2i = U* ((G - G*)/2i) U
+    = -(U* s)(U* s)^T; its gate is ||Im M + p p^T||_F <= IM_M_TOL, and by
+    Weyl's inequality that bounds the top eigenvalue of the computed Im M
+    by the same IM_M_TOL, without an eigensolve.  A nonzero LAPACK info
+    raises a NumericalError.  ``params`` must hold finite, pairwise
+    distinct parameters in the lower half-plane, which
+    :class:`SolitonParameters` enforces.
     """
-    n = params.n
     gmat, s = mt_generator(params.zs)
-    lam, vecs = np.linalg.eigh(mt_lax(gmat))
-
-    if np.any(lam >= 0):
+    lam, vecs, info = zheevd(mt_lax(gmat), lower=1, overwrite_a=1)
+    if info != 0:
+        raise EigensolveFailed(f"eigensolve of L failed: zheevd info {info}")
+    # zheevd returns lambda in ascending order
+    if not lam[-1] < 0:
         raise PositivityFailure("Lax operator produced a nonnegative eigenvalue")
-    if n > 1 and np.diff(lam).min() <= GAP_TOL * abs(lam[0]):
+    gaps = lam[1:] - lam[:-1]
+    if gaps.size and not gaps.min() > GAP_TOL * abs(lam[0]):
         raise DegenerateSpectrum(
-            f"eigenvalue gap {np.diff(lam).min():.3e} below tolerance")
+            f"eigenvalue gap {gaps.min():.3e} below tolerance")
 
-    p = vecs.conj().T @ s
-    mag = np.abs(lam)
+    p = (s @ vecs).conj()  # U* s, s real
+    pmag = np.abs(p)
     # <u, phi_j> = 2 sqrt(pi) |lambda_j| p_j, relative to sqrt(2 pi |lambda_j|)
-    small = np.abs(p) * np.sqrt(2 * mag) < 1e-10
-    if small.any():
+    pairing = pmag * np.sqrt(-2 * lam)
+    if not pairing.min() >= 1e-10:
         raise PositivityFailure(
-            f"<u, phi_{int(np.argmax(small)) + 1}> vanished; forbidden for "
+            f"<u, phi_{int(np.argmin(pairing)) + 1}> vanished; forbidden for "
             "eigenfunctions")
-    vecs = vecs * (p / np.abs(p))
-    p = np.abs(p)
-    wu = float(np.abs(2 * mag * p * p - 1).max())
-    if wu > WU_TOL:
+    vecs = vecs * (p / pmag)
+    wu = np.abs(pairing * pairing - 1).max()
+    if not wu <= WU_TOL:
         raise InvariantViolation(f"Wu defect {wu:.3e} exceeds {WU_TOL:g}")
 
-    mmat = vecs.conj().T @ gmat @ vecs
-    gammas = mmat.diagonal().real.copy()
+    # U* (G U), the triangular product reading only the upper part of G
+    mmat = zgemm(1.0, vecs, ztrmm(1.0, gmat, vecs), trans_a=2)
+    defect = (mmat - mmat.conj().T) / 2j + np.outer(pmag, pmag)
+    im_defect = np.sqrt(np.vdot(defect, defect).real)
+    if not im_defect <= IM_M_TOL:
+        raise InvariantViolation(
+            f"Im M misses -p p^T by {im_defect:.3e} (Frobenius norm)")
 
-    im_m = (mmat - mmat.conj().T) / 2j
-    top = float(np.linalg.eigvalsh(im_m).max())
-    if top > IM_M_TOL:
-        raise InvariantViolation(f"Im M has positive eigenvalue {top:.3e}")
-
-    return SpectralData(lam, gammas, mmat, params.zs, vecs)
+    return SpectralData(lam, mmat.diagonal().real.copy(), mmat, params.zs,
+                        vecs)
 
 
 def m_formula(lambdas, gammas):
@@ -308,10 +329,10 @@ def m_formula(lambdas, gammas):
     lam = np.asarray(lambdas, dtype=float)
     gam = np.asarray(gammas, dtype=float)
     mag = np.abs(lam)
-    gaps = lam[:, None] - lam[None, :]
-    np.fill_diagonal(gaps, 1.0)  # the diagonal is overwritten below
-    m = 1j / gaps * np.sqrt(mag[:, None] / mag[None, :])
-    np.fill_diagonal(m, gam - 1j / (2 * mag))
+    gaps = lam[:, None] - lam
+    gaps.flat[::lam.size + 1] = 1.0  # the diagonal is overwritten below
+    m = 1j / gaps * np.sqrt(mag[:, None] / mag)
+    m.flat[::lam.size + 1] = gam - 1j / (2 * mag)
     return m
 
 

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from bo_soliton import action_angle
 from bo_soliton.action_angle import (
     ActionAngles,
     aa_from_spectral,
@@ -14,7 +15,13 @@ from bo_soliton.action_angle import (
     m_from_aa,
     pi_u_resolvent,
 )
-from bo_soliton.errors import OrderingViolation, SingularResolvent
+from bo_soliton.errors import (
+    EigensolveFailed,
+    NonFiniteInput,
+    OrderingViolation,
+    RootsNotInLowerHalfPlane,
+    SingularResolvent,
+)
 from bo_soliton.profiles import SolitonParameters, pi_u, profile_values
 from bo_soliton.rational import evaluate
 from bo_soliton.spectral import spectral_decompose
@@ -53,11 +60,35 @@ class TestMFromAA:
         with pytest.raises(OrderingViolation):
             ActionAngles(np.array([-1.0, 1.0]), np.zeros(2))
 
+    @pytest.mark.parametrize("rs, alphas", [
+        ([np.nan], [0.0]),
+        ([-np.inf, -1.0], [0.0, 0.0]),
+        ([-2.0, -1.0], [0.0, np.inf]),
+    ])
+    def test_non_finite_rejected(self, rs, alphas):
+        with pytest.raises(NonFiniteInput):
+            ActionAngles(np.array(rs), np.array(alphas))
+
 
 class TestInverseMap:
     def test_unit_soliton(self):
         params = inverse_map(unit_aa())
         assert abs(params.zs[0] - (-1j)) < 1e-12
+
+    def test_eigensolve_info(self, monkeypatch):
+        solve = action_angle.zgeev
+        monkeypatch.setattr(action_angle, "zgeev",
+                            lambda *a, **k: (*solve(*a, **k)[:3], 1))
+        with pytest.raises(EigensolveFailed, match="zgeev info 1"):
+            inverse_map(unit_aa())
+
+    def test_nan_root_refused(self, monkeypatch):
+        solve = action_angle.zgeev
+        monkeypatch.setattr(
+            action_angle, "zgeev",
+            lambda *a, **k: (np.array([np.nan + 0j]), *solve(*a, **k)[1:]))
+        with pytest.raises(RootsNotInLowerHalfPlane):
+            inverse_map(unit_aa())
 
     def test_scaled_shifted(self):
         for x0, c in ((0.0, 1.0), (3.0, 0.5), (-2.0, 4.0)):

@@ -97,8 +97,21 @@ class TestSpectrum:
         assert code == 3
         assert "DegenerateParameters" in capsys.readouterr().err
 
+    def test_nan_row_is_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        write_params(path, [(0.0, 1.0), ("nan", 1.0)])
+        code = main(["spectrum", str(path), "--out", str(tmp_path / "s.csv")])
+        assert code == 3
+        assert "NonFiniteInput" in capsys.readouterr().err
+
 
 class TestEvolve:
+    def test_nan_action_is_domain_error(self, tmp_path, capsys):
+        code = main(["evolve", "--r", "nan", "--alpha", "0",
+                     "--grid", "-5,5,11", "--outdir", str(tmp_path / "d")])
+        assert code == 3
+        assert "NonFiniteInput" in capsys.readouterr().err
+
     def test_traveling_peak(self, tmp_path):
         outdir = tmp_path / "frames"
         code = main(["evolve", "--r", "-3.141592653589793", "--alpha", "0",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bo_soliton.errors import DegenerateParameters, DomainError
+from bo_soliton.errors import DegenerateParameters, DomainError, NonFiniteInput
 from bo_soliton.profiles import (
     GridField,
     MonicPolynomial,
@@ -28,6 +28,17 @@ class TestParameters:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateParameters):
             SolitonParameters((-1j, -1j * (1 + 1e-12)))
+
+    def test_collision_beyond_sort_neighbours_rejected(self):
+        # -1j and 2e-12 - 1j collide, but 1e-12 - 5j sorts between them
+        with pytest.raises(DegenerateParameters):
+            SolitonParameters((-1j, 1e-12 - 5j, 2e-12 - 1j))
+
+    @pytest.mark.parametrize("z", [complex(np.nan, -1.0), -np.inf * 1j,
+                                   complex(np.inf, -1.0)])
+    def test_non_finite_rejected(self, z):
+        with pytest.raises(NonFiniteInput):
+            SolitonParameters((z,))
 
     def test_canonical_order(self):
         p = SolitonParameters((2 - 1j, -1 - 2j))

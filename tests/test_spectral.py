@@ -2,7 +2,14 @@ import mpmath
 import numpy as np
 import pytest
 
+from bo_soliton import spectral
 from bo_soliton.action_angle import aa_from_spectral, inverse_map
+from bo_soliton.errors import (
+    DegenerateSpectrum,
+    EigensolveFailed,
+    InvariantViolation,
+    PositivityFailure,
+)
 from bo_soliton.invariants import h_lambda, h_lambda_resolvent
 from bo_soliton.profiles import (
     SolitonParameters,
@@ -199,6 +206,52 @@ class TestSpectralDecompose:
         eig = sorted(np.linalg.eigvals(sd.m_matrix),
                      key=lambda z: (z.real, z.imag))
         assert np.abs(np.array(eig) - np.array(params.zs)).max() < 1e-8
+
+
+class TestGates:
+    """Each forward-map gate raises its typed error, NaN included."""
+
+    params = SolitonParameters((-1 - 1j, 0.5 - 2j, 2 - 0.7j))
+
+    @pytest.mark.parametrize("shift", [1e-7, -1e-7])
+    def test_im_m_identity_gate(self, monkeypatch, shift):
+        # M + i shift I breaks Im M = -p p^T alone; with shift < 0 the top
+        # eigenvalue of Im M stays negative, so only the identity sees it
+        product = spectral.zgemm
+        monkeypatch.setattr(
+            spectral, "zgemm",
+            lambda *a, **k: product(*a, **k) + shift * 1j * np.eye(3))
+        with pytest.raises(InvariantViolation, match="Im M misses"):
+            spectral_decompose(self.params)
+
+    def test_sylvester_info(self, monkeypatch):
+        solve = spectral.ztrsyl
+        monkeypatch.setattr(spectral, "ztrsyl",
+                            lambda *a, **k: (*solve(*a, **k)[:2], 1))
+        with pytest.raises(InvariantViolation, match="ztrsyl info 1"):
+            spectral_decompose(self.params)
+
+    def test_hermitian_eigensolve_info(self, monkeypatch):
+        solve = spectral.zheevd
+        monkeypatch.setattr(spectral, "zheevd",
+                            lambda *a, **k: (*solve(*a, **k)[:2], 2))
+        with pytest.raises(EigensolveFailed, match="zheevd info 2"):
+            spectral_decompose(self.params)
+
+    @pytest.mark.parametrize("j, error", [(0, DegenerateSpectrum),
+                                          (1, DegenerateSpectrum),
+                                          (2, PositivityFailure)])
+    def test_nan_eigenvalue_trips_a_gate(self, monkeypatch, j, error):
+        solve = spectral.zheevd
+
+        def nan_at_j(*a, **k):
+            lam, vecs, info = solve(*a, **k)
+            lam[j] = np.nan
+            return lam, vecs, info
+
+        monkeypatch.setattr(spectral, "zheevd", nan_at_j)
+        with pytest.raises(error):
+            spectral_decompose(self.params)
 
 
 class TestVerifyMMatrix:
