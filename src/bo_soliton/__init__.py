@@ -22,16 +22,11 @@ from .invariants import (
 from .pde import PdeConfig, compare, run, step, write_snapshots
 from .profiles import (
     GridField,
-    MonicPolynomial,
     SolitonParameters,
-    char_poly,
-    one_minus_theta,
     pi_u,
-    poly_roots,
     profile,
     torus_potential,
     u_rational,
-    viete_coeffs,
 )
 from .rational import (
     PoleResidueForm,
@@ -43,13 +38,6 @@ from .rational import (
     pf_decompose,
     szego_project,
 )
-from .spectral import (
-    SpectralData,
-    g_apply,
-    hpp_basis,
-    lax_apply,
-    spectral_decompose,
-    verify_m_matrix,
-)
+from .spectral import SpectralData, spectral_decompose, verify_m_matrix
 
 __version__ = "0.1.0"

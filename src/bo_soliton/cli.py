@@ -169,6 +169,8 @@ def cmd_evolve(args):
 
 
 def cmd_validate(args):
+    if args.n < 1 or args.trials < 1:
+        raise CliParseError("validate needs --n >= 1 and --trials >= 1")
     results = run_validation(args.n, args.trials, args.seed,
                              with_pde=args.with_pde,
                              inject_defect=args.inject_defect)
@@ -177,7 +179,8 @@ def cmd_validate(args):
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         all_ok = all_ok and r.passed
-        print(f"{r.name:<{width}}  {status}  worst={r.worst:.3e}  tol={r.tol:.1e}")
+        print(f"{r.name:<{width}}  {status}  worst={r.worst:.3e}  "
+              f"tol={r.tol:.1e}  trial={r.trial} n={r.n}")
     print("all checks passed" if all_ok else "some checks FAILED")
     return 0 if all_ok else 4
 

@@ -54,10 +54,6 @@ class NonFiniteInput(DomainError):
 
 # -- numerical errors -------------------------------------------------------
 
-class RootFindingFailed(NumericalError):
-    """Companion-matrix roots fail the residual bound."""
-
-
 class InvariantViolation(NumericalError):
     """A structurally guaranteed cancellation or bound failed."""
 
@@ -75,13 +71,6 @@ class GramIllConditioned(NumericalError):
 
     No longer raised by the forward map, which works in an orthonormal
     basis; kept because callers (the benchmark among them) import it.
-    """
-
-
-class RefinementStalled(NumericalError):
-    """Iterative refinement did not reach its residual gate.
-
-    No longer raised; kept importable like GramIllConditioned.
     """
 
 

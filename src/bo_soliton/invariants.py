@@ -21,20 +21,12 @@ import mpmath
 import numpy as np
 
 from .errors import BoundaryNotDecayed, FDStepTooLarge, PoleProximity
+from .oracle import cauchy_entries, lax_entries, mp_pairing
 from .profiles import SolitonParameters
 from .rational import MP_DPS
-from .spectral import (
-    cauchy_entries,
-    cauchy_gram,
-    lax_entries,
-    mp_pairing,
-    spectral_decompose,
-)
+from .spectral import spectral_decompose
 
 FD_STEP_DEFAULT = 1e-5
-# Gram condition of the basis 1/(x - z_r) above which h_lambda_resolvent
-# solves and pairs in MP_DPS digits instead of doubles
-RESOLVENT_FAST_COND = 1e6
 
 
 def _pairing_block(params):
@@ -191,17 +183,13 @@ def h_lambda_resolvent(params, lam):
 
     Works in the partial-fraction basis, where Pi u has coefficient vector
     (i, ..., i) exactly; independent of the Malmquist-Takenaka eigen-route
-    behind :func:`h_lambda`.  Pole clusters whose Gram condition exceeds
-    RESOLVENT_FAST_COND rerun the solve in MP_DPS digits.
+    behind :func:`h_lambda`.  The solve and the pairing run in MP_DPS
+    digits, since the Gram matrix of that basis is ill-conditioned for
+    clustered poles.
     """
-    zs = params.zs
     rhs = [1j] * params.n
-    kern, cond = cauchy_gram(zs)
-    if cond <= RESOLVENT_FAST_COND:
-        coeffs = np.linalg.solve(np.array(lax_entries(zs, lam)), rhs)
-        return float((coeffs @ kern @ np.conj(rhs)).real)
     with mpmath.workdps(MP_DPS):
-        z = [mpmath.mpc(v) for v in zs]
+        z = [mpmath.mpc(v) for v in params.zs]
         sol = mpmath.lu_solve(mpmath.matrix(lax_entries(z, lam)),
                               mpmath.matrix(rhs))
         return float(mpmath.re(

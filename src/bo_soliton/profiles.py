@@ -5,9 +5,8 @@ amplitude eta_j = 1/c_j) determine the profile
 
     u(x) = sum_j 2*eta_j / ((x - x_j)**2 + eta_j**2),
 
-its monic characteristic polynomial Q with roots {z_j}, the Hardy
-representative Pi u = i Q'/Q, the inner-function combination 1 - Qbar/Q, and
-the periodic gap potential obtained through z -> exp(i z).
+its Hardy representative Pi u = i Q'/Q with Q = prod (x - z_j), and the
+periodic gap potential obtained through z -> exp(i z).
 """
 
 from __future__ import annotations
@@ -16,17 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateParameters,
-    DomainError,
-    NonFiniteInput,
-    RootFindingFailed,
-)
-from .rational import (
-    DEGENERACY_TOL,
-    PoleResidueForm,
-    pf_decompose,
-)
+from .errors import DegenerateParameters, DomainError, NonFiniteInput
+from .rational import DEGENERACY_TOL, PoleResidueForm
 
 
 @dataclass(frozen=True)
@@ -84,30 +74,6 @@ class SolitonParameters:
 
 
 @dataclass(frozen=True)
-class MonicPolynomial:
-    """Monic polynomial via its low-order coefficients a_0..a_{N-1}."""
-
-    low_coeffs: tuple = field(default=())
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "low_coeffs", tuple(complex(a) for a in self.low_coeffs))
-        if len(self.low_coeffs) < 1:
-            raise DomainError("degree must be at least 1")
-
-    @property
-    def degree(self):
-        return len(self.low_coeffs)
-
-    def coeffs_desc(self):
-        """Full coefficient list, highest degree first (leading 1)."""
-        return np.array([1.0 + 0j] + list(reversed(self.low_coeffs)))
-
-    def __call__(self, x):
-        return np.polyval(self.coeffs_desc(), x)
-
-
-@dataclass(frozen=True)
 class GridField:
     """Uniform real-valued samples: values[k] at x0 + k*dx."""
 
@@ -132,33 +98,6 @@ class GridField:
         return (self.values.size == other.values.size
                 and abs(self.x0 - other.x0) < 1e-12 * max(1.0, abs(self.x0))
                 and abs(self.dx - other.dx) < 1e-12 * self.dx)
-
-
-def viete_coeffs(roots):
-    """Coefficients of prod(X - r); root order does not matter."""
-    rs = sorted((complex(r) for r in roots), key=lambda z: (z.real, z.imag))
-    if not rs:
-        raise DomainError("need at least one root")
-    coeffs = np.array([1.0 + 0j])
-    for r in rs:
-        coeffs = np.convolve(coeffs, np.array([1.0, -r]))
-    return MonicPolynomial(tuple(reversed(coeffs[1:])))
-
-
-def poly_roots(p):
-    """Roots via companion-matrix eigenvalues, with a residual gate."""
-    coeffs = p.coeffs_desc()
-    roots = np.roots(coeffs)
-    bound = 1e-8 * (1.0 + max(abs(a) for a in coeffs))
-    resid = np.abs(np.polyval(coeffs, roots))
-    if np.any(resid > bound):
-        raise RootFindingFailed(
-            f"max residual {resid.max():.3e} exceeds bound {bound:.3e}")
-    return [complex(r) for r in roots]
-
-
-def char_poly(params):
-    return viete_coeffs(params.zs)
 
 
 def pi_u(params):
@@ -186,17 +125,6 @@ def profile(params, x0, dx, n):
         raise DomainError("need at least two samples")
     x = x0 + dx * np.arange(n)
     return GridField(x0, dx, profile_values(params, x))
-
-
-def one_minus_theta(params):
-    """1 - Qbar/Q = (Q - Qbar)/Q with Qbar the coefficient conjugate of Q.
-
-    Unimodular complement of the inner function; lies in the Hardy space with
-    poles exactly at the z_j.
-    """
-    q = char_poly(params)
-    num_desc = [a - a.conjugate() for a in reversed(q.low_coeffs)]
-    return pf_decompose(num_desc, params.zs)
 
 
 def torus_potential(params, m):

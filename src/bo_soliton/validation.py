@@ -1,7 +1,8 @@
 """Randomized invariant suite behind the ``validate`` CLI subcommand.
 
 Each check draws seeded random parameter sets, evaluates one structural
-identity, and reports the worst deviation against its tolerance.  All checks
+identity through its defect function, and reports the worst deviation
+against its tolerance, with the trial and N that produced it.  All checks
 are deterministic for a fixed seed.
 """
 
@@ -14,6 +15,8 @@ import numpy as np
 
 from .action_angle import aa_from_spectral, explicit_solution, inverse_map
 from .invariants import (
+    FD_STEP_DEFAULT,
+    canonical_form_matrix,
     e1_quadrature,
     e_n_from_spectrum,
     h_lambda,
@@ -21,22 +24,39 @@ from .invariants import (
     poisson_bracket_table,
     symplectomorphism_check,
 )
+from .oracle import cauchy_entries, mp_pairing
 from .pde import PdeConfig, compare, run
 from .profiles import GridField, SolitonParameters, profile
 from .rational import MP_DPS
-from .spectral import (
-    cauchy_entries,
-    mp_pairing,
-    spectral_decompose,
-    verify_m_matrix,
-)
+from .spectral import spectral_decompose, verify_m_matrix
+
+# check name -> tolerance, in report order
+CHECKS = {
+    "roundtrip": 1e-7,
+    "wu_identity": 1e-9,
+    "m_formula": 1e-8,
+    "im_m_negative": 1e-9,
+    "energy_dual": 1e-4,
+    "h_lambda_dual": 1e-9,
+    "symplectic_defect": 1e-4,
+    "poisson_table": 1e-4,
+    "pde_compare": 1e-3,
+}
 
 
 @dataclass(frozen=True)
 class CheckResult:
+    """Worst defect of one check, and the trial index and N that gave it.
+
+    ``trial`` counts the draws of the check's own loop: the main loop for
+    the first six checks, the finite-difference loop for the bracket checks.
+    """
+
     name: str
     worst: float
     tol: float
+    trial: int
+    n: int
 
     @property
     def passed(self):
@@ -55,17 +75,17 @@ def random_params(rng, n, xbox=5.0, eta_range=(0.2, 5.0), gap=0.1):
             return SolitonParameters(tuple(zs))
 
 
-def _aa_distance(a, b):
-    return max(np.abs(a.rs - b.rs).max(), np.abs(a.alphas - b.alphas).max())
+def roundtrip_defect(params, aa):
+    """Max deviation of Phi_N^{-1}(aa) from ``params`` and of Phi_N of it
+    from ``aa``; ``aa`` is Phi_N(params) unless a defect was injected."""
+    back = inverse_map(aa)
+    aa2 = aa_from_spectral(spectral_decompose(back))
+    return max(float(np.abs(np.array(back.zs) - np.array(params.zs)).max()),
+               np.abs(aa2.rs - aa.rs).max(),
+               np.abs(aa2.alphas - aa.alphas).max())
 
 
-def _params_distance(a, b):
-    za = np.array(a.zs)
-    zb = np.array(b.zs)
-    return float(np.abs(za - zb).max())
-
-
-def _wu_defect(params, sd):
+def wu_defect(params, sd):
     """Max relative defect of |<u, phi_j>|^2 = 2 pi |lambda_j| <phi_j, phi_j>.
 
     Pairs the MP_DPS-digit eigenfunction coefficients by residues in the
@@ -84,68 +104,66 @@ def _wu_defect(params, sd):
     return worst
 
 
-def run_validation(nmax, trials, seed, with_pde=False, inject_defect=False):
-    rng = np.random.default_rng(seed)
-    results = []
+def im_m_top(m):
+    """Top eigenvalue of Im M = (M - M*)/2i, which must not be positive."""
+    return float(np.linalg.eigvalsh((m - m.conj().T) / 2j).max())
 
-    worst_round = 0.0
-    worst_wu = 0.0
-    worst_m = 0.0
-    worst_imm = 0.0
-    worst_energy = 0.0
-    worst_h = 0.0
+
+def energy_defect(params, sd):
+    """Relative gap between E_1 from the spectrum and by quadrature of u."""
+    e_spec = e_n_from_spectrum(sd, 1)
+    e_quad = e1_quadrature(profile(params, -1e4, 2e4 / 2 ** 19, 2 ** 19))
+    return abs(e_spec - e_quad) / abs(e_spec)
+
+
+def h_lambda_defect(params, sd, probes):
+    """Max gap between H_lambda from the spectrum and by the resolvent solve,
+    relative to 1 + |H_lambda|, over the probes not within 1e-3 of a pole."""
+    worst = 0.0
+    for lam in probes:
+        if np.min(np.abs(lam + sd.lambdas)) < 1e-3:
+            continue
+        h_pf = h_lambda(sd, lam)
+        h_res = h_lambda_resolvent(params, lam)
+        worst = max(worst, abs(h_pf - h_res) / (1 + abs(h_pf)))
+    return worst
+
+
+def bracket_defect(params, fd_step=FD_STEP_DEFAULT):
+    """Max entry of the Poisson table of (I, gamma) minus [[0, I], [-I, 0]]."""
+    table = poisson_bracket_table(params, fd_step)
+    return float(np.abs(table - canonical_form_matrix(params.n)).max())
+
+
+def run_validation(nmax, trials, seed, with_pde=False, inject_defect=False):
+    """One CheckResult per entry of CHECKS (pde_compare only ``with_pde``)."""
+    rng = np.random.default_rng(seed)
+    worst = {}
+
+    def record(name, defect, trial, n):
+        if name not in worst or defect > worst[name].worst:
+            worst[name] = CheckResult(name, defect, CHECKS[name], trial, n)
+
     for trial in range(trials):
         n = int(rng.integers(1, nmax + 1))
         params = random_params(rng, n)
+        probes = [float(rng.uniform(0.5, 10.0)) for _ in range(3)]
         sd = spectral_decompose(params)
         aa = aa_from_spectral(sd)
         if inject_defect and trial == 0:
             aa = type(aa)(aa.rs, aa.alphas + 1e-3)
-        back = inverse_map(aa)
-        worst_round = max(worst_round, _params_distance(params, back))
-        aa2 = aa_from_spectral(spectral_decompose(back))
-        worst_round = max(worst_round, _aa_distance(aa, aa2))
+        record("roundtrip", roundtrip_defect(params, aa), trial, n)
+        record("wu_identity", wu_defect(params, sd), trial, n)
+        record("m_formula", verify_m_matrix(sd), trial, n)
+        record("im_m_negative", im_m_top(sd.m_matrix), trial, n)
+        record("energy_dual", energy_defect(params, sd), trial, n)
+        record("h_lambda_dual", h_lambda_defect(params, sd, probes), trial, n)
 
-        worst_wu = max(worst_wu, _wu_defect(params, sd))
-
-        worst_m = max(worst_m, verify_m_matrix(sd))
-        im_m = (sd.m_matrix - sd.m_matrix.conj().T) / 2j
-        worst_imm = max(worst_imm, float(np.linalg.eigvalsh(im_m).max()))
-
-        e_spec = e_n_from_spectrum(sd, 1)
-        grid = profile(params, -1e4, 2e4 / 2 ** 19, 2 ** 19)
-        e_quad = e1_quadrature(grid)
-        worst_energy = max(worst_energy, abs(e_spec - e_quad) / abs(e_spec))
-
-        for _ in range(3):
-            lam_probe = float(rng.uniform(0.5, 10.0))
-            if np.min(np.abs(lam_probe + sd.lambdas)) < 1e-3:
-                continue
-            h_pf = h_lambda(sd, lam_probe)
-            h_res = h_lambda_resolvent(params, lam_probe)
-            worst_h = max(worst_h, abs(h_pf - h_res) / (1 + abs(h_pf)))
-
-    results.append(CheckResult("roundtrip", worst_round, 1e-7))
-    results.append(CheckResult("wu_identity", worst_wu, 1e-9))
-    results.append(CheckResult("m_formula", worst_m, 1e-8))
-    results.append(CheckResult("im_m_negative", worst_imm, 1e-9))
-    results.append(CheckResult("energy_dual", worst_energy, 1e-4))
-    results.append(CheckResult("h_lambda_dual", worst_h, 1e-9))
-
-    worst_sympl = 0.0
-    worst_poisson = 0.0
-    fd_trials = min(trials, 5)
-    for _ in range(fd_trials):
+    for trial in range(min(trials, 5)):
         n = int(rng.integers(1, min(nmax, 3) + 1))
         params = random_params(rng, n)
-        worst_sympl = max(worst_sympl, symplectomorphism_check(params))
-        table = poisson_bracket_table(params)
-        expected = np.zeros_like(table)
-        expected[:n, n:] = np.eye(n)
-        expected[n:, :n] = -np.eye(n)
-        worst_poisson = max(worst_poisson, float(np.abs(table - expected).max()))
-    results.append(CheckResult("symplectic_defect", worst_sympl, 1e-4))
-    results.append(CheckResult("poisson_table", worst_poisson, 1e-4))
+        record("symplectic_defect", symplectomorphism_check(params), trial, n)
+        record("poisson_table", bracket_defect(params), trial, n)
 
     if with_pde:
         params = SolitonParameters((0.0 - 1j,))
@@ -158,6 +176,6 @@ def run_validation(nmax, trials, seed, with_pde=False, inject_defect=False):
         exact = GridField(field.x0, field.dx,
                           explicit_solution(aa0, t_final, field.xs()))
         l2_rel, _ = compare(field, exact)
-        results.append(CheckResult("pde_compare", l2_rel, 1e-3))
+        record("pde_compare", l2_rel, 0, params.n)
 
-    return results
+    return [worst[name] for name in CHECKS if name in worst]

@@ -2,8 +2,20 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from bo_soliton.profiles import SolitonParameters
 from bo_soliton.rational import PoleResidueForm, evaluate
 from bo_soliton.validation import random_params  # noqa: F401  (reused by tests)
+
+SQRT_PI = np.sqrt(np.pi)
+
+
+def one_soliton():
+    return SolitonParameters((-1j,))
+
+
+def phi_one():
+    """Normalized ground eigenfunction of the unit soliton: i/(sqrt(pi)(x+i))."""
+    return PoleResidueForm(((-1j, 1, 1j / SQRT_PI),))
 
 
 def random_form(rng, max_poles=6, max_order=2, half_plane=None):

@@ -21,7 +21,6 @@ from bo_soliton.invariants import (
     e_n_from_lambdas,
     e_n_from_spectrum,
     h_lambda_from_lambdas,
-    poisson_bracket_table,
     symplectomorphism_check,
 )
 from bo_soliton.pde import PdeConfig, compare, run
@@ -34,7 +33,12 @@ from bo_soliton.profiles import (
 )
 from bo_soliton.rational import evaluate, inner_product
 from bo_soliton.spectral import spectral_decompose, verify_m_matrix
-from bo_soliton.validation import random_params
+from bo_soliton.validation import (
+    bracket_defect,
+    im_m_top,
+    random_params,
+    roundtrip_defect,
+)
 
 SEED = 20240817
 
@@ -54,10 +58,8 @@ def sweep():
         n = 2 + trial % 7
         params = random_params(rng, n, xbox=5.0, eta_range=(0.2, 5.0), gap=0.1)
         sd = spectral_decompose(params)
-        aa = aa_from_spectral(sd)
-        back = inverse_map(aa)
-        aa2 = aa_from_spectral(spectral_decompose(back))
-        records.append((params, sd, aa, back, aa2))
+        records.append((params, sd,
+                        roundtrip_defect(params, aa_from_spectral(sd))))
     return records, time.perf_counter() - t0
 
 
@@ -96,11 +98,8 @@ def test_criterion_1_one_soliton_anchor_chain():
 def test_criterion_2_roundtrip(sweep):
     records, elapsed = sweep
     worst = 0.0
-    for params, sd, aa, back, aa2 in records:
-        worst = max(worst, np.abs(np.array(back.zs)
-                                  - np.array(params.zs)).max())
-        worst = max(worst, np.abs(aa2.rs - aa.rs).max(),
-                    np.abs(aa2.alphas - aa.alphas).max())
+    for *_, defect in records:
+        worst = max(worst, defect)
     ok = worst < 1e-7 and elapsed < 30.0
     assert report(2, ok, f"max defect {worst:.2e}, {elapsed:.1f}s")
 
@@ -130,8 +129,7 @@ def test_criterion_4_m_matrix_dual_construction(sweep):
                               key=lambda z: (z.real, z.imag)))
         zs = np.array(sorted(params.zs, key=lambda z: (z.real, z.imag)))
         worst_eig = max(worst_eig, np.abs(eig - zs).max())
-        im_m = (sd.m_matrix - sd.m_matrix.conj().T) / 2j
-        worst_nsd = max(worst_nsd, float(np.linalg.eigvalsh(im_m).max()))
+        worst_nsd = max(worst_nsd, im_m_top(sd.m_matrix))
     ok = worst_entry < 1e-8 and worst_eig < 1e-8 and worst_nsd < 1e-9
     assert report(4, ok, f"entry {worst_entry:.2e}, eig {worst_eig:.2e}, "
                          f"Im M {worst_nsd:.2e}")
@@ -206,12 +204,7 @@ def test_criterion_8_symplectic_structure():
             params = random_params(rng, n)
             worst_defect = max(worst_defect,
                                symplectomorphism_check(params, 1e-5))
-            table = poisson_bracket_table(params, 1e-5)
-            expected = np.zeros((2 * n, 2 * n))
-            expected[:n, n:] = np.eye(n)
-            expected[n:, :n] = -np.eye(n)
-            worst_table = max(worst_table,
-                              float(np.abs(table - expected).max()))
+            worst_table = max(worst_table, bracket_defect(params, 1e-5))
     ok = worst_defect < 1e-4 and worst_table < 1e-4
     assert report(8, ok, f"pullback defect {worst_defect:.2e}, "
                          f"bracket table {worst_table:.2e}")

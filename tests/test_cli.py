@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -172,6 +173,24 @@ class TestValidate:
                      "--inject-defect"])
         assert code != 0
         assert "FAIL" in capsys.readouterr().out
+
+    def test_worst_case_names_its_trial(self, capsys):
+        # the injected defect perturbs the angles of trial 0 only
+        main(["validate", "--n", "2", "--trials", "3", "--seed", "7",
+              "--inject-defect"])
+        lines = capsys.readouterr().out.splitlines()
+        roundtrip = next(line for line in lines if line.startswith("roundtrip"))
+        assert re.search(r"FAIL .* trial=0 n=[12]$", roundtrip)
+
+    @pytest.mark.parametrize("flag, value", [("--n", "0"), ("--n", "-1"),
+                                             ("--trials", "0"),
+                                             ("--trials", "-2")])
+    def test_empty_run_is_usage_error(self, capsys, flag, value):
+        code = main(["validate", flag, value])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert ">= 1" in captured.err
 
 
 class TestTorus:

@@ -1,0 +1,197 @@
+"""The partial-fraction oracles, and the boundary that keeps them off the
+production path."""
+
+import ast
+from pathlib import Path
+
+import mpmath
+import numpy as np
+
+import bo_soliton
+from bo_soliton.oracle import (
+    g_apply,
+    hpp_basis,
+    lax_apply,
+    lax_entries,
+    lax_matrix,
+    one_minus_theta,
+)
+from bo_soliton.profiles import SolitonParameters
+from bo_soliton.rational import (
+    MP_DPS,
+    PoleResidueForm,
+    add,
+    evaluate,
+    inner_product,
+    scale,
+)
+from bo_soliton.spectral import spectral_decompose
+from conftest import SQRT_PI, one_soliton, phi_one, random_params
+
+# the modules of the forward map, the inverse map, the explicit solution and
+# the PDE reference: none of them may depend on the oracle
+PRODUCTION_MODULES = ("spectral", "action_angle", "profiles", "pde", "tableio")
+
+
+def imported_names(path):
+    """Dotted names of every module and name imported in a source file."""
+    for node in ast.walk(ast.parse(Path(path).read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def test_production_modules_do_not_import_oracle():
+    package = Path(bo_soliton.__file__).parent
+    offenders = [module for module in PRODUCTION_MODULES
+                 if any("oracle" in name.split(".")
+                        for name in imported_names(package / f"{module}.py"))]
+    assert not offenders, f"modules importing the oracle: {offenders}"
+
+
+class TestHppBasis:
+    def test_one_soliton(self):
+        (e0,) = hpp_basis(one_soliton())
+        assert e0.terms == ((-1j, 1, 1.0),)
+
+    def test_two_soliton_residues(self, rng):
+        params = SolitonParameters((-1j, 1 - 2j))
+        z1, z2 = params.zs
+        e0, e1 = hpp_basis(params)
+        # e1 = x/Q has residues z_j / Q'(z_j)
+        lookup = {p: c for p, _, c in e1.terms}
+        assert abs(lookup[z1] - z1 / (z1 - z2)) < 1e-14
+        assert abs(lookup[z2] - z2 / (z2 - z1)) < 1e-14
+        for x in rng.uniform(-5, 5, 10):
+            q = (x - z1) * (x - z2)
+            assert abs(evaluate(e1, x) - x / q) < 1e-13
+
+    def test_gram_positive_definite(self, rng):
+        for n in (2, 4, 8):
+            basis = hpp_basis(random_params(rng, n))
+            gram = np.array([[inner_product(basis[k], basis[j])
+                              for k in range(n)] for j in range(n)])
+            assert np.linalg.eigvalsh(0.5 * (gram + gram.conj().T)).min() > 0
+
+
+class TestLaxApply:
+    def test_one_soliton_eigenfunction(self, rng):
+        params = one_soliton()
+        f = PoleResidueForm(((-1j, 1, 1.0),))
+        lf = lax_apply(params, f)
+        for x in rng.uniform(-6, 6, 10):
+            assert abs(evaluate(lf, x) + 0.5 * evaluate(f, x)) < 1e-13
+
+    def test_linearity(self, rng):
+        params = random_params(rng, 3)
+        e0, e1, e2 = hpp_basis(params)
+        f = add(e0, scale(e1, 2.0 - 1j))
+        lhs = lax_apply(params, f)
+        rhs = add(lax_apply(params, e0), scale(lax_apply(params, e1), 2.0 - 1j))
+        for x in rng.uniform(-5, 5, 10):
+            assert abs(evaluate(lhs, x) - evaluate(rhs, x)) < 1e-11
+
+    def test_self_adjoint_on_subspace(self, rng):
+        params = random_params(rng, 4)
+        basis = hpp_basis(params)
+        f = add(basis[0], scale(basis[2], 1j))
+        g = add(basis[1], scale(basis[3], 0.5 - 0.25j))
+        lhs = inner_product(lax_apply(params, f), g)
+        rhs = inner_product(f, lax_apply(params, g))
+        assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
+
+    def test_stays_in_subspace(self, rng):
+        params = random_params(rng, 5)
+        for e in hpp_basis(params):
+            out = lax_apply(params, e)
+            assert set(out.poles()) <= set(params.zs)
+            assert out.max_order() == 1
+
+
+class TestGApply:
+    def test_one_soliton_closed_form(self, rng):
+        params = one_soliton()
+        phi = phi_one()
+        gphi = g_apply(params, phi)
+        expected = PoleResidueForm(((-1j, 1, 1.0 / SQRT_PI),))
+        for x in rng.uniform(-5, 5, 10):
+            assert abs(evaluate(gphi, x) - evaluate(expected, x)) < 1e-13
+        pairing = inner_product(gphi, phi)
+        assert abs(pairing - (-1j)) < 1e-13
+
+    def test_boundary_value_identity(self, rng):
+        # <1 - Theta, phi_j> = sqrt(2 pi / |lambda_j|)
+        params = random_params(rng, 4)
+        sd = spectral_decompose(params)
+        omt = one_minus_theta(params)
+        for lam, phi in zip(sd.lambdas, sd.eigenfunctions):
+            val = inner_product(omt, phi)
+            target = np.sqrt(2 * np.pi / abs(lam))
+            assert abs(val - target) < 1e-9 * target
+
+    def test_preserves_subspace(self, rng):
+        params = random_params(rng, 4)
+        for e in hpp_basis(params):
+            out = g_apply(params, e)
+            assert set(out.poles()) <= set(params.zs)
+            assert out.constant == 0
+
+
+def test_lax_entries_in_mpmath_match_lax_matrix(rng):
+    params = random_params(rng, 5)
+    for shift in (0, 2.5):
+        with mpmath.workdps(MP_DPS):
+            entries = lax_entries([mpmath.mpc(z) for z in params.zs], shift)
+            tmat = np.array([[complex(v) for v in row] for row in entries])
+        tmat -= shift * np.eye(5)
+        assert np.abs(tmat - lax_matrix(params)).max() < 1e-12
+
+
+def test_lax_matrix_matches_lax_apply(rng):
+    params = random_params(rng, 5)
+    tmat = lax_matrix(params)
+    pole_index = {z: i for i, z in enumerate(params.zs)}
+    for s, z in enumerate(params.zs):
+        image = lax_apply(params, PoleResidueForm(((z, 1, 1.0),)))
+        col = np.zeros(5, dtype=complex)
+        for p, m, c in image.terms:
+            col[pole_index[p]] = c
+        assert np.abs(col - tmat[:, s]).max() < 1e-12
+
+
+def test_m_matrix_matches_g_apply_route(rng):
+    params = random_params(rng, 4)
+    sd = spectral_decompose(params)
+    for j, phi_j in enumerate(sd.eigenfunctions):
+        gphi = g_apply(params, phi_j)
+        for k, phi_k in enumerate(sd.eigenfunctions):
+            direct = inner_product(gphi, phi_k)
+            assert abs(direct - sd.m_matrix[k, j]) < 1e-10
+
+
+class TestOneMinusTheta:
+    def test_one_soliton(self):
+        f = one_minus_theta(SolitonParameters((-1j,)))
+        assert f.terms == ((-1j, 1, 2j),)
+
+    def test_decay(self, rng):
+        params = random_params(rng, 4)
+        bound = 3e-6 * sum(2 * abs(z.imag) for z in params.zs)
+        assert abs(evaluate(one_minus_theta(params), 1e6)) < bound
+
+    def test_theta_unimodular_on_axis(self, rng):
+        params = random_params(rng, 4)
+        f = one_minus_theta(params)
+        for x in rng.uniform(-20, 20, 20):
+            assert abs(abs(1 - evaluate(f, x)) - 1.0) < 1e-10
+
+    def test_matches_polynomial_ratio(self, rng):
+        params = random_params(rng, 3)
+        f = one_minus_theta(params)
+        for x in rng.uniform(-5, 5, 10):
+            direct = 1 - np.prod([(x - z.conjugate()) / (x - z)
+                                  for z in params.zs])
+            assert abs(evaluate(f, x) - direct) < 1e-12

@@ -4,17 +4,12 @@ import pytest
 from bo_soliton.errors import DegenerateParameters, DomainError, NonFiniteInput
 from bo_soliton.profiles import (
     GridField,
-    MonicPolynomial,
     SolitonParameters,
-    char_poly,
-    one_minus_theta,
     pi_u,
-    poly_roots,
     profile,
     profile_values,
     torus_potential,
     u_rational,
-    viete_coeffs,
 )
 from bo_soliton.rational import evaluate
 from conftest import random_params
@@ -43,46 +38,6 @@ class TestParameters:
     def test_canonical_order(self):
         p = SolitonParameters((2 - 1j, -1 - 2j))
         assert p.zs == (-1 - 2j, 2 - 1j)
-
-
-class TestViete:
-    def test_single_root(self):
-        q = viete_coeffs([-1j])
-        assert q.low_coeffs == (1j,)
-
-    def test_double_root(self):
-        q = viete_coeffs([-1j, -1j])
-        assert np.allclose(q.low_coeffs, (-1.0, 2j))
-
-    def test_symmetric_pair(self):
-        q = viete_coeffs([1 - 1j, -1 - 1j])
-        assert np.allclose(q.low_coeffs, (-2.0, 2j))
-
-    def test_order_independent(self, rng):
-        roots = [complex(rng.uniform(-3, 3), rng.uniform(-3, -0.1))
-                 for _ in range(6)]
-        a = viete_coeffs(roots)
-        b = viete_coeffs(list(reversed(roots)))
-        assert a.low_coeffs == b.low_coeffs
-
-
-class TestPolyRoots:
-    def test_linear(self):
-        assert np.allclose(poly_roots(MonicPolynomial((1j,))), [-1j])
-
-    def test_quadratic(self):
-        roots = sorted(poly_roots(MonicPolynomial((1.0, 0.0))),
-                       key=lambda z: z.imag)
-        assert np.allclose(roots, [-1j, 1j])
-
-    def test_roundtrip(self, rng):
-        for n in (2, 5, 8, 12):
-            roots = sorted(
-                (complex(rng.uniform(-10, 10), rng.uniform(-10, -0.05))
-                 for _ in range(n)), key=lambda z: (z.real, z.imag))
-            rec = sorted(poly_roots(viete_coeffs(roots)),
-                         key=lambda z: (z.real, z.imag))
-            assert np.abs(np.array(rec) - np.array(roots)).max() < 1e-9
 
 
 class TestPiU:
@@ -125,32 +80,6 @@ class TestProfile:
     def test_positive(self, rng):
         params = random_params(rng, 5)
         assert np.all(profile(params, -100, 0.5, 401).values > 0)
-
-
-class TestOneMinusTheta:
-    def test_one_soliton(self):
-        f = one_minus_theta(SolitonParameters((-1j,)))
-        assert f.terms == ((-1j, 1, 2j),)
-
-    def test_decay(self, rng):
-        params = random_params(rng, 4)
-        bound = 3e-6 * sum(2 * abs(z.imag) for z in params.zs)
-        assert abs(evaluate(one_minus_theta(params), 1e6)) < bound
-
-    def test_theta_unimodular_on_axis(self, rng):
-        params = random_params(rng, 4)
-        f = one_minus_theta(params)
-        for x in rng.uniform(-20, 20, 20):
-            assert abs(abs(1 - evaluate(f, x)) - 1.0) < 1e-10
-
-    def test_matches_polynomial_ratio(self, rng):
-        params = random_params(rng, 3)
-        q = char_poly(params)
-        qbar = np.conj(q.coeffs_desc())
-        f = one_minus_theta(params)
-        for x in rng.uniform(-5, 5, 10):
-            direct = 1 - np.polyval(qbar, x) / np.polyval(q.coeffs_desc(), x)
-            assert abs(evaluate(f, x) - direct) < 1e-12
 
 
 class TestTorusPotential:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from bo_soliton import spectral
-from bo_soliton.action_angle import aa_from_spectral, inverse_map
+from bo_soliton.action_angle import aa_from_spectral
 from bo_soliton.errors import (
     DegenerateSpectrum,
     EigensolveFailed,
@@ -11,135 +11,24 @@ from bo_soliton.errors import (
     PositivityFailure,
 )
 from bo_soliton.invariants import h_lambda, h_lambda_resolvent
-from bo_soliton.profiles import (
-    SolitonParameters,
-    one_minus_theta,
-    u_rational,
-)
-from bo_soliton.rational import (
-    MP_DPS,
-    PoleResidueForm,
-    add,
-    evaluate,
-    inner_product,
-    scale,
-)
-from bo_soliton.spectral import (
+from bo_soliton.oracle import (
     cauchy_entries,
     cauchy_gram,
-    g_apply,
-    hpp_basis,
-    lax_apply,
     lax_entries,
-    lax_matrix,
-    m_formula,
     mp_pairing,
+)
+from bo_soliton.profiles import SolitonParameters, u_rational
+from bo_soliton.rational import MP_DPS, evaluate, inner_product
+from bo_soliton.spectral import (
+    m_formula,
     mt_generator,
     mt_lax,
     mt_residues,
     spectral_decompose,
     verify_m_matrix,
 )
-from conftest import random_params
-
-SQRT_PI = np.sqrt(np.pi)
-
-
-def one_soliton():
-    return SolitonParameters((-1j,))
-
-
-def phi_one():
-    """Normalized ground eigenfunction of the unit soliton: i/(sqrt(pi)(x+i))."""
-    return PoleResidueForm(((-1j, 1, 1j / SQRT_PI),))
-
-
-class TestHppBasis:
-    def test_one_soliton(self):
-        (e0,) = hpp_basis(one_soliton())
-        assert e0.terms == ((-1j, 1, 1.0),)
-
-    def test_two_soliton_residues(self, rng):
-        params = SolitonParameters((-1j, 1 - 2j))
-        z1, z2 = params.zs
-        e0, e1 = hpp_basis(params)
-        # e1 = x/Q has residues z_j / Q'(z_j)
-        lookup = {p: c for p, _, c in e1.terms}
-        assert abs(lookup[z1] - z1 / (z1 - z2)) < 1e-14
-        assert abs(lookup[z2] - z2 / (z2 - z1)) < 1e-14
-        for x in rng.uniform(-5, 5, 10):
-            q = (x - z1) * (x - z2)
-            assert abs(evaluate(e1, x) - x / q) < 1e-13
-
-    def test_gram_positive_definite(self, rng):
-        for n in (2, 4, 8):
-            basis = hpp_basis(random_params(rng, n))
-            gram = np.array([[inner_product(basis[k], basis[j])
-                              for k in range(n)] for j in range(n)])
-            assert np.linalg.eigvalsh(0.5 * (gram + gram.conj().T)).min() > 0
-
-
-class TestLaxApply:
-    def test_one_soliton_eigenfunction(self, rng):
-        params = one_soliton()
-        f = PoleResidueForm(((-1j, 1, 1.0),))
-        lf = lax_apply(params, f)
-        for x in rng.uniform(-6, 6, 10):
-            assert abs(evaluate(lf, x) + 0.5 * evaluate(f, x)) < 1e-13
-
-    def test_linearity(self, rng):
-        params = random_params(rng, 3)
-        e0, e1, e2 = hpp_basis(params)
-        f = add(e0, scale(e1, 2.0 - 1j))
-        lhs = lax_apply(params, f)
-        rhs = add(lax_apply(params, e0), scale(lax_apply(params, e1), 2.0 - 1j))
-        for x in rng.uniform(-5, 5, 10):
-            assert abs(evaluate(lhs, x) - evaluate(rhs, x)) < 1e-11
-
-    def test_self_adjoint_on_subspace(self, rng):
-        params = random_params(rng, 4)
-        basis = hpp_basis(params)
-        f = add(basis[0], scale(basis[2], 1j))
-        g = add(basis[1], scale(basis[3], 0.5 - 0.25j))
-        lhs = inner_product(lax_apply(params, f), g)
-        rhs = inner_product(f, lax_apply(params, g))
-        assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
-
-    def test_stays_in_subspace(self, rng):
-        params = random_params(rng, 5)
-        for e in hpp_basis(params):
-            out = lax_apply(params, e)
-            assert set(out.poles()) <= set(params.zs)
-            assert out.max_order() == 1
-
-
-class TestGApply:
-    def test_one_soliton_closed_form(self, rng):
-        params = one_soliton()
-        phi = phi_one()
-        gphi = g_apply(params, phi)
-        expected = PoleResidueForm(((-1j, 1, 1.0 / SQRT_PI),))
-        for x in rng.uniform(-5, 5, 10):
-            assert abs(evaluate(gphi, x) - evaluate(expected, x)) < 1e-13
-        pairing = inner_product(gphi, phi)
-        assert abs(pairing - (-1j)) < 1e-13
-
-    def test_boundary_value_identity(self, rng):
-        # <1 - Theta, phi_j> = sqrt(2 pi / |lambda_j|)
-        params = random_params(rng, 4)
-        sd = spectral_decompose(params)
-        omt = one_minus_theta(params)
-        for lam, phi in zip(sd.lambdas, sd.eigenfunctions):
-            val = inner_product(omt, phi)
-            target = np.sqrt(2 * np.pi / abs(lam))
-            assert abs(val - target) < 1e-9 * target
-
-    def test_preserves_subspace(self, rng):
-        params = random_params(rng, 4)
-        for e in hpp_basis(params):
-            out = g_apply(params, e)
-            assert set(out.poles()) <= set(params.zs)
-            assert out.constant == 0
+from bo_soliton.validation import im_m_top, roundtrip_defect
+from conftest import one_soliton, phi_one, random_params
 
 
 class TestSpectralDecompose:
@@ -198,7 +87,7 @@ class TestSpectralDecompose:
         v = 1.0 / np.sqrt(2 * np.abs(sd.lambdas))
         im_m = (sd.m_matrix - sd.m_matrix.conj().T) / 2j
         assert np.abs(im_m + np.outer(v, v)).max() < 1e-9
-        assert np.linalg.eigvalsh(im_m).max() < 1e-9
+        assert im_m_top(sd.m_matrix) < 1e-9
 
     def test_m_spectrum_recovers_parameters(self, rng):
         params = random_params(rng, 6)
@@ -330,8 +219,7 @@ class TestHardConfigurations:
     def test_m_checks_survive(self):
         sd = spectral_decompose(self.blob())
         assert verify_m_matrix(sd) < 1e-8
-        im_m = (sd.m_matrix - sd.m_matrix.conj().T) / 2j
-        assert np.linalg.eigvalsh(im_m).max() < 1e-9
+        assert im_m_top(sd.m_matrix) < 1e-9
 
     def test_refined_path_matches_mpmath_eig(self, rng):
         # clustered draws, then well-conditioned ones (Gram condition <= 1e6)
@@ -381,13 +269,7 @@ class TestHardConfigurations:
             if cauchy_gram(params.zs)[1] > 1e13:
                 break
         sd = spectral_decompose(params)
-        aa = aa_from_spectral(sd)
-        back = inverse_map(aa)
-        aa2 = aa_from_spectral(spectral_decompose(back))
-        roundtrip = max(np.abs(np.array(back.zs) - np.array(params.zs)).max(),
-                        np.abs(aa2.rs - aa.rs).max(),
-                        np.abs(aa2.alphas - aa.alphas).max())
-        assert roundtrip < 1e-7
+        assert roundtrip_defect(params, aa_from_spectral(sd)) < 1e-7
         self.assert_criterion_4(sd)
 
     def test_m_checks_at_n16(self, rng):
@@ -401,46 +283,12 @@ class TestHardConfigurations:
     @staticmethod
     def assert_criterion_4(sd):
         assert verify_m_matrix(sd) < 1e-8
-        im_m = (sd.m_matrix - sd.m_matrix.conj().T) / 2j
-        assert np.linalg.eigvalsh(im_m).max() <= 1e-9
+        assert im_m_top(sd.m_matrix) <= 1e-9
 
     def test_h_lambda_routes_agree(self):
         params = self.blob()
-        # the resolvent solve runs in mpmath too
         assert cauchy_gram(params.zs)[1] > 1e6
         sd = spectral_decompose(params)
         for lam in (0.7, 2.5, 9.0):
             assert h_lambda_resolvent(params, lam) == pytest.approx(
                 h_lambda(sd, lam), rel=1e-9)
-
-
-def test_lax_entries_in_mpmath_match_lax_matrix(rng):
-    params = random_params(rng, 5)
-    for shift in (0, 2.5):
-        with mpmath.workdps(MP_DPS):
-            entries = lax_entries([mpmath.mpc(z) for z in params.zs], shift)
-            tmat = np.array([[complex(v) for v in row] for row in entries])
-        tmat -= shift * np.eye(5)
-        assert np.abs(tmat - lax_matrix(params)).max() < 1e-12
-
-
-def test_lax_matrix_matches_lax_apply(rng):
-    params = random_params(rng, 5)
-    tmat = lax_matrix(params)
-    pole_index = {z: i for i, z in enumerate(params.zs)}
-    for s, z in enumerate(params.zs):
-        image = lax_apply(params, PoleResidueForm(((z, 1, 1.0),)))
-        col = np.zeros(5, dtype=complex)
-        for p, m, c in image.terms:
-            col[pole_index[p]] = c
-        assert np.abs(col - tmat[:, s]).max() < 1e-12
-
-
-def test_m_matrix_matches_g_apply_route(rng):
-    params = random_params(rng, 4)
-    sd = spectral_decompose(params)
-    for j, phi_j in enumerate(sd.eigenfunctions):
-        gphi = g_apply(params, phi_j)
-        for k, phi_k in enumerate(sd.eigenfunctions):
-            direct = inner_product(gphi, phi_k)
-            assert abs(direct - sd.m_matrix[k, j]) < 1e-10
