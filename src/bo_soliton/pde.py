@@ -16,7 +16,11 @@ each nonlinear evaluation is one ``irfft``/``rfft`` pair.  The Nyquist entry
 is the one mode whose propagator is not conjugate-symmetric; ``irfft`` keeps
 only its real part, which is what the real part of a full complex inverse
 keeps too.  The derivative, the dealiasing mask and the sign are folded into
-one multiplier g = -i k [|k| <= (2/3) max|k|], built once per run.
+one multiplier g = -i k [|k| <= (2/3) max|k|], and g is folded into each RK4
+weight, so the weighted updates run only over the band where g is nonzero.
+The stepper holding these weights is built once per run; its transforms and
+products write into a fixed workspace (the ``out=`` argument of the FFTs
+needs numpy >= 2.0), so a step allocates no array.
 """
 
 from __future__ import annotations
@@ -51,8 +55,12 @@ class PdeConfig:
         m = self.modes
         if m < 256 or (m & (m - 1)) != 0:
             raise DomainError("modes must be a power of two, at least 256")
-        if not (self.dt > 0 and self.t_end >= 0):
-            raise DomainError("need dt > 0 and t_end >= 0")
+        lengths = (self.domain_half_width, self.dt, self.t_end, self.snapshot_dt)
+        if not np.all(np.isfinite(lengths)):
+            raise DomainError(
+                "domain half-width, dt, t_end and snapshot_dt must be finite")
+        if not (self.dt > 0 and self.t_end >= 0 and self.snapshot_dt > 0):
+            raise DomainError("need dt > 0, t_end >= 0 and snapshot_dt > 0")
         if not (self.domain_half_width > 0):
             raise DomainError("domain half-width must be positive")
 
@@ -79,29 +87,81 @@ def _propagators(cfg):
     return g, e_full, e_half
 
 
-def _nonlinear(state, g):
-    # modes is even, so irfft's default length 2 (len(state) - 1) is modes
-    u = np.fft.irfft(state)
-    return g * np.fft.rfft(u * u)
+class _Stepper:
+    """Integrating-factor RK4 on a fixed workspace, built once per run.
 
+    With p = rfft(irfft(v)^2), the nonlinear term of stage input v is g p, so
+    g is folded into every weight that multiplies p.  g vanishes past the
+    2/3 cut, so the weighted updates touch only the first ``band`` entries;
+    past them each stage input is the propagated state itself.  Every
+    transform and product writes into the workspace, and ``advance`` never
+    writes to its input.
+    """
 
-def _rk4(state, dt, g, e_full, e_half):
-    """One integrating-factor RK4 step with precomputed propagators."""
-    half = e_half * state
-    full = e_full * state
-    n1 = _nonlinear(state, g)
-    n2 = _nonlinear(half + (dt / 2) * e_half * n1, g)
-    n3 = _nonlinear(half + (dt / 2) * n2, g)
-    n4 = _nonlinear(full + dt * e_half * n3, g)
-    return full + (dt / 6) * (e_full * n1 + 2 * e_half * (n2 + n3) + n4)
+    def __init__(self, cfg):
+        g, self.e_full, self.e_half = _propagators(cfg)
+        band = int(np.flatnonzero(g)[-1]) + 1  # g is zero past the 2/3 cut
+        g, e_full, e_half = g[:band], self.e_full[:band], self.e_half[:band]
+        dt = cfg.dt
+        self.band = band
+        self.w2 = (dt / 2) * e_half * g      # stage 2: half + w2 p1
+        self.w3 = (dt / 2) * g               # stage 3: half + w3 p2
+        self.w4 = dt * e_half * g            # stage 4: full + w4 p3
+        self.c1 = (dt / 6) * e_full * g      # result: full + c1 p1
+        self.c23 = (dt / 3) * e_half * g     #   + c23 (p2 + p3)
+        self.c4 = (dt / 6) * g               #   + c4 p4
+        size = cfg.modes // 2 + 1
+        self.half = np.empty(size, dtype=complex)
+        self.stage = np.empty(size, dtype=complex)
+        self.p = np.empty(size, dtype=complex)
+        self.u = np.empty(cfg.modes)
+        self.acc = np.empty(band, dtype=complex)
+        self.w = np.empty(band, dtype=complex)
+
+    def _square(self, v):
+        """p = rfft(irfft(v)^2); modes is even, so irfft's length is modes."""
+        u = np.fft.irfft(v, out=self.u)
+        u *= u
+        return np.fft.rfft(u, out=self.p)[:self.band]
+
+    def _weigh(self, weight, p, base):
+        """stage[:band] = base[:band] + weight p."""
+        w = np.multiply(weight, p, out=self.w)
+        np.add(base[:self.band], w, out=self.stage[:self.band])
+
+    def _accumulate(self, weight, p):
+        self.acc += np.multiply(weight, p, out=self.w)
+
+    def advance(self, state, out):
+        """Write one step from ``state`` into ``out`` (distinct arrays)."""
+        b, half, stage = self.band, self.half, self.stage
+        np.multiply(self.e_half, state, out=half)
+        np.multiply(self.e_full, state, out=out)  # out holds full until the end
+        p = self._square(state)
+        np.multiply(self.c1, p, out=self.acc)
+        self._weigh(self.w2, p, half)
+        stage[b:] = half[b:]
+        p = self._square(stage)
+        self._accumulate(self.c23, p)
+        self._weigh(self.w3, p, half)
+        p = self._square(stage)
+        self._accumulate(self.c23, p)
+        self._weigh(self.w4, p, out)
+        stage[b:] = out[b:]
+        p = self._square(stage)
+        self._accumulate(self.c4, p)
+        out[:b] += self.acc
+        return out
 
 
 def step(state, cfg):
-    """One integrating-factor RK4 step of the half-spectrum ``rfft(u)``."""
+    """One integrating-factor RK4 step of the half-spectrum ``rfft(u)``.
+
+    Returns a new array; ``state`` is left unchanged."""
     state = np.asarray(state, dtype=complex)
     if state.size != cfg.modes // 2 + 1:
         raise DomainError("state length must equal cfg.modes // 2 + 1")
-    return _rk4(state, cfg.dt, *_propagators(cfg))
+    return _Stepper(cfg).advance(state, np.empty_like(state))
 
 
 def run(params0, cfg):
@@ -114,7 +174,7 @@ def run(params0, cfg):
     t0 = time.perf_counter()
     x = cfg.grid()
     u0 = profile_values(params0, x)
-    prop = _propagators(cfg)
+    stepper = _Stepper(cfg)
     dt = cfg.dt
 
     n_steps = int(round(cfg.t_end / dt))
@@ -131,9 +191,10 @@ def run(params0, cfg):
         return (i * dt, GridField(float(x[0]), cfg.dx, u))
 
     state = np.fft.rfft(u0)
+    spare = np.empty_like(state)
     out = [snap(0, state)]
     for i in range(1, n_steps + 1):
-        state = _rk4(state, dt, *prop)
+        state, spare = stepper.advance(state, spare), state
         if i % every == 0 or i == n_steps:
             out.append(snap(i, state))
     wall = time.perf_counter() - t0

@@ -1,10 +1,18 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bo_soliton.errors import BoundaryContamination, DomainError, GridMismatch
-from bo_soliton.pde import PdeConfig, _propagators, compare, run, step
+from bo_soliton.pde import (
+    PdeConfig,
+    _propagators,
+    _Stepper,
+    compare,
+    run,
+    step,
+)
 from bo_soliton.profiles import GridField, SolitonParameters, profile_values
 
 
@@ -48,6 +56,41 @@ class TestStep:
             PdeConfig(modes=1000)  # not a power of two
         with pytest.raises(DomainError):
             PdeConfig(dt=0.0)
+        for bad in (dict(dt=np.inf), dict(dt=np.nan), dict(t_end=np.inf),
+                    dict(t_end=np.nan), dict(domain_half_width=np.inf),
+                    dict(domain_half_width=np.nan), dict(snapshot_dt=np.inf),
+                    dict(snapshot_dt=np.nan), dict(snapshot_dt=0.0),
+                    dict(snapshot_dt=-0.1)):
+            with pytest.raises(DomainError):
+                PdeConfig(**bad)
+
+    def test_no_aliasing(self, rng):
+        cfg = small_cfg()
+        size = cfg.modes // 2 + 1
+        state = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        before = state.copy()
+        first = step(state, cfg)
+        assert np.array_equal(state, before)
+        assert not np.shares_memory(first, state)
+        second = step(first, cfg)
+        assert not np.shares_memory(second, first)
+
+    def test_stepper_allocates_no_state_arrays(self):
+        # the step writes into the stepper's workspace and the spare buffer
+        cfg = PdeConfig(domain_half_width=400.0, modes=2 ** 14, dt=1e-3)
+        stepper = _Stepper(cfg)
+        params = SolitonParameters((-5.0 - 1j, 5.0 - 0.5j))
+        state = np.fft.rfft(profile_values(params, cfg.grid()))
+        spare = np.empty_like(state)
+        state, spare = stepper.advance(state, spare), state  # warm-up
+        tracemalloc.start()
+        try:
+            for _ in range(10):
+                state, spare = stepper.advance(state, spare), state
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < state.nbytes / 2
 
 
 class TestRun:
@@ -69,6 +112,26 @@ class TestRun:
         snaps = run(params, cfg)
         masses = [f.values.sum() * f.dx for _, f in snaps]
         assert (max(masses) - min(masses)) / abs(masses[0]) < 1e-8
+
+    def test_matches_iterated_step(self):
+        params = SolitonParameters((-10.0 - 1j, 10.0 - 0.5j))
+        cfg = small_cfg(domain_half_width=400.0, modes=2 ** 12, t_end=0.02)
+        _, field = run(params, cfg)[-1]
+        state = np.fft.rfft(profile_values(params, cfg.grid()))
+        for _ in range(20):
+            state = step(state, cfg)
+        expected = np.fft.irfft(state, cfg.modes)
+        assert np.abs(field.values - expected).max() <= 1e-15 * np.abs(expected).max()
+
+    def test_snapshots_do_not_alias(self):
+        params = SolitonParameters((0.0 - 1j,))
+        cfg = small_cfg(domain_half_width=400.0, snapshot_dt=2e-3)
+        snaps = run(params, cfg)
+        assert len(snaps) == 6
+        fields = [f.values for _, f in snaps]
+        for i, a in enumerate(fields):
+            for b in fields[i + 1:]:
+                assert not np.shares_memory(a, b)
 
     def test_boundary_guard(self):
         params = SolitonParameters((195.0 - 1j,))  # parked next to the edge
