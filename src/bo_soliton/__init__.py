@@ -14,20 +14,13 @@ from .invariants import (
     e1_quadrature,
     e_n_from_spectrum,
     h_lambda,
-    h_lambda_resolvent,
     omega_matrix,
     poisson_bracket_table,
     symplectomorphism_check,
 )
+from .oracle import h_lambda_resolvent, pi_u, u_rational
 from .pde import PdeConfig, compare, run, step, write_snapshots
-from .profiles import (
-    GridField,
-    SolitonParameters,
-    pi_u,
-    profile,
-    torus_potential,
-    u_rational,
-)
+from .profiles import GridField, SolitonParameters, profile, torus_potential
 from .rational import (
     PoleResidueForm,
     derivative,

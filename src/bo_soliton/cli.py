@@ -152,8 +152,8 @@ def cmd_evolve(args):
     xmin, xmax, n = _parse_grid(args.grid)
     xs = np.linspace(xmin, xmax, n)
     times = _evolve_times(args.t0, args.t1, args.dt)
-    frame_paths = write_frames(
-        args.outdir, ((t, xs, explicit_solution(aa0, t, xs)) for t in times))
+    frame_paths = write_frames(args.outdir, times, (
+        (xs, explicit_solution(aa0, t, xs)) for t in times))
 
     action_rows = []
     for t in times:

@@ -17,13 +17,10 @@ relations {I_j, gamma_k} = delta_jk.
 
 from __future__ import annotations
 
-import mpmath
 import numpy as np
 
 from .errors import BoundaryNotDecayed, FDStepTooLarge, PoleProximity
-from .oracle import cauchy_entries, lax_entries, mp_pairing
 from .profiles import SolitonParameters
-from .rational import MP_DPS
 from .spectral import spectral_decompose
 
 FD_STEP_DEFAULT = 1e-5
@@ -35,23 +32,18 @@ def _pairing_block(params):
     etas = params.etas
     w = (etas[:, None] + etas[None, :]) + 1j * (xs[:, None] - xs[None, :])
     inv_w2 = 1.0 / w ** 2
-    ff = -4 * np.pi * inv_w2.imag
-    fg = 4 * np.pi * inv_w2.real
-    gg = -4 * np.pi * inv_w2.imag
-    return ff, fg, gg
+    ff = -4 * np.pi * inv_w2.imag  # equal to gg
+    return ff, 4 * np.pi * inv_w2.real, ff
 
 
 def omega_matrix(params):
     """2N x 2N pairing matrix in coordinates (x_1, eta_1, ..., x_N, eta_N)."""
-    n = params.n
     ff, fg, gg = _pairing_block(params)
-    omega = np.zeros((2 * n, 2 * n))
-    for j in range(n):
-        for k in range(n):
-            omega[2 * j, 2 * k] = gg[j, k]
-            omega[2 * j, 2 * k + 1] = -fg[k, j]   # omega(g_j, f_k)
-            omega[2 * j + 1, 2 * k] = fg[j, k]    # omega(f_j, g_k)
-            omega[2 * j + 1, 2 * k + 1] = ff[j, k]
+    omega = np.empty((2 * params.n, 2 * params.n))
+    omega[0::2, 0::2] = gg
+    omega[0::2, 1::2] = -fg.T  # omega(g_j, f_k)
+    omega[1::2, 0::2] = fg     # omega(f_j, g_k)
+    omega[1::2, 1::2] = ff
     return omega
 
 
@@ -176,21 +168,3 @@ def h_lambda_from_lambdas(lambdas, lam):
 
 def h_lambda(sd, lam):
     return h_lambda_from_lambdas(sd.lambdas, lam)
-
-
-def h_lambda_resolvent(params, lam):
-    """H_lambda via the N x N solve (L_u + lambda) f = Pi u on the subspace.
-
-    Works in the partial-fraction basis, where Pi u has coefficient vector
-    (i, ..., i) exactly; independent of the Malmquist-Takenaka eigen-route
-    behind :func:`h_lambda`.  The solve and the pairing run in MP_DPS
-    digits, since the Gram matrix of that basis is ill-conditioned for
-    clustered poles.
-    """
-    rhs = [1j] * params.n
-    with mpmath.workdps(MP_DPS):
-        z = [mpmath.mpc(v) for v in params.zs]
-        sol = mpmath.lu_solve(mpmath.matrix(lax_entries(z, lam)),
-                              mpmath.matrix(rhs))
-        return float(mpmath.re(
-            mp_pairing(sol, rhs, cauchy_entries(z, mpmath.pi))))

@@ -1,13 +1,15 @@
 """Independent reference routes in the partial-fraction basis 1/(x - z_r).
 
 This module is the oracle the production path is checked against, not part
-of that path: ``spectral_decompose``, ``inverse_map``, ``explicit_solution``
-and ``pde`` never import it.  It holds the Lax matrix and the Cauchy kernel in
-that basis (plain scalar arithmetic, so the same code runs in doubles and in
-mpmath), the exact pairing of coefficient vectors, and the pole-residue
-operators ``lax_apply`` and ``g_apply`` built on :mod:`bo_soliton.rational`.
-Tests and the independent checks behind ``validate`` (``h_lambda_resolvent``
-and the Wu check) use it.
+of that path: ``spectral``, ``action_angle``, ``profiles``, ``invariants``,
+``pde`` and ``tableio`` import neither it, :mod:`bo_soliton.rational` nor
+mpmath.  It holds every route that needs the pole-residue calculus or
+extended precision: ``pi_u`` and ``u_rational``; the eigenfunctions
+``eigen_coeffs(sd)`` and ``eigenfunctions(sd)``, with ``mt_residues``; the
+Lax matrix and the Cauchy kernel in that basis (plain scalar arithmetic, so
+the same code runs in doubles and in mpmath); the operators ``lax_apply``
+and ``g_apply``; and the independent checks behind ``validate``,
+``h_lambda_resolvent`` and ``wu_defect``.
 """
 
 from __future__ import annotations
@@ -16,12 +18,13 @@ import mpmath
 import numpy as np
 
 from .errors import InvariantViolation
-from .profiles import u_rational
 from .rational import (
+    MP_DPS,
     PoleResidueForm,
     add,
     derivative,
     inner_product,
+    mp_pairing,
     multiply,
     multiply_by_x,
     pf_decompose,
@@ -30,6 +33,18 @@ from .rational import (
 )
 
 ORDER_RESIDUAL_TOL = 1e-8
+
+
+def pi_u(params):
+    """Hardy representative Pi u = i Q'/Q = sum_j i/(x - z_j)."""
+    return PoleResidueForm(tuple((z, 1, 1j) for z in params.zs))
+
+
+def u_rational(params):
+    """The real profile as a rational function: Pi u plus its reflection."""
+    terms = [(z, 1, 1j) for z in params.zs]
+    terms += [(z.conjugate(), 1, -1j) for z in params.zs]
+    return PoleResidueForm(tuple(terms))
 
 
 def hpp_basis(params):
@@ -140,8 +155,79 @@ def cauchy_gram(zs):
     return kern, float(np.linalg.cond(0.5 * (kern.T + kern.conj())))
 
 
-def mp_pairing(f, g, kern):
-    """<f, g> = sum_rs f_r K_rs conj(g_s), summed exactly (mpmath.fsum)."""
-    n = len(kern)
-    return mpmath.fsum(f[r] * mpmath.conj(g[s]) * kern[r][s]
-                       for r in range(n) for s in range(n))
+def mt_residues(z):
+    """R with b_k = sum_q R_qk / (x - z_q): the Malmquist-Takenaka basis of
+    :mod:`bo_soliton.spectral` in the partial-fraction basis.
+
+    R_qk = i sqrt(eta_k/pi) prod_{m<k} (z_q - conj z_m)
+    / prod_{m<=k, m!=q} (z_q - z_m) for q <= k, else 0.  ``z`` holds mpmath
+    numbers; call inside ``mpmath.workdps``.  Nested lists, like
+    :func:`lax_entries`.
+    """
+    n = len(z)
+    r = [[mpmath.mpc(0)] * n for _ in range(n)]
+    for k in range(n):
+        lead = 1j * mpmath.sqrt(-z[k].imag / mpmath.pi)
+        for q in range(k + 1):
+            num = mpmath.fprod(z[q] - z[m].conjugate() for m in range(k))
+            den = mpmath.fprod(z[q] - z[m] for m in range(k + 1) if m != q)
+            r[q][k] = lead * num / den
+    return r
+
+
+def eigen_coeffs(sd):
+    """Coefficients of phi_j in the basis 1/(x - z_r), to MP_DPS digits.
+
+    Entry j lists the mpmath coefficients of phi_j: column j of W = R U,
+    with R = :func:`mt_residues` and U = ``sd.vectors``.  Clustered poles
+    make these coefficients large and cancelling, so pairings that must stay
+    accurate use them with :func:`mp_pairing`.
+    """
+    with mpmath.workdps(MP_DPS):
+        rmat = mt_residues([mpmath.mpc(v) for v in sd.zs])
+        w = mpmath.matrix(rmat) * mpmath.matrix(sd.vectors.tolist())
+        return tuple([w[r, j] for r in range(sd.n)] for j in range(sd.n))
+
+
+def eigenfunctions(sd):
+    """phi_j in pole-residue form, coefficients rounded to doubles."""
+    return tuple(PoleResidueForm(tuple((z, 1, complex(c))
+                                       for z, c in zip(sd.zs, col)))
+                 for col in eigen_coeffs(sd))
+
+
+def h_lambda_resolvent(params, lam):
+    """H_lambda via the N x N solve (L_u + lambda) f = Pi u on the subspace.
+
+    Works in the partial-fraction basis, where Pi u has coefficient vector
+    (i, ..., i) exactly; independent of the Malmquist-Takenaka eigen-route
+    behind :func:`bo_soliton.invariants.h_lambda`.  The solve and the
+    pairing run in MP_DPS digits, since the Gram matrix of that basis is
+    ill-conditioned for clustered poles.
+    """
+    rhs = [1j] * params.n
+    with mpmath.workdps(MP_DPS):
+        z = [mpmath.mpc(v) for v in params.zs]
+        sol = mpmath.lu_solve(mpmath.matrix(lax_entries(z, lam)),
+                              mpmath.matrix(rhs))
+        return float(mpmath.re(
+            mp_pairing(sol, rhs, cauchy_entries(z, mpmath.pi))))
+
+
+def wu_defect(params, sd):
+    """Max relative defect of |<u, phi_j>|^2 = 2 pi |lambda_j| <phi_j, phi_j>.
+
+    Pairs the MP_DPS-digit eigenfunction coefficients by residues in the
+    Cauchy kernel; <u, phi_j> = <Pi u, phi_j>, and Pi u has coefficients
+    (i, ..., i) in the basis 1/(x - z_r).
+    """
+    worst = 0.0
+    with mpmath.workdps(MP_DPS):
+        kern = cauchy_entries([mpmath.mpc(v) for v in params.zs], mpmath.pi)
+        pi_coeffs = [1j] * params.n
+        for lam, col in zip(sd.lambdas, eigen_coeffs(sd)):
+            pairing = mp_pairing(pi_coeffs, col, kern)
+            norm2 = mpmath.re(mp_pairing(col, col, kern))
+            scale_ = 2 * mpmath.pi * abs(lam) * norm2
+            worst = max(worst, float(abs(abs(pairing) ** 2 - scale_) / scale_))
+    return worst

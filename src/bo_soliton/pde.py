@@ -53,8 +53,8 @@ class PdeConfig:
 
     def __post_init__(self):
         m = self.modes
-        if m < 256 or (m & (m - 1)) != 0:
-            raise DomainError("modes must be a power of two, at least 256")
+        if not isinstance(m, (int, np.integer)) or m < 256 or m & (m - 1):
+            raise DomainError("modes must be an integer power of two >= 256")
         lengths = (self.domain_half_width, self.dt, self.t_end, self.snapshot_dt)
         if not np.all(np.isfinite(lengths)):
             raise DomainError(
@@ -63,6 +63,10 @@ class PdeConfig:
             raise DomainError("need dt > 0, t_end >= 0 and snapshot_dt > 0")
         if not (self.domain_half_width > 0):
             raise DomainError("domain half-width must be positive")
+        for name in ("t_end", "snapshot_dt"):
+            steps = getattr(self, name) / self.dt
+            if abs(steps - round(steps)) > 1e-9 * steps:
+                raise DomainError(f"{name} / dt = {steps:.6g} is not whole")
 
     @property
     def dx(self):
@@ -178,7 +182,7 @@ def run(params0, cfg):
     dt = cfg.dt
 
     n_steps = int(round(cfg.t_end / dt))
-    every = max(1, int(round(cfg.snapshot_dt / dt)))
+    every = int(round(cfg.snapshot_dt / dt))
 
     def snap(i, state):
         u = np.fft.irfft(state)
@@ -215,5 +219,7 @@ def compare(pde_field, explicit_field):
 
 
 def write_snapshots(snapshots, outdir):
-    """Dump (t, GridField) pairs as frame_t<t>.csv files; returns the paths."""
-    return write_frames(outdir, ((t, f.xs(), f.values) for t, f in snapshots))
+    """Dump a list of (t, GridField) pairs as frame_t<t>.csv files; returns
+    the paths."""
+    return write_frames(outdir, [t for t, _ in snapshots],
+                        ((f.xs(), f.values) for _, f in snapshots))

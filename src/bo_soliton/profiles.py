@@ -6,7 +6,9 @@ amplitude eta_j = 1/c_j) determine the profile
     u(x) = sum_j 2*eta_j / ((x - x_j)**2 + eta_j**2),
 
 its Hardy representative Pi u = i Q'/Q with Q = prod (x - z_j), and the
-periodic gap potential obtained through z -> exp(i z).
+periodic gap potential obtained through z -> exp(i z).  The pole-residue
+forms of Pi u and u (``pi_u``, ``u_rational``) live in
+:mod:`bo_soliton.oracle`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateParameters, DomainError, NonFiniteInput
-from .rational import DEGENERACY_TOL, PoleResidueForm
+
+# relative distance below which two parameters (or poles) count as one
+DEGENERACY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -98,18 +102,6 @@ class GridField:
         return (self.values.size == other.values.size
                 and abs(self.x0 - other.x0) < 1e-12 * max(1.0, abs(self.x0))
                 and abs(self.dx - other.dx) < 1e-12 * self.dx)
-
-
-def pi_u(params):
-    """Hardy representative Pi u = i Q'/Q = sum_j i/(x - z_j)."""
-    return PoleResidueForm(tuple((z, 1, 1j) for z in params.zs))
-
-
-def u_rational(params):
-    """The real profile as a rational function: Pi u plus its reflection."""
-    terms = [(z, 1, 1j) for z in params.zs]
-    terms += [(z.conjugate(), 1, -1j) for z in params.zs]
-    return PoleResidueForm(tuple(terms))
 
 
 def profile_values(params, x):

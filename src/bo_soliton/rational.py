@@ -7,6 +7,9 @@ filters and integrals are finite residue sums.  Membership tests:
 
 * L2(R): ``constant == 0``;
 * Hardy space L2+: additionally every pole in the lower half-plane.
+
+The calculus serves the reference routes of :mod:`bo_soliton.oracle`; no
+production module imports it.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
+import mpmath
 import numpy as np
 
 from .errors import (
@@ -23,8 +27,8 @@ from .errors import (
     NotSquareIntegrable,
     PoleProximity,
 )
+from .profiles import DEGENERACY_TOL
 
-DEGENERACY_TOL = 1e-9
 DROP_TOL = 1e-14
 POLE_REAL_TOL = 1e-12
 # working precision (decimal digits) of every extended-precision fallback
@@ -253,28 +257,12 @@ def _all_simple(f):
     return all(m == 1 for _, m, _ in f.terms)
 
 
-def _mp_bilinear(cf, cg, pf, pg, ind):
-    """Extended-precision evaluation of the residue double sum.
-
-    Used when the summands cancel so strongly that double precision cannot
-    carry the terms (nearly parallel pole clusters).  All inputs are exact
-    doubles, so the only rounding is the final conversion back.
+def mp_pairing(f, g, kern):
+    """sum_rs f_r K_rs conj(g_s) of mpmath numbers, summed exactly; <f, g>
+    when K is the Cauchy kernel of :func:`bo_soliton.oracle.cauchy_entries`.
     """
-    import mpmath
-
-    with mpmath.workdps(MP_DPS):
-        terms = []
-        for r in range(len(pf)):
-            fr = mpmath.mpc(cf[r])
-            zr = mpmath.mpc(pf[r])
-            for s in range(len(pg)):
-                if ind[r, s] == 0:
-                    continue
-                qs = mpmath.conj(mpmath.mpc(pg[s]))
-                terms.append(fr * mpmath.conj(mpmath.mpc(cg[s]))
-                             * ind[r, s] / (qs - zr))
-        total = mpmath.fsum(terms)
-        return complex(total)
+    return mpmath.fsum(f[r] * mpmath.conj(g[s]) * kern[r][s]
+                       for r in range(len(f)) for s in range(len(g)))
 
 
 def inner_product(f, g):
@@ -284,8 +272,9 @@ def inner_product(f, g):
     residues of f * g^* there, where g^* has conjugated poles/coefficients.
     For simple poles this is a finite double sum over a Cauchy-type kernel;
     when the summands cancel strongly (nearly parallel pole clusters), the
-    sum is redone with error-free products and exact summation.  Higher-order
-    poles go through the exact product expansion instead.
+    sum is redone in MP_DPS digits from the exact double inputs and summed
+    by :func:`mp_pairing`.  Higher-order poles go through the exact product
+    expansion instead.
     """
     if f.constant != 0 or g.constant != 0:
         raise NotSquareIntegrable("both factors must be in L2 (constant = 0)")
@@ -310,7 +299,14 @@ def inner_product(f, g):
         val = cf @ weights @ cg_conj
         cancel = np.abs(cf) @ np.abs(weights) @ np.abs(cg_conj)
         if 1e-16 * cancel > 1e-14 * max(1.0, abs(val)):
-            val = _mp_bilinear(cf, cg, pf, pg, ind)
+            # a masked entry can sit on a coincident pole pair: it stays 0
+            with mpmath.workdps(MP_DPS):
+                mpc = mpmath.mpc
+                kern = [[float(ind[r, s]) / (mpmath.conj(mpc(q)) - mpc(p))
+                         if ind[r, s] else 0 for s, q in enumerate(pg)]
+                        for r, p in enumerate(pf)]
+                val = complex(mp_pairing([mpc(c) for c in cf],
+                                         [mpc(c) for c in cg], kern))
         return complex(2j * np.pi * val)
 
     prod = multiply(f, conj_reflect(g))

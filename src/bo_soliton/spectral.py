@@ -13,16 +13,15 @@ solution L of G L - L G* = iI, the pairing of L_u with G that Gerard &
 Kappeler (CPAM 74, 2021) use on the torus.  One triangular Sylvester solve
 (Bartels & Stewart 1972) gives L and one Hermitian eigensolve its
 eigenpairs; M = U* G U then gives the angles gamma_j = Re M_jj.  The
-partial-fraction basis 1/(x - z_r) carries the eigenfunctions' pole-residue
-form; the reference routes in that basis live in :mod:`bo_soliton.oracle`.
+module needs numpy and scipy alone: the eigenfunctions in pole-residue form
+(``eigen_coeffs``, ``eigenfunctions``, ``mt_residues``) and the other routes
+in the partial-fraction basis 1/(x - z_r) live in :mod:`bo_soliton.oracle`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
-import mpmath
 import numpy as np
 from scipy.linalg.blas import zgemm, ztrmm
 from scipy.linalg.lapack import zheevd, ztrsyl
@@ -33,7 +32,6 @@ from .errors import (
     InvariantViolation,
     PositivityFailure,
 )
-from .rational import MP_DPS, PoleResidueForm
 
 GAP_TOL = 1e-10
 IM_M_TOL = 1e-9
@@ -47,8 +45,7 @@ class SpectralData:
     """Eigenvalues, angles and the generator matrix M of L_u.
 
     ``zs`` are the poles and ``vectors`` the phase-fixed eigenvectors in the
-    Malmquist-Takenaka basis (columns); the eigenfunctions are built from
-    them on first use.
+    Malmquist-Takenaka basis (columns).
     """
 
     lambdas: np.ndarray
@@ -77,28 +74,6 @@ class SpectralData:
     def actions(self):
         return 2 * np.pi * self.lambdas
 
-    @cached_property
-    def eigen_coeffs(self):
-        """Coefficients of phi_j in the basis 1/(x - z_r), to MP_DPS digits.
-
-        Entry j lists the mpmath coefficients of phi_j: column j of
-        W = R U, with R = :func:`mt_residues`.  Clustered poles make these
-        coefficients large and cancelling, so pairings that must stay
-        accurate use them with :func:`bo_soliton.oracle.mp_pairing`.
-        """
-        with mpmath.workdps(MP_DPS):
-            rmat = mt_residues([mpmath.mpc(v) for v in self.zs])
-            w = mpmath.matrix(rmat) * mpmath.matrix(self.vectors.tolist())
-            return tuple([w[r, j] for r in range(self.n)]
-                         for j in range(self.n))
-
-    @cached_property
-    def eigenfunctions(self):
-        """phi_j in pole-residue form, coefficients rounded to doubles."""
-        return tuple(PoleResidueForm(tuple((z, 1, complex(c))
-                                           for z, c in zip(self.zs, col)))
-                     for col in self.eigen_coeffs)
-
 
 def mt_generator(zs):
     """G = diag(z) - 2i triu(s s^T, 1) in the Malmquist-Takenaka basis, and s.
@@ -126,26 +101,6 @@ def mt_lax(gmat):
     if info != 0:
         raise InvariantViolation(f"Sylvester solve failed: ztrsyl info {info}")
     return lmat / scale_
-
-
-def mt_residues(z):
-    """R with b_k = sum_q R_qk / (x - z_q): the Malmquist-Takenaka basis in
-    the partial-fraction basis.
-
-    R_qk = i sqrt(eta_k/pi) prod_{m<k} (z_q - conj z_m)
-    / prod_{m<=k, m!=q} (z_q - z_m) for q <= k, else 0.  ``z`` holds mpmath
-    numbers; call inside ``mpmath.workdps``.  Nested lists, like
-    :func:`bo_soliton.oracle.lax_entries`.
-    """
-    n = len(z)
-    r = [[mpmath.mpc(0)] * n for _ in range(n)]
-    for k in range(n):
-        lead = 1j * mpmath.sqrt(-z[k].imag / mpmath.pi)
-        for q in range(k + 1):
-            num = mpmath.fprod(z[q] - z[m].conjugate() for m in range(k))
-            den = mpmath.fprod(z[q] - z[m] for m in range(k + 1) if m != q)
-            r[q][k] = lead * num / den
-    return r
 
 
 def spectral_decompose(params):

@@ -6,6 +6,8 @@ import tempfile
 
 import numpy as np
 
+from .errors import DomainError
+
 
 def fmt(v):
     return f"{float(v):.17g}"
@@ -43,11 +45,15 @@ def write_xy(path, header, xs, ys):
     _write_atomic(path, header, body)
 
 
-def write_frames(outdir, frames):
-    """Write each (t, xs, us) as outdir/frame_t<t>.csv; returns the paths."""
+def write_frames(outdir, times, frames):
+    """Write the (xs, us) of each time t as outdir/frame_t<t>.csv; returns the
+    paths.  Times that share a name at four decimals raise a DomainError
+    before anything is written."""
+    paths = [os.path.join(outdir, f"frame_t{t:.4f}.csv") for t in times]
+    if len(set(paths)) < len(paths):
+        clash = next(p for p in paths if paths.count(p) > 1)
+        raise DomainError(f"two frame times share the file {clash}")
     os.makedirs(outdir, exist_ok=True)
-    paths = []
-    for t, xs, us in frames:
-        paths.append(os.path.join(outdir, f"frame_t{t:.4f}.csv"))
-        write_xy(paths[-1], ("x", "u"), xs, us)
+    for path, (xs, us) in zip(paths, frames):
+        write_xy(path, ("x", "u"), xs, us)
     return paths

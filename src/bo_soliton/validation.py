@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .action_angle import aa_from_spectral, explicit_solution, inverse_map
@@ -20,14 +19,12 @@ from .invariants import (
     e1_quadrature,
     e_n_from_spectrum,
     h_lambda,
-    h_lambda_resolvent,
     poisson_bracket_table,
     symplectomorphism_check,
 )
-from .oracle import cauchy_entries, mp_pairing
+from .oracle import h_lambda_resolvent, wu_defect
 from .pde import PdeConfig, compare, run
 from .profiles import GridField, SolitonParameters, profile
-from .rational import MP_DPS
 from .spectral import spectral_decompose, verify_m_matrix
 
 # check name -> tolerance, in report order
@@ -83,25 +80,6 @@ def roundtrip_defect(params, aa):
     return max(float(np.abs(np.array(back.zs) - np.array(params.zs)).max()),
                np.abs(aa2.rs - aa.rs).max(),
                np.abs(aa2.alphas - aa.alphas).max())
-
-
-def wu_defect(params, sd):
-    """Max relative defect of |<u, phi_j>|^2 = 2 pi |lambda_j| <phi_j, phi_j>.
-
-    Pairs the MP_DPS-digit eigenfunction coefficients by residues in the
-    Cauchy kernel; <u, phi_j> = <Pi u, phi_j>, and Pi u has coefficients
-    (i, ..., i) in the basis 1/(x - z_r).
-    """
-    worst = 0.0
-    with mpmath.workdps(MP_DPS):
-        kern = cauchy_entries([mpmath.mpc(v) for v in params.zs], mpmath.pi)
-        pi_u = [1j] * params.n
-        for lam, col in zip(sd.lambdas, sd.eigen_coeffs):
-            pairing = mp_pairing(pi_u, col, kern)
-            norm2 = mpmath.re(mp_pairing(col, col, kern))
-            scale = 2 * mpmath.pi * abs(lam) * norm2
-            worst = max(worst, float(abs(abs(pairing) ** 2 - scale) / scale))
-    return worst
 
 
 def im_m_top(m):

@@ -23,11 +23,11 @@ from bo_soliton.invariants import (
     h_lambda_from_lambdas,
     symplectomorphism_check,
 )
+from bo_soliton.oracle import eigenfunctions, pi_u
 from bo_soliton.pde import PdeConfig, compare, run
 from bo_soliton.profiles import (
     GridField,
     SolitonParameters,
-    pi_u,
     profile_values,
     torus_potential,
 )
@@ -105,13 +105,13 @@ def test_criterion_2_roundtrip(sweep):
 
 
 def test_criterion_3_wu_identity(sweep):
-    from bo_soliton.profiles import u_rational
+    from bo_soliton.oracle import u_rational
 
     records, _ = sweep
     worst = 0.0
     for params, sd, *_ in records:
         u = u_rational(params)
-        for lam, phi in zip(sd.lambdas, sd.eigenfunctions):
+        for lam, phi in zip(sd.lambdas, eigenfunctions(sd)):
             pairing = inner_product(u, phi)
             norm2 = inner_product(phi, phi).real
             defect = abs(abs(pairing) ** 2 + 2 * np.pi * lam * norm2)

@@ -22,7 +22,8 @@ from bo_soliton.errors import (
     RootsNotInLowerHalfPlane,
     SingularResolvent,
 )
-from bo_soliton.profiles import SolitonParameters, pi_u, profile_values
+from bo_soliton.oracle import pi_u
+from bo_soliton.profiles import SolitonParameters, profile_values
 from bo_soliton.rational import evaluate
 from bo_soliton.spectral import spectral_decompose
 from bo_soliton.validation import im_m_top

@@ -146,6 +146,17 @@ class TestEvolve:
         assert names == ["frame_t-1.0000.csv", "frame_t0.0000.csv",
                          "frame_t1.0000.csv"]
 
+    def test_colliding_frame_names_are_domain_error(self, unit_params,
+                                                    tmp_path, capsys):
+        # times 4e-5 apart: 0.0000, 0.0000, 0.0001, ... at four decimals
+        outdir = tmp_path / "d"
+        code = main(["evolve", unit_params, "--t0", "0", "--t1", "0.0002",
+                     "--dt", "0.00004", "--grid", "-5,5,11",
+                     "--outdir", str(outdir)])
+        assert code == 3
+        assert "frame_t0.0000.csv" in capsys.readouterr().err
+        assert not outdir.exists()
+
 
 class TestValidate:
     def test_small_suite_passes(self, capsys):

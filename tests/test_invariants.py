@@ -10,12 +10,12 @@ from bo_soliton.invariants import (
     e_n_from_spectrum,
     h_lambda,
     h_lambda_from_lambdas,
-    h_lambda_resolvent,
     omega_matrix,
     poisson_bracket_table,
     symplectomorphism_check,
 )
-from bo_soliton.profiles import GridField, SolitonParameters, pi_u, profile
+from bo_soliton.oracle import h_lambda_resolvent, pi_u
+from bo_soliton.profiles import GridField, SolitonParameters, profile
 from bo_soliton.rational import inner_product
 from bo_soliton.spectral import spectral_decompose
 from bo_soliton.validation import bracket_defect

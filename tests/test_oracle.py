@@ -9,6 +9,7 @@ import numpy as np
 
 import bo_soliton
 from bo_soliton.oracle import (
+    eigenfunctions,
     g_apply,
     hpp_basis,
     lax_apply,
@@ -28,9 +29,26 @@ from bo_soliton.rational import (
 from bo_soliton.spectral import spectral_decompose
 from conftest import SQRT_PI, one_soliton, phi_one, random_params
 
-# the modules of the forward map, the inverse map, the explicit solution and
-# the PDE reference: none of them may depend on the oracle
-PRODUCTION_MODULES = ("spectral", "action_angle", "profiles", "pde", "tableio")
+# the modules of the forward map, the inverse map, the explicit solution, the
+# invariants and the PDE reference: none of them may depend on the oracle, on
+# the pole-residue calculus or on extended precision
+PRODUCTION_MODULES = ("spectral", "action_angle", "profiles", "invariants",
+                      "pde", "tableio")
+FORBIDDEN_IMPORTS = {"oracle", "rational", "mpmath"}
+
+# every public name of the package namespace; each must keep resolving as
+# bo_soliton.<name> wherever its definition lives
+PACKAGE_NAMES = """
+    ActionAngles GridField PdeConfig PoleResidueForm SolitonParameters
+    SpectralData aa_from_spectral action_angle compare derivative
+    e1_quadrature e_n_from_spectrum errors evaluate evolve_aa
+    explicit_solution forward_map h_lambda h_lambda_resolvent inner_product
+    invariants inverse_map m_from_aa multiply multiply_by_x omega_matrix
+    oracle pde pf_decompose pi_u pi_u_resolvent poisson_bracket_table profile
+    profiles rational run spectral spectral_decompose step
+    symplectomorphism_check szego_project tableio torus_potential u_rational
+    verify_m_matrix write_snapshots __version__
+""".split()
 
 
 def imported_names(path):
@@ -46,10 +64,15 @@ def imported_names(path):
 
 def test_production_modules_do_not_import_oracle():
     package = Path(bo_soliton.__file__).parent
-    offenders = [module for module in PRODUCTION_MODULES
-                 if any("oracle" in name.split(".")
-                        for name in imported_names(package / f"{module}.py"))]
-    assert not offenders, f"modules importing the oracle: {offenders}"
+    offenders = [(module, name) for module in PRODUCTION_MODULES
+                 for name in imported_names(package / f"{module}.py")
+                 if FORBIDDEN_IMPORTS & set(name.split("."))]
+    assert not offenders, f"production modules importing oracle code: {offenders}"
+
+
+def test_package_names_resolve():
+    missing = [name for name in PACKAGE_NAMES if not hasattr(bo_soliton, name)]
+    assert not missing, f"names gone from the package namespace: {missing}"
 
 
 class TestHppBasis:
@@ -127,7 +150,7 @@ class TestGApply:
         params = random_params(rng, 4)
         sd = spectral_decompose(params)
         omt = one_minus_theta(params)
-        for lam, phi in zip(sd.lambdas, sd.eigenfunctions):
+        for lam, phi in zip(sd.lambdas, eigenfunctions(sd)):
             val = inner_product(omt, phi)
             target = np.sqrt(2 * np.pi / abs(lam))
             assert abs(val - target) < 1e-9 * target
@@ -165,9 +188,9 @@ def test_lax_matrix_matches_lax_apply(rng):
 def test_m_matrix_matches_g_apply_route(rng):
     params = random_params(rng, 4)
     sd = spectral_decompose(params)
-    for j, phi_j in enumerate(sd.eigenfunctions):
+    for j, phi_j in enumerate(eigenfunctions(sd)):
         gphi = g_apply(params, phi_j)
-        for k, phi_k in enumerate(sd.eigenfunctions):
+        for k, phi_k in enumerate(eigenfunctions(sd)):
             direct = inner_product(gphi, phi_k)
             assert abs(direct - sd.m_matrix[k, j]) < 1e-10
 

@@ -60,7 +60,8 @@ class TestStep:
                     dict(t_end=np.nan), dict(domain_half_width=np.inf),
                     dict(domain_half_width=np.nan), dict(snapshot_dt=np.inf),
                     dict(snapshot_dt=np.nan), dict(snapshot_dt=0.0),
-                    dict(snapshot_dt=-0.1)):
+                    dict(snapshot_dt=-0.1), dict(modes=256.0),
+                    dict(dt=1e-3, t_end=0.0104, snapshot_dt=0.0034)):
             with pytest.raises(DomainError):
                 PdeConfig(**bad)
 

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from bo_soliton.errors import DegenerateParameters, DomainError, NonFiniteInput
+from bo_soliton.oracle import pi_u, u_rational
 from bo_soliton.profiles import (
     GridField,
     SolitonParameters,
-    pi_u,
     profile,
     profile_values,
     torus_potential,
-    u_rational,
 )
 from bo_soliton.rational import evaluate
 from conftest import random_params

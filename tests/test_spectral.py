@@ -10,20 +10,23 @@ from bo_soliton.errors import (
     InvariantViolation,
     PositivityFailure,
 )
-from bo_soliton.invariants import h_lambda, h_lambda_resolvent
+from bo_soliton.invariants import h_lambda
 from bo_soliton.oracle import (
     cauchy_entries,
     cauchy_gram,
+    eigenfunctions,
+    h_lambda_resolvent,
     lax_entries,
     mp_pairing,
+    mt_residues,
+    u_rational,
 )
-from bo_soliton.profiles import SolitonParameters, u_rational
+from bo_soliton.profiles import SolitonParameters
 from bo_soliton.rational import MP_DPS, evaluate, inner_product
 from bo_soliton.spectral import (
     m_formula,
     mt_generator,
     mt_lax,
-    mt_residues,
     spectral_decompose,
     verify_m_matrix,
 )
@@ -37,7 +40,7 @@ class TestSpectralDecompose:
         assert sd.lambdas[0] == pytest.approx(-0.5, abs=1e-12)
         assert sd.gammas[0] == pytest.approx(0.0, abs=1e-12)
         assert abs(sd.m_matrix[0, 0] - (-1j)) < 1e-12
-        phi = sd.eigenfunctions[0]
+        phi = eigenfunctions(sd)[0]
         target = phi_one()
         for x in np.linspace(-3, 3, 7):
             assert abs(evaluate(phi, x) - evaluate(target, x)) < 1e-12
@@ -56,8 +59,8 @@ class TestSpectralDecompose:
     def test_orthonormal_eigenfunctions(self, rng):
         params = random_params(rng, 5)
         sd = spectral_decompose(params)
-        for j, pj in enumerate(sd.eigenfunctions):
-            for k, pk in enumerate(sd.eigenfunctions):
+        for j, pj in enumerate(eigenfunctions(sd)):
+            for k, pk in enumerate(eigenfunctions(sd)):
                 val = inner_product(pj, pk)
                 assert abs(val - (1.0 if j == k else 0.0)) < 1e-10
 
@@ -66,7 +69,7 @@ class TestSpectralDecompose:
             params = random_params(rng, n)
             sd = spectral_decompose(params)
             u = u_rational(params)
-            for lam, phi in zip(sd.lambdas, sd.eigenfunctions):
+            for lam, phi in zip(sd.lambdas, eigenfunctions(sd)):
                 pairing = inner_product(u, phi)
                 norm2 = inner_product(phi, phi).real
                 defect = abs(pairing) ** 2 + 2 * np.pi * lam * norm2
@@ -76,7 +79,7 @@ class TestSpectralDecompose:
         params = random_params(rng, 4)
         sd = spectral_decompose(params)
         u = u_rational(params)
-        for lam, phi in zip(sd.lambdas, sd.eigenfunctions):
+        for lam, phi in zip(sd.lambdas, eigenfunctions(sd)):
             val = inner_product(u, phi)
             target = np.sqrt(2 * np.pi * abs(lam))
             assert abs(val - target) < 1e-9 * target
@@ -206,13 +209,13 @@ class TestHardConfigurations:
         assert cauchy_gram(params.zs)[1] > 1e6
         sd = spectral_decompose(params)
         u = u_rational(params)
-        for j, phi in enumerate(sd.eigenfunctions):
+        for j, phi in enumerate(eigenfunctions(sd)):
             ip = inner_product(u, phi)
             n2 = inner_product(phi, phi).real
             lam = sd.lambdas[j]
             defect = abs(abs(ip) ** 2 + 2 * np.pi * lam * n2)
             assert defect < 1e-9 * (2 * np.pi * abs(lam) * n2)
-            for k, pk in enumerate(sd.eigenfunctions):
+            for k, pk in enumerate(eigenfunctions(sd)):
                 val = inner_product(phi, pk)
                 assert abs(val - (1.0 if j == k else 0.0)) < 1e-10
 
