@@ -50,11 +50,13 @@ class ActionAngles:
         al = np.asarray(self.alphas, dtype=float)
         object.__setattr__(self, "rs", rs)
         object.__setattr__(self, "alphas", al)
-        if rs.size != al.size or rs.size < 1:
-            raise OrderingViolation("need matching nonempty action/angle lists")
-        if not (np.isfinite(rs).all() and np.isfinite(al).all()):
+        if rs.ndim != 1 or rs.shape != al.shape or rs.size < 1:
+            raise OrderingViolation(
+                "need matching nonempty 1-D action/angle lists")
+        if not (all(np.isfinite(rs).tolist())
+                and all(np.isfinite(al).tolist())):
             raise NonFiniteInput("actions and angles must be finite")
-        if not (rs[-1] < 0 and (rs[:-1] < rs[1:]).all()):
+        if not (rs[-1] < 0 and all((rs[:-1] < rs[1:]).tolist())):
             raise OrderingViolation(
                 "actions must satisfy r1 < r2 < ... < rN < 0")
 
@@ -83,10 +85,12 @@ def m_from_aa(aa):
 
 def inverse_map(aa):
     """Phi_N^{-1}: the parameters are the eigenvalues of M (LAPACK zgeev)."""
-    roots, _, _, info = zgeev(m_from_aa(aa), compute_vl=0, compute_vr=0)
+    roots, _, _, info = zgeev(m_from_aa(aa), compute_vl=0, compute_vr=0,
+                              overwrite_a=1)
     if info != 0:
         raise EigensolveFailed(f"eigenvalues of M failed: zgeev info {info}")
-    if not roots.imag.max() < 0:
+    # argmax picks a NaN first
+    if not roots.imag[roots.imag.argmax()] < 0:
         raise RootsNotInLowerHalfPlane(
             f"spectrum of M left the lower half-plane: {roots}")
     return SolitonParameters(roots)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import math
 import os
 import sys
 
@@ -127,8 +128,17 @@ def cmd_spectrum(args):
 
 
 def _evolve_times(t0, t1, dt):
-    if dt == 0 or t0 == t1:
+    """Frame times from t0 towards t1 in steps of |dt|, t1 included.
+
+    Non-finite values, and dt = 0 with t1 != t0, are usage errors: the loop
+    below would never reach t1.
+    """
+    if not (math.isfinite(t0) and math.isfinite(t1) and math.isfinite(dt)):
+        raise CliParseError("--t0, --t1 and --dt must be finite")
+    if t0 == t1:
         return [t0]
+    if dt == 0:
+        raise CliParseError("--dt must be nonzero when --t1 differs from --t0")
     step = abs(dt) if t1 > t0 else -abs(dt)
     times = []
     k = 0

@@ -27,31 +27,41 @@ DEGENERACY_TOL = 1e-9
 class SolitonParameters:
     """Unordered multiset {z_j} in the lower half-plane, stored sorted.
 
-    The z_j must be finite (else NonFiniteInput) and pairwise at least
-    DEGENERACY_TOL * max(1, max|z_j|) apart (else DegenerateParameters).
+    The z_j must have finite moduli (else NonFiniteInput) and lie pairwise
+    at least DEGENERACY_TOL * max(1, max|z_j|) apart (else
+    DegenerateParameters).  ``zs`` is the sorted tuple and ``zs_array`` the
+    same values as a read-only complex array.
     """
 
     zs: tuple = field(default=())
+    zs_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         z = np.array(self.zs, dtype=complex)
         if z.ndim != 1 or z.size < 1:
             raise DomainError("at least one soliton is required")
-        if not np.isfinite(z).all():
+        # argmax picks a NaN first, so the top modulus is finite iff all are
+        mag = np.abs(z)
+        top = mag[mag.argmax()]
+        if not top < np.inf:
             raise NonFiniteInput(f"parameters must be finite: {z}")
-        if not z.imag.max() < 0:
-            raise DomainError(f"parameter {z[np.argmax(z.imag)]} must lie in "
-                              "the lower half-plane (eta > 0)")
+        high = z.imag.argmax()
+        if not z.imag[high] < 0:
+            raise DomainError(f"parameter {z[high]} must lie in the lower "
+                              "half-plane (eta > 0)")
+        # complex sort: by real part, then imaginary part
+        z.sort()
         # every pair: neighbours in sort order can miss a collision
         dist = np.abs(z[:, None] - z)
         dist.flat[::z.size + 1] = np.inf
         close = dist.argmin()
-        if not dist.flat[close] >= DEGENERACY_TOL * max(1.0, np.abs(z).max()):
+        if not dist.flat[close] >= DEGENERACY_TOL * max(1.0, top):
             j, k = divmod(close, z.size)
             raise DegenerateParameters(
                 f"parameters {z[j]} and {z[k]} collide within tolerance")
-        # complex sort: by real part, then imaginary part
-        object.__setattr__(self, "zs", tuple(np.sort(z).tolist()))
+        z.flags.writeable = False
+        object.__setattr__(self, "zs", tuple(z.tolist()))
+        object.__setattr__(self, "zs_array", z)
 
     @property
     def n(self):
@@ -59,11 +69,11 @@ class SolitonParameters:
 
     @property
     def positions(self):
-        return np.array([z.real for z in self.zs])
+        return self.zs_array.real.copy()
 
     @property
     def etas(self):
-        return np.array([-z.imag for z in self.zs])
+        return -self.zs_array.imag
 
     @classmethod
     def from_x_eta(cls, xs, etas):

@@ -21,6 +21,8 @@ in the partial-fraction basis 1/(x - z_r) live in :mod:`bo_soliton.oracle`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import sqrt
 
 import numpy as np
 from scipy.linalg.blas import zgemm, ztrmm
@@ -63,7 +65,7 @@ class SpectralData:
                            np.asarray(self.m_matrix, dtype=complex))
         if not lam[-1] < 0:
             raise PositivityFailure("eigenvalues must be strictly negative")
-        if not (lam[:-1] < lam[1:]).all():
+        if not all((lam[:-1] < lam[1:]).tolist()):
             raise DegenerateSpectrum("eigenvalues must be strictly increasing")
 
     @property
@@ -75,17 +77,28 @@ class SpectralData:
         return 2 * np.pi * self.lambdas
 
 
+@lru_cache(maxsize=64)
+def _fixed(n):
+    """Read-only constants of size n: the strict upper mask and iI (Fortran)."""
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    eye_i = np.asfortranarray(1j * np.eye(n))
+    upper.flags.writeable = eye_i.flags.writeable = False
+    return upper, eye_i
+
+
 def mt_generator(zs):
     """G = diag(z) - 2i triu(s s^T, 1) in the Malmquist-Takenaka basis, and s.
 
     s_k = sqrt(eta_k), so (G - G*)/2i = -s s^T and Im M = -p p* <= 0 in any
-    orthonormal eigenbasis, p = U* s.
+    orthonormal eigenbasis, p = U* s.  G is in Fortran order, which the
+    LAPACK and BLAS calls of :func:`spectral_decompose` read without a copy.
     """
     z = np.asarray(zs, dtype=complex)
+    n = z.size
     s = np.sqrt(-z.imag)
-    k = np.arange(z.size)
-    gmat = np.outer(s, -2j * s) * (k[:, None] < k)
-    gmat.flat[::z.size + 1] = z
+    gmat = np.zeros((n, n), dtype=complex, order="F")
+    np.multiply(s[:, None], -2 * s, out=gmat.imag, where=_fixed(n)[0])
+    gmat.flat[::n + 1] = z
     return gmat, s
 
 
@@ -96,11 +109,13 @@ def mt_lax(gmat):
     of G (lower half-plane) and G* (upper) are disjoint, so the solution is
     unique and Hermitian.
     """
-    lmat, scale_, info = ztrsyl(gmat, gmat, 1j * np.eye(len(gmat)),
+    lmat, scale_, info = ztrsyl(gmat, gmat, _fixed(len(gmat))[1],
                                 trana="N", tranb="C", isgn=-1)
     if info != 0:
         raise InvariantViolation(f"Sylvester solve failed: ztrsyl info {info}")
-    return lmat / scale_
+    if scale_ != 1:
+        lmat /= scale_
+    return lmat
 
 
 def spectral_decompose(params):
@@ -114,46 +129,60 @@ def spectral_decompose(params):
     Pi u = -2 sqrt(pi) L s in this basis.  Then M = U* G U,
     M_kj = <G phi_j, phi_k>, and gamma_j = Re M_jj.
 
-    Gates, each tripped by NaN as well: strictly negative, separated
-    eigenvalues (GAP_TOL), nonvanishing <u, phi_j>, the Wu identity
-    2 |lambda_j| p_j^2 = 1 within WU_TOL, and Im M = -p p^T within IM_M_TOL.
-    The last holds exactly, since Im M = (M - M*)/2i = U* ((G - G*)/2i) U
-    = -(U* s)(U* s)^T; its gate is ||Im M + p p^T||_F <= IM_M_TOL, and by
+    Gates, run in this order; the first that fails raises, and each is
+    tripped by NaN as well:
+
+    1. a nonzero ztrsyl info (InvariantViolation);
+    2. a nonzero zheevd info (EigensolveFailed);
+    3. strictly negative eigenvalues (PositivityFailure);
+    4. eigenvalue gaps above GAP_TOL * |lambda_1| (DegenerateSpectrum);
+    5. the Wu identity 2 |lambda_j| p_j^2 = 1 within WU_TOL.  A vanished
+       <u, phi_j> (below 1e-10 of its Wu value) always fails it; when it
+       fails, a vanished pairing is the error raised (PositivityFailure,
+       naming the j of the smallest pairing), otherwise the Wu defect
+       (InvariantViolation);
+    6. Im M = -p p^T within IM_M_TOL (InvariantViolation).
+
+    The last identity holds exactly, since Im M = (M - M*)/2i =
+    U* ((G - G*)/2i) U = -(U* s)(U* s)^T; its gate is
+    ||M - M* + 2i p p^T||_F / 2 = ||Im M + p p^T||_F <= IM_M_TOL, and by
     Weyl's inequality that bounds the top eigenvalue of the computed Im M
-    by the same IM_M_TOL, without an eigensolve.  A nonzero LAPACK info
-    raises a NumericalError.  ``params`` must hold finite, pairwise
-    distinct parameters in the lower half-plane, which
-    :class:`SolitonParameters` enforces.
+    by the same IM_M_TOL, without an eigensolve.  ``params`` must be a
+    :class:`SolitonParameters`, which holds finite, pairwise distinct
+    parameters in the lower half-plane, read here as ``zs_array``.
     """
-    gmat, s = mt_generator(params.zs)
+    gmat, s = mt_generator(params.zs_array)
     lam, vecs, info = zheevd(mt_lax(gmat), lower=1, overwrite_a=1)
     if info != 0:
         raise EigensolveFailed(f"eigensolve of L failed: zheevd info {info}")
-    # zheevd returns lambda in ascending order
+    # zheevd returns lambda in ascending order; argmin and argmax pick a NaN
     if not lam[-1] < 0:
         raise PositivityFailure("Lax operator produced a nonnegative eigenvalue")
-    gaps = lam[1:] - lam[:-1]
-    if gaps.size and not gaps.min() > GAP_TOL * abs(lam[0]):
-        raise DegenerateSpectrum(
-            f"eigenvalue gap {gaps.min():.3e} below tolerance")
+    if lam.size > 1:
+        gaps = lam[1:] - lam[:-1]
+        gap = gaps[gaps.argmin()]
+        if not gap > GAP_TOL * abs(lam[0]):
+            raise DegenerateSpectrum(f"eigenvalue gap {gap:.3e} below tolerance")
 
-    p = (s @ vecs).conj()  # U* s, s real
+    p = s @ vecs  # (U* s)^*, s real
     pmag = np.abs(p)
     # <u, phi_j> = 2 sqrt(pi) |lambda_j| p_j, relative to sqrt(2 pi |lambda_j|)
     pairing = pmag * np.sqrt(-2 * lam)
-    if not pairing.min() >= 1e-10:
-        raise PositivityFailure(
-            f"<u, phi_{int(np.argmin(pairing)) + 1}> vanished; forbidden for "
-            "eigenfunctions")
-    vecs = vecs * (p / pmag)
-    wu = np.abs(pairing * pairing - 1).max()
+    defects = np.abs(pairing * pairing - 1)
+    wu = defects[defects.argmax()]
     if not wu <= WU_TOL:
+        j = pairing.argmin()
+        if not pairing[j] >= 1e-10:
+            raise PositivityFailure(
+                f"<u, phi_{j + 1}> vanished; forbidden for eigenfunctions")
         raise InvariantViolation(f"Wu defect {wu:.3e} exceeds {WU_TOL:g}")
+    vecs *= p.conj() / pmag
 
     # U* (G U), the triangular product reading only the upper part of G
     mmat = zgemm(1.0, vecs, ztrmm(1.0, gmat, vecs), trans_a=2)
-    defect = (mmat - mmat.conj().T) / 2j + np.outer(pmag, pmag)
-    im_defect = np.sqrt(np.vdot(defect, defect).real)
+    defect = mmat - mmat.conj().T
+    defect += (2j * pmag)[:, None] * pmag
+    im_defect = sqrt(np.vdot(defect, defect).real) / 2
     if not im_defect <= IM_M_TOL:
         raise InvariantViolation(
             f"Im M misses -p p^T by {im_defect:.3e} (Frobenius norm)")
@@ -166,15 +195,25 @@ def m_formula(lambdas, gammas):
     """Closed form of M from eigenvalues and angles.
 
     Off-diagonal i/(lambda_k - lambda_j) * sqrt(|lambda_k|/|lambda_j|),
-    diagonal gamma_j - i/(2 |lambda_j|).
+    diagonal gamma_j - i/(2 |lambda_j|).  Built in real arithmetic with the
+    roundings of the complex expressions 1j / gap * sqrt(ratio) and
+    gamma - 1j / (2 |lambda|): imaginary parts (1/gap) * sqrt(ratio) and
+    -0.5/|lambda_j|, real parts +0 off the diagonal.  Fortran order, which
+    zgeev reads without a copy.
     """
     lam = np.asarray(lambdas, dtype=float)
     gam = np.asarray(gammas, dtype=float)
+    n = lam.size
     mag = np.abs(lam)
-    gaps = lam[:, None] - lam
-    gaps.flat[::lam.size + 1] = 1.0  # the diagonal is overwritten below
-    m = 1j / gaps * np.sqrt(mag[:, None] / mag)
-    m.flat[::lam.size + 1] = gam - 1j / (2 * mag)
+    ratio = mag[:, None] / mag
+    imag = lam[:, None] - lam
+    imag.flat[::n + 1] = 1.0  # the diagonal is overwritten below
+    np.divide(1.0, imag, out=imag)
+    imag *= np.sqrt(ratio, out=ratio)
+    imag.flat[::n + 1] = -0.5 / mag
+    m = np.zeros((n, n), dtype=complex, order="F")
+    m.imag = imag
+    m.real.flat[::n + 1] = gam
     return m
 
 

@@ -77,7 +77,7 @@ def roundtrip_defect(params, aa):
     from ``aa``; ``aa`` is Phi_N(params) unless a defect was injected."""
     back = inverse_map(aa)
     aa2 = aa_from_spectral(spectral_decompose(back))
-    return max(float(np.abs(np.array(back.zs) - np.array(params.zs)).max()),
+    return max(float(np.abs(back.zs_array - params.zs_array).max()),
                np.abs(aa2.rs - aa.rs).max(),
                np.abs(aa2.alphas - aa.alphas).max())
 

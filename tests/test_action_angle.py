@@ -61,6 +61,16 @@ class TestMFromAA:
             ActionAngles(np.array([-1.0, 1.0]), np.zeros(2))
 
     @pytest.mark.parametrize("rs, alphas", [
+        ([[-2.0, -1.0]], [[0.0, 0.0]]),
+        (-1.0, 0.0),
+        ([-2.0, -1.0], [[0.0, 0.0]]),
+        ([[-2.0], [-1.0]], [0.0, 0.0]),
+    ])
+    def test_one_dimensional_lists_required(self, rs, alphas):
+        with pytest.raises(OrderingViolation, match="1-D"):
+            ActionAngles(np.array(rs), np.array(alphas))
+
+    @pytest.mark.parametrize("rs, alphas", [
         ([np.nan], [0.0]),
         ([-np.inf, -1.0], [0.0, 0.0]),
         ([-2.0, -1.0], [0.0, np.inf]),

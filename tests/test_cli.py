@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from bo_soliton.cli import main
+from bo_soliton.cli import CliParseError, _evolve_times, main
 
 
 def write_params(path, rows):
@@ -155,6 +155,43 @@ class TestEvolve:
                      "--outdir", str(outdir)])
         assert code == 3
         assert "frame_t0.0000.csv" in capsys.readouterr().err
+        assert not outdir.exists()
+
+
+class TestEvolveTimes:
+    def test_steps_towards_t1(self):
+        assert _evolve_times(1.0, -1.0, 1.0) == [1.0, 0.0, -1.0]
+        assert _evolve_times(0.0, 1.0, -0.5) == [0.0, 0.5, 1.0]
+
+    def test_single_time_takes_any_finite_step(self):
+        assert _evolve_times(2.0, 2.0, 0.0) == [2.0]
+        assert _evolve_times(2.0, 2.0, 3.0) == [2.0]
+
+    @pytest.mark.parametrize("t0, t1, dt", [
+        (0.0, 5.0, 0.0),
+        (0.0, 5.0, np.nan),
+        (0.0, 5.0, np.inf),
+        (np.nan, 5.0, 1.0),
+        (0.0, np.inf, 1.0),
+        (-np.inf, 0.0, 1.0),
+        (1.0, 1.0, np.nan),
+    ])
+    def test_unreachable_t1_is_refused(self, t0, t1, dt):
+        with pytest.raises(CliParseError):
+            _evolve_times(t0, t1, dt)
+
+    @pytest.mark.parametrize("flag, value", [("--dt", "0"), ("--dt", "nan"),
+                                             ("--t0", "nan"), ("--t1", "inf"),
+                                             ("--t0", "-inf")])
+    def test_main_reports_usage_error(self, unit_params, tmp_path, capsys,
+                                      flag, value):
+        times = {"--t0": "0", "--t1": "5", "--dt": "1", flag: value}
+        outdir = tmp_path / "d"
+        code = main(["evolve", unit_params,
+                     *(f"{k}={v}" for k, v in times.items()),
+                     "--grid", "-5,5,11", "--outdir", str(outdir)])
+        assert code == 2
+        assert "must be" in capsys.readouterr().err
         assert not outdir.exists()
 
 

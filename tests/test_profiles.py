@@ -38,6 +38,16 @@ class TestParameters:
         p = SolitonParameters((2 - 1j, -1 - 2j))
         assert p.zs == (-1 - 2j, 2 - 1j)
 
+    def test_array_is_read_only_and_matches_zs(self):
+        p = SolitonParameters(np.array([2 - 1j, -1 - 2j]))
+        assert tuple(p.zs_array.tolist()) == p.zs
+        assert not p.zs_array.flags.writeable
+        with pytest.raises(ValueError):
+            p.zs_array[0] = 0
+        q = SolitonParameters(p.zs)
+        assert p == q and hash(p) == hash(q)
+        assert "zs_array" not in repr(p)
+
 
 class TestPiU:
     def test_one_soliton(self):

@@ -130,6 +130,47 @@ class TestGates:
         with pytest.raises(EigensolveFailed, match="zheevd info 2"):
             spectral_decompose(self.params)
 
+    def patch_zheevd(self, monkeypatch, edit):
+        """Run ``edit(lam, vecs)`` on the output of zheevd before the gates."""
+        solve = spectral.zheevd
+
+        def edited(*a, **k):
+            lam, vecs, info = solve(*a, **k)
+            edit(lam, vecs)
+            return lam, vecs, info
+
+        monkeypatch.setattr(spectral, "zheevd", edited)
+
+    def test_near_degenerate_gap_gate(self, monkeypatch):
+        # a finite gap of 1e-12 |lambda_1|, below GAP_TOL = 1e-10
+        def close_pair(lam, vecs):
+            lam[1] = lam[0] * (1 - 1e-12)
+
+        self.patch_zheevd(monkeypatch, close_pair)
+        with pytest.raises(DegenerateSpectrum, match="eigenvalue gap"):
+            spectral_decompose(self.params)
+
+    def test_wu_gate(self, monkeypatch):
+        # eigenvectors of norm 1 + 1e-6: 2 |lambda_j| p_j^2 = 1 + 2e-6
+        def stretch(lam, vecs):
+            vecs *= 1 + 1e-6
+
+        self.patch_zheevd(monkeypatch, stretch)
+        with pytest.raises(InvariantViolation, match="Wu defect"):
+            spectral_decompose(self.params)
+
+    @pytest.mark.parametrize("j", [0, 2])
+    @pytest.mark.parametrize("factor", [1e-12, np.nan])
+    def test_vanished_pairing_gate(self, monkeypatch, j, factor):
+        # <u, phi_j> below 1e-10 of its Wu value also fails the Wu test;
+        # the vanished pairing is the error reported
+        def shrink(lam, vecs):
+            vecs[:, j] *= factor
+
+        self.patch_zheevd(monkeypatch, shrink)
+        with pytest.raises(PositivityFailure, match=rf"phi_{j + 1}> vanished"):
+            spectral_decompose(self.params)
+
     @pytest.mark.parametrize("j, error", [(0, DegenerateSpectrum),
                                           (1, DegenerateSpectrum),
                                           (2, PositivityFailure)])
@@ -144,6 +185,55 @@ class TestGates:
         monkeypatch.setattr(spectral, "zheevd", nan_at_j)
         with pytest.raises(error):
             spectral_decompose(self.params)
+
+
+class TestClosedForms:
+    """The production closed forms against their plain complex expressions,
+    bit for bit (signed zeros included)."""
+
+    @staticmethod
+    def same_bits(a, b):
+        return (a.shape == b.shape and a.dtype == b.dtype
+                and np.ascontiguousarray(a).tobytes()
+                == np.ascontiguousarray(b).tobytes())
+
+    def test_m_formula(self, rng):
+        for n in range(1, 13):
+            lam = -np.sort(rng.uniform(0.05, 5.0, n))[::-1]
+            gam = rng.normal(size=n) * 10.0 ** rng.integers(-3, 3)
+            gam[0] = -0.0
+            mag = np.abs(lam)
+            gaps = lam[:, None] - lam
+            gaps.flat[::n + 1] = 1.0
+            ref = 1j / gaps * np.sqrt(mag[:, None] / mag)
+            ref.flat[::n + 1] = gam - 1j / (2 * mag)
+            assert self.same_bits(m_formula(lam, gam), ref)
+
+    def test_mt_generator(self, rng):
+        for n in range(1, 13):
+            z = random_params(rng, n).zs_array
+            s = np.sqrt(-z.imag)
+            k = np.arange(n)
+            ref = np.outer(s, -2j * s) * (k[:, None] < k)
+            ref.flat[::n + 1] = z
+            gmat, s_out = mt_generator(z)
+            assert self.same_bits(gmat, ref) and self.same_bits(s_out, s)
+            assert gmat.flags.f_contiguous
+
+    def test_cached_constants_stay_read_only(self, rng):
+        sizes = (1, 3, 6, 9)
+        for n in sizes:
+            spectral_decompose(random_params(rng, n))
+        cached = {n: spectral._fixed(n) for n in sizes}
+        for n in sizes:
+            spectral_decompose(random_params(rng, n))
+            upper, eye_i = spectral._fixed(n)
+            assert upper is cached[n][0] and eye_i is cached[n][1]
+            assert not upper.flags.writeable and not eye_i.flags.writeable
+            assert np.array_equal(upper, np.triu(np.ones((n, n), bool), 1))
+            assert self.same_bits(eye_i, np.asfortranarray(1j * np.eye(n)))
+            with pytest.raises(ValueError):
+                eye_i[0, 0] = 0
 
 
 class TestVerifyMMatrix:
