@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import logging
 import math
 import os
@@ -80,6 +81,8 @@ def _parse_grid(text):
         xmin, xmax, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise CliParseError(f"--grid expects numbers: {text!r}") from exc
+    if not math.isfinite(xmax - xmin):  # an infinite or NaN bound, or span
+        raise CliParseError(f"--grid needs finite bounds and span: {text!r}")
     if n < 2 or not xmax > xmin:
         raise CliParseError("--grid needs xmax > xmin and n >= 2")
     return xmin, xmax, n
@@ -128,10 +131,11 @@ def cmd_spectrum(args):
 
 
 def _evolve_times(t0, t1, dt):
-    """Frame times from t0 towards t1 in steps of |dt|, t1 included.
+    """Frame times t0 + k |dt| from t0 towards t1, t1 included, as a lazy
+    iterable, so that a refusal of the frame names reads only what it needs.
 
-    Non-finite values, and dt = 0 with t1 != t0, are usage errors: the loop
-    below would never reach t1.
+    Non-finite values, and dt = 0 with t1 != t0, are usage errors, raised
+    on the call: the steps would never reach t1.
     """
     if not (math.isfinite(t0) and math.isfinite(t1) and math.isfinite(dt)):
         raise CliParseError("--t0, --t1 and --dt must be finite")
@@ -140,19 +144,17 @@ def _evolve_times(t0, t1, dt):
     if dt == 0:
         raise CliParseError("--dt must be nonzero when --t1 differs from --t0")
     step = abs(dt) if t1 > t0 else -abs(dt)
-    times = []
-    k = 0
-    while True:
-        t = t0 + k * step
-        if (step > 0 and t > t1 + 1e-12) or (step < 0 and t < t1 - 1e-12):
-            break
-        times.append(t)
-        k += 1
-    return times
+    times = (t0 + k * step for k in itertools.count())
+    if step > 0:
+        return itertools.takewhile(lambda t: t <= t1 + 1e-12, times)
+    return itertools.takewhile(lambda t: t >= t1 - 1e-12, times)
 
 
 def cmd_evolve(args):
     if args.params_csv is not None:
+        if args.r is not None or args.alpha is not None:
+            raise CliParseError("give a params CSV or --r/--alpha lists, "
+                                "not both")
         params = read_params_csv(args.params_csv)
         aa0 = aa_from_spectral(spectral_decompose(params))
     else:
@@ -162,11 +164,11 @@ def cmd_evolve(args):
     xmin, xmax, n = _parse_grid(args.grid)
     xs = np.linspace(xmin, xmax, n)
     times = _evolve_times(args.t0, args.t1, args.dt)
-    frame_paths = write_frames(args.outdir, times, (
-        (xs, explicit_solution(aa0, t, xs)) for t in times))
+    frames = write_frames(args.outdir, times,
+                          lambda t: (xs, explicit_solution(aa0, t, xs)))
 
     action_rows = []
-    for t in times:
+    for t in frames.values():
         aa_t = evolve_aa(aa0, t)
         for j in range(aa_t.n):
             action_rows.append((_fmt(t), str(j + 1), _fmt(aa_t.rs[j]),
@@ -174,7 +176,7 @@ def cmd_evolve(args):
     write_csv(os.path.join(args.outdir, "actions.csv"),
               ("t", "j", "r", "alpha"), action_rows)
     if args.plot_script:
-        _emit_plot_script(args.plot_script, frame_paths, "u")
+        _emit_plot_script(args.plot_script, list(frames), "u")
     return 0
 
 
@@ -182,8 +184,7 @@ def cmd_validate(args):
     if args.n < 1 or args.trials < 1:
         raise CliParseError("validate needs --n >= 1 and --trials >= 1")
     results = run_validation(args.n, args.trials, args.seed,
-                             with_pde=args.with_pde,
-                             inject_defect=args.inject_defect)
+                             with_pde=args.with_pde)
     width = max(len(r.name) for r in results)
     all_ok = True
     for r in results:
@@ -239,8 +240,6 @@ def build_parser():
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--with-pde", action="store_true", dest="with_pde")
-    p.add_argument("--inject-defect", action="store_true",
-                   dest="inject_defect", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser(

@@ -86,10 +86,6 @@ class SingularResolvent(NumericalError):
     """Resolvent shift on an eigenvalue to rounding, or non-finite pairing."""
 
 
-class FDStepTooLarge(NumericalError):
-    """Finite-difference check does not converge when the step shrinks."""
-
-
 class BlowupDetected(NumericalError):
     """Time integration produced non-finite values."""
 

@@ -11,15 +11,16 @@ forms in w = (eta_j + eta_k) + i(x_j - x_k):
     omega(g_j, g_k) = -4 pi Im(1/w**2)
 
 (The test suite re-derives these against direct numerical xi-integration.)
-Finite differences of the coordinate map then verify the canonical bracket
-relations {I_j, gamma_k} = delta_jk.
+Central differences of the coordinate map at one fixed step then verify
+the pullback identity J^T nu J = Omega and the canonical bracket relations
+{I_j, gamma_k} = delta_jk.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import BoundaryNotDecayed, FDStepTooLarge, PoleProximity
+from .errors import BoundaryNotDecayed, PoleProximity
 from .profiles import SolitonParameters
 from .spectral import spectral_decompose
 
@@ -86,26 +87,15 @@ def canonical_form_matrix(n):
     return nu
 
 
-def _pullback_defect(params, fd_step):
-    jac = fd_jacobian(params, fd_step)
-    nu = canonical_form_matrix(params.n)
-    return float(np.abs(jac.T @ nu @ jac - omega_matrix(params)).max())
-
-
 def symplectomorphism_check(params, fd_step=FD_STEP_DEFAULT):
     """Max entry of |J^T nu J - Omega|; the pullback identity in coordinates.
 
-    If the defect looks large the step is halved once; failure to improve
-    signals a non-convergent difference quotient rather than a genuine defect.
+    J is the central-difference Jacobian of :func:`fd_jacobian` at
+    ``fd_step``, so the defect carries an O(fd_step^2) truncation error.
     """
-    defect = _pullback_defect(params, fd_step)
-    if defect > 1e-3:
-        refined = _pullback_defect(params, fd_step / 2)
-        if refined > defect:
-            raise FDStepTooLarge(
-                f"defect {defect:.3e} did not improve under step halving")
-        return refined
-    return defect
+    jac = fd_jacobian(params, fd_step)
+    nu = canonical_form_matrix(params.n)
+    return float(np.abs(jac.T @ nu @ jac - omega_matrix(params)).max())
 
 
 def poisson_bracket_table(params, fd_step=FD_STEP_DEFAULT):

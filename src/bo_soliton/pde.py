@@ -221,5 +221,6 @@ def compare(pde_field, explicit_field):
 def write_snapshots(snapshots, outdir):
     """Dump a list of (t, GridField) pairs as frame_t<t>.csv files; returns
     the paths."""
-    return write_frames(outdir, [t for t, _ in snapshots],
-                        ((f.xs(), f.values) for _, f in snapshots))
+    fields = dict(snapshots)
+    return list(write_frames(outdir, (t for t, _ in snapshots),
+                             lambda t: (fields[t].xs(), fields[t].values)))

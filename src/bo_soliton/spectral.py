@@ -47,7 +47,12 @@ class SpectralData:
     """Eigenvalues, angles and the generator matrix M of L_u.
 
     ``zs`` are the poles and ``vectors`` the phase-fixed eigenvectors in the
-    Malmquist-Takenaka basis (columns).
+    Malmquist-Takenaka basis (columns).  Only :func:`spectral_decompose`
+    builds one, after its gates, which are the invariants of the record:
+    ``lambdas`` (float64) are strictly negative and strictly increasing with
+    gaps above GAP_TOL * |lambda_1|, ``gammas`` (float64) is the real
+    diagonal of ``m_matrix`` (complex128), and the Wu and Im M identities
+    hold within WU_TOL and IM_M_TOL.
     """
 
     lambdas: np.ndarray
@@ -55,18 +60,6 @@ class SpectralData:
     m_matrix: np.ndarray
     zs: tuple
     vectors: np.ndarray
-
-    def __post_init__(self):
-        lam = np.asarray(self.lambdas, dtype=float)
-        gam = np.asarray(self.gammas, dtype=float)
-        object.__setattr__(self, "lambdas", lam)
-        object.__setattr__(self, "gammas", gam)
-        object.__setattr__(self, "m_matrix",
-                           np.asarray(self.m_matrix, dtype=complex))
-        if not lam[-1] < 0:
-            raise PositivityFailure("eigenvalues must be strictly negative")
-        if not all((lam[:-1] < lam[1:]).tolist()):
-            raise DegenerateSpectrum("eigenvalues must be strictly increasing")
 
     @property
     def n(self):

@@ -45,15 +45,22 @@ def write_xy(path, header, xs, ys):
     _write_atomic(path, header, body)
 
 
-def write_frames(outdir, times, frames):
-    """Write the (xs, us) of each time t as outdir/frame_t<t>.csv; returns the
-    paths.  Times that share a name at four decimals raise a DomainError
-    before anything is written."""
-    paths = [os.path.join(outdir, f"frame_t{t:.4f}.csv") for t in times]
-    if len(set(paths)) < len(paths):
-        clash = next(p for p in paths if paths.count(p) > 1)
-        raise DomainError(f"two frame times share the file {clash}")
+def write_frames(outdir, times, frame):
+    """Write frame(t) = (xs, us) for each t of ``times`` as
+    outdir/frame_t<t>.csv; returns the path of each time, as a dict
+    {path: t} in the order of ``times``.
+
+    All names are fixed before anything is written.  ``times`` may be any
+    iterable, and is read only up to the first time whose name at four
+    decimals repeats an earlier one, which raises a DomainError.
+    """
+    paths = {}
+    for t in times:
+        path = os.path.join(outdir, f"frame_t{t:.4f}.csv")
+        if path in paths:
+            raise DomainError(f"two frame times share the file {path}")
+        paths[path] = t
     os.makedirs(outdir, exist_ok=True)
-    for path, (xs, us) in zip(paths, frames):
-        write_xy(path, ("x", "u"), xs, us)
+    for path, t in paths.items():
+        write_xy(path, ("x", "u"), *frame(t))
     return paths

@@ -1,9 +1,12 @@
 import csv
 import re
+import time
 
 import numpy as np
 import pytest
 
+from bo_soliton import validation
+from bo_soliton.action_angle import ActionAngles
 from bo_soliton.cli import CliParseError, _evolve_times, main
 
 
@@ -158,14 +161,39 @@ class TestEvolve:
         assert not outdir.exists()
 
 
+    def test_refusal_stops_at_first_repeated_name(self, unit_params,
+                                                  tmp_path, capsys):
+        # 10^6 steps of 1e-6: the second time already repeats the first name
+        outdir = tmp_path / "d"
+        start = time.perf_counter()
+        code = main(["evolve", unit_params, "--t0", "0", "--t1", "1",
+                     "--dt", "1e-6", "--grid", "-5,5,11",
+                     "--outdir", str(outdir)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert "frame_t0.0000.csv" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("flags", [["--r", "-3.14"], ["--alpha", "0"],
+                                       ["--r", "-3.14", "--alpha", "0"]])
+    def test_params_csv_with_r_alpha_is_usage_error(self, unit_params,
+                                                     tmp_path, capsys, flags):
+        outdir = tmp_path / "d"
+        code = main(["evolve", unit_params, *flags, "--grid", "-5,5,11",
+                     "--outdir", str(outdir)])
+        assert code == 2
+        assert "not both" in capsys.readouterr().err
+        assert not outdir.exists()
+
+
 class TestEvolveTimes:
     def test_steps_towards_t1(self):
-        assert _evolve_times(1.0, -1.0, 1.0) == [1.0, 0.0, -1.0]
-        assert _evolve_times(0.0, 1.0, -0.5) == [0.0, 0.5, 1.0]
+        assert list(_evolve_times(1.0, -1.0, 1.0)) == [1.0, 0.0, -1.0]
+        assert list(_evolve_times(0.0, 1.0, -0.5)) == [0.0, 0.5, 1.0]
 
     def test_single_time_takes_any_finite_step(self):
-        assert _evolve_times(2.0, 2.0, 0.0) == [2.0]
-        assert _evolve_times(2.0, 2.0, 3.0) == [2.0]
+        assert list(_evolve_times(2.0, 2.0, 0.0)) == [2.0]
+        assert list(_evolve_times(2.0, 2.0, 3.0)) == [2.0]
 
     @pytest.mark.parametrize("t0, t1, dt", [
         (0.0, 5.0, 0.0),
@@ -195,6 +223,22 @@ class TestEvolveTimes:
         assert not outdir.exists()
 
 
+def inject_angle_defect(monkeypatch):
+    """Shift the angles of the first aa_from_spectral call in validation,
+    trial 0's forward map, by 1e-3; later calls are left exact."""
+    exact = validation.aa_from_spectral
+    calls = []
+
+    def perturbed(sd):
+        calls.append(sd)
+        aa = exact(sd)
+        if len(calls) == 1:
+            return ActionAngles(aa.rs, aa.alphas + 1e-3)
+        return aa
+
+    monkeypatch.setattr(validation, "aa_from_spectral", perturbed)
+
+
 class TestValidate:
     def test_small_suite_passes(self, capsys):
         code = main(["validate", "--n", "1", "--trials", "10", "--seed", "42"])
@@ -216,16 +260,16 @@ class TestValidate:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_injected_defect_fails(self, capsys):
-        code = main(["validate", "--n", "2", "--trials", "3", "--seed", "7",
-                     "--inject-defect"])
+    def test_injected_defect_fails(self, capsys, monkeypatch):
+        inject_angle_defect(monkeypatch)
+        code = main(["validate", "--n", "2", "--trials", "3", "--seed", "7"])
         assert code != 0
         assert "FAIL" in capsys.readouterr().out
 
-    def test_worst_case_names_its_trial(self, capsys):
+    def test_worst_case_names_its_trial(self, capsys, monkeypatch):
         # the injected defect perturbs the angles of trial 0 only
-        main(["validate", "--n", "2", "--trials", "3", "--seed", "7",
-              "--inject-defect"])
+        inject_angle_defect(monkeypatch)
+        main(["validate", "--n", "2", "--trials", "3", "--seed", "7"])
         lines = capsys.readouterr().out.splitlines()
         roundtrip = next(line for line in lines if line.startswith("roundtrip"))
         assert re.search(r"FAIL .* trial=0 n=[12]$", roundtrip)
@@ -261,6 +305,19 @@ class TestTorus:
         _, a = read_csv(a_path)
         _, b = read_csv(b_path)
         assert np.abs(a[:, 1] - b[:, 1]).max() < 1e-10
+
+
+@pytest.mark.parametrize("command, out_flag", [("synth", "--out"),
+                                               ("evolve", "--outdir")])
+@pytest.mark.parametrize("grid", ["-inf,5,11", "-5,inf,11", "nan,5,11",
+                                  "-1e308,1e308,11"])
+def test_non_finite_grid_is_usage_error(unit_params, tmp_path, capsys,
+                                        command, out_flag, grid):
+    out = tmp_path / "out"
+    code = main([command, unit_params, "--grid", grid, out_flag, str(out)])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_subcommand_is_usage_error():
