@@ -27,13 +27,17 @@ from .action_angle import (
     explicit_solution,
 )
 from .errors import DomainError, NumericalError
-from .profiles import SolitonParameters, profile, torus_potential
+from .profiles import SolitonParameters, profile_values, torus_potential
 from .spectral import spectral_decompose
 from .tableio import fmt as _fmt
 from .tableio import write_csv, write_frames, write_xy
 from .validation import run_validation
 
 log = logging.getLogger("bo_soliton")
+
+# the most samples --grid or --m may ask for (README examples: at most 1001;
+# benchmark: 2e4); a larger count could exhaust memory before any output
+MAX_GRID_POINTS = 10 ** 6
 
 
 class CliParseError(Exception):
@@ -85,7 +89,14 @@ def _parse_grid(text):
         raise CliParseError(f"--grid needs finite bounds and span: {text!r}")
     if n < 2 or not xmax > xmin:
         raise CliParseError("--grid needs xmax > xmin and n >= 2")
+    _check_point_count("--grid", n)
     return xmin, xmax, n
+
+
+def _check_point_count(flag, n):
+    if n > MAX_GRID_POINTS:
+        raise CliParseError(
+            f"{flag} asks for {n} points, more than {MAX_GRID_POINTS}")
 
 
 def _emit_plot_script(path, csv_paths, ylabel):
@@ -110,10 +121,11 @@ def _emit_plot_script(path, csv_paths, ylabel):
 
 def cmd_synth(args):
     params = read_params_csv(args.params_csv)
-    xmin, xmax, n = _parse_grid(args.grid)
-    dx = (xmax - xmin) / (n - 1)
-    field = profile(params, xmin, dx, n)
-    write_xy(args.out, ("x", "u"), field.xs(), field.values)
+    xs = np.linspace(*_parse_grid(args.grid))  # both ends included
+    us = profile_values(params, xs)
+    if not np.all(np.isfinite(us)):  # an eta so small that eta**2 underflows
+        raise DomainError("grid values must be finite")
+    write_xy(args.out, ("x", "u"), xs, us)
     if args.plot_script:
         _emit_plot_script(args.plot_script, [args.out], "u")
     return 0
@@ -161,8 +173,7 @@ def cmd_evolve(args):
         if not args.r or not args.alpha:
             raise CliParseError("need either a params CSV or --r/--alpha lists")
         aa0 = ActionAngles(np.array(args.r), np.array(args.alpha))
-    xmin, xmax, n = _parse_grid(args.grid)
-    xs = np.linspace(xmin, xmax, n)
+    xs = np.linspace(*_parse_grid(args.grid))  # the grid of synth
     times = _evolve_times(args.t0, args.t1, args.dt)
     frames = write_frames(args.outdir, times,
                           lambda t: (xs, explicit_solution(aa0, t, xs)))
@@ -197,6 +208,7 @@ def cmd_validate(args):
 
 
 def cmd_torus(args):
+    _check_point_count("--m", args.m)
     params = read_params_csv(args.params_csv)
     field = torus_potential(params, args.m)
     write_xy(args.out, ("y", "v"), field.xs(), field.values)

@@ -22,6 +22,8 @@ from .rational import (
     MP_DPS,
     PoleResidueForm,
     add,
+    cauchy_kernel,
+    conj_reflect,
     derivative,
     inner_product,
     mp_pairing,
@@ -42,9 +44,7 @@ def pi_u(params):
 
 def u_rational(params):
     """The real profile as a rational function: Pi u plus its reflection."""
-    terms = [(z, 1, 1j) for z in params.zs]
-    terms += [(z.conjugate(), 1, -1j) for z in params.zs]
-    return PoleResidueForm(tuple(terms))
+    return add(pi_u(params), conj_reflect(pi_u(params)))
 
 
 def hpp_basis(params):
@@ -76,12 +76,10 @@ def one_minus_theta(params):
 def _strip_high_orders(f, what):
     """Drop order >= 2 terms whose mass is below tolerance, else raise."""
     scale_ = max(f.coeff_scale(), 1.0)
-    bad = [t for t in f.terms if t[1] >= 2]
-    if bad:
-        worst = max(abs(c) for _, _, c in bad)
-        if worst > ORDER_RESIDUAL_TOL * scale_:
-            raise InvariantViolation(
-                f"{what}: residual pole mass {worst:.3e} at order >= 2")
+    worst = max((abs(c) for _, m, c in f.terms if m >= 2), default=0.0)
+    if worst > ORDER_RESIDUAL_TOL * scale_:
+        raise InvariantViolation(
+            f"{what}: residual pole mass {worst:.3e} at order >= 2")
     return PoleResidueForm(tuple(t for t in f.terms if t[1] == 1), f.constant)
 
 
@@ -143,10 +141,11 @@ def lax_matrix(params):
 def cauchy_entries(z, pi):
     """K with <f, g> = f @ K @ conj(g) for coefficients in the c_r basis.
 
-    K_rs = 2 pi i / (conj(z_s) - z_r); nested lists of plain scalars like
+    K_rs = 2 pi i / (conj(z_s) - z_r), 2 pi i times the :func:`cauchy_kernel`
+    of the lower-half-plane z; nested lists of plain scalars like
     :func:`lax_entries`, with ``pi`` at the working precision.
     """
-    return [[2j * pi / (b.conjugate() - a) for b in z] for a in z]
+    return [[2j * pi * k for k in row] for row in cauchy_kernel(z, z)]
 
 
 def cauchy_gram(zs):

@@ -14,6 +14,7 @@ production module imports it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from math import comb
 
@@ -35,16 +36,9 @@ POLE_REAL_TOL = 1e-12
 MP_DPS = 40
 
 
-def _pole_scale(mods):
-    return max(1.0, max(mods, default=1.0))
-
-
 def _canonical(termdict, constant):
     """Merge equal (pole, order) keys, prune tiny coefficients, sort."""
-    if termdict:
-        scale = max(max(abs(c) for c in termdict.values()), abs(constant))
-    else:
-        scale = abs(constant)
+    scale = max([abs(c) for c in termdict.values()] + [abs(constant)])
     cut = DROP_TOL * scale
     terms = []
     for (pole, order), coeff in termdict.items():
@@ -65,7 +59,8 @@ class PoleResidueForm:
     """Rational function ``constant + sum coeff/(x - pole)**order``.
 
     ``terms`` is a tuple of ``(pole, order, coeff)`` triples with unique
-    (pole, order) keys; construction canonicalizes arbitrary input.
+    (pole, order) keys; construction canonicalizes arbitrary input, summing
+    equal keys in input order, so the operations below pass raw term lists.
     """
 
     terms: tuple = field(default=())
@@ -110,10 +105,6 @@ class PoleResidueForm:
 ZERO = PoleResidueForm()
 
 
-def _as_dict(f):
-    return {(p, m): c for p, m, c in f.terms}
-
-
 def pf_decompose(numerator_coeffs, den_roots):
     """Partial fractions of P(x) / prod(x - r) with simple denominator roots.
 
@@ -134,29 +125,28 @@ def pf_decompose(numerator_coeffs, den_roots):
     _check_pairwise_distinct(roots)
 
     constant = coeffs[0] if deg_p == n else 0j
-    td = {}
+    terms = []
     for k, r in enumerate(roots):
-        qprime = np.prod([r - roots[j] for j in range(n) if j != k]) if n > 1 else 1.0
-        td[(r, 1)] = complex(np.polyval(coeffs, r) / qprime)
-    return PoleResidueForm(tuple((p, m, c) for (p, m), c in td.items()), constant)
+        qprime = np.prod([r - roots[j] for j in range(n) if j != k])
+        terms.append((r, 1, complex(np.polyval(coeffs, r) / qprime)))
+    return PoleResidueForm(tuple(terms), constant)
+
+
+def _check_separated(p, q):
+    """Refuse poles closer than DEGENERACY_TOL * max(1, |p|, |q|), equal
+    ones included: a repeated root would divide by Q'(r) = 0."""
+    tol = DEGENERACY_TOL * max(1.0, abs(p), abs(q))
+    if abs(p - q) < tol:
+        raise DegenerateParameters(f"poles {p} and {q} closer than {tol:g}")
 
 
 def _check_pairwise_distinct(poles):
-    pts = list(poles)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            tol = DEGENERACY_TOL * _pole_scale([abs(pts[i]), abs(pts[j])])
-            if pts[i] != pts[j] and abs(pts[i] - pts[j]) < tol:
-                raise DegenerateParameters(
-                    f"poles {pts[i]} and {pts[j]} closer than {tol:g}")
+    for p, q in itertools.combinations(poles, 2):
+        _check_separated(p, q)
 
 
 def add(f, g):
-    td = _as_dict(f)
-    for key, c in _as_dict(g).items():
-        td[key] = td.get(key, 0j) + c
-    return PoleResidueForm(tuple((p, m, c) for (p, m), c in td.items()),
-                           f.constant + g.constant)
+    return PoleResidueForm(f.terms + g.terms, f.constant + g.constant)
 
 
 def scale(f, a):
@@ -168,50 +158,40 @@ def scale(f, a):
 def _split_pair(p, m, q, n):
     """Partial fractions of 1/((x-p)^m (x-q)^n) for p != q.
 
-    Returns {(pole, order): coeff}.  Coefficients come from the binomial
-    expansion of the complementary factor around each pole.
+    Returns (pole, order, coeff) triples.  Coefficients come from the
+    binomial expansion of the complementary factor around each pole.
     """
-    out = {}
+    out = []
     d = p - q
     for j in range(1, m + 1):  # orders at p
         i = m - j
-        out[(p, j)] = (-1) ** i * comb(n + i - 1, i) * d ** (-(n + i))
+        out.append((p, j, (-1) ** i * comb(n + i - 1, i) * d ** (-(n + i))))
     d = q - p
     for k in range(1, n + 1):  # orders at q
         i = n - k
-        out[(q, k)] = (-1) ** i * comb(m + i - 1, i) * d ** (-(m + i))
+        out.append((q, k, (-1) ** i * comb(m + i - 1, i) * d ** (-(m + i))))
     return out
 
 
 def multiply(f, g):
     """Exact product, re-expanded into pole-residue form."""
-    td = {}
-
-    def bump(key, c):
-        td[key] = td.get(key, 0j) + c
-
+    terms = []
     if g.constant != 0:
-        for p, m, c in f.terms:
-            bump((p, m), c * g.constant)
+        terms += [(p, m, c * g.constant) for p, m, c in f.terms]
     if f.constant != 0:
-        for q, n, c in g.terms:
-            bump((q, n), c * f.constant)
+        terms += [(q, n, c * f.constant) for q, n, c in g.terms]
     const = f.constant * g.constant
 
     for p, m, cf in f.terms:
         for q, n, cg in g.terms:
             c = cf * cg
             if p == q:
-                bump((p, m + n), c)
+                terms.append((p, m + n, c))
                 continue
-            tol = DEGENERACY_TOL * _pole_scale([abs(p), abs(q)])
-            if abs(p - q) < tol:
-                raise DegenerateParameters(
-                    f"distinct poles {p} and {q} closer than {tol:g}")
-            for key, w in _split_pair(p, m, q, n).items():
-                bump(key, c * w)
+            _check_separated(p, q)
+            terms += [(r, k, c * w) for r, k, w in _split_pair(p, m, q, n)]
 
-    return PoleResidueForm(tuple((p, m, c) for (p, m), c in td.items()), const)
+    return PoleResidueForm(tuple(terms), const)
 
 
 def derivative(f):
@@ -228,15 +208,15 @@ def multiply_by_x(f):
     """
     if f.constant != 0:
         raise DegreeError("x * constant is not a decaying rational function")
-    td = {}
+    terms = []
     const = 0j
     for p, m, c in f.terms:
-        td[(p, m)] = td.get((p, m), 0j) + p * c
+        terms.append((p, m, p * c))
         if m == 1:
             const += c
         else:
-            td[(p, m - 1)] = td.get((p, m - 1), 0j) + c
-    return PoleResidueForm(tuple((p, m, c) for (p, m), c in td.items()), const)
+            terms.append((p, m - 1, c))
+    return PoleResidueForm(tuple(terms), const)
 
 
 def szego_project(f):
@@ -253,13 +233,30 @@ def conj_reflect(f):
         f.constant.conjugate())
 
 
-def _all_simple(f):
-    return all(m == 1 for _, m, _ in f.terms)
+def cauchy_kernel(ps, qs):
+    """K with <f, g> = 2 pi i sum_rs a_r K_rs conj(b_s) for f = sum_r
+    a_r / (x - p_r) and g = sum_s b_s / (x - q_s), all poles off the axis.
+
+    K_rs = w_rs / (conj(q_s) - p_r): closing the contour in the upper
+    half-plane picks the residue at p_r when Im p_r > 0 and at conj(q_s)
+    when Im q_s < 0, so w_rs = [Im q_s < 0] - [Im p_r > 0].  Entries with
+    w_rs = 0 are 0 without a division; a coincident pair conj(q_s) = p_r
+    always has w_rs = 0.  Nested lists of plain scalars, so the same code
+    serves complex doubles and mpmath numbers.
+    """
+    kern = []
+    for p in ps:
+        row = []
+        for q in qs:
+            w = int(q.imag < 0) - int(p.imag > 0)
+            row.append(w / (q.conjugate() - p) if w else 0)
+        kern.append(row)
+    return kern
 
 
 def mp_pairing(f, g, kern):
     """sum_rs f_r K_rs conj(g_s) of mpmath numbers, summed exactly; <f, g>
-    when K is the Cauchy kernel of :func:`bo_soliton.oracle.cauchy_entries`.
+    when K is 2 pi i times the :func:`cauchy_kernel` of the poles.
     """
     return mpmath.fsum(f[r] * mpmath.conj(g[s]) * kern[r][s]
                        for r in range(len(f)) for s in range(len(g)))
@@ -270,43 +267,31 @@ def inner_product(f, g):
 
     Closing the contour in the upper half-plane gives 2*pi*i times the sum of
     residues of f * g^* there, where g^* has conjugated poles/coefficients.
-    For simple poles this is a finite double sum over a Cauchy-type kernel;
+    For simple poles this is the double sum over :func:`cauchy_kernel`;
     when the summands cancel strongly (nearly parallel pole clusters), the
-    sum is redone in MP_DPS digits from the exact double inputs and summed
-    by :func:`mp_pairing`.  Higher-order poles go through the exact product
-    expansion instead.
+    sum is redone in MP_DPS digits from the exact double inputs, over the
+    same kernel, and summed by :func:`mp_pairing`.  Higher-order poles go
+    through the exact product expansion instead.
     """
     if f.constant != 0 or g.constant != 0:
         raise NotSquareIntegrable("both factors must be in L2 (constant = 0)")
     if f.is_zero or g.is_zero:
         return 0j
 
-    if _all_simple(f) and _all_simple(g):
-        pf = np.array([p for p, _, _ in f.terms])
+    if max(f.max_order(), g.max_order()) == 1:
+        pf = [p for p, _, _ in f.terms]
+        pg = [p for p, _, _ in g.terms]
         cf = np.array([c for _, _, c in f.terms])
-        pg = np.array([p for p, _, _ in g.terms])
-        cg = np.array([c for _, _, c in g.terms])
-        qbar = pg.conj()
-        # residue weights at upper poles of f and at conjugated poles of g;
-        # coincident points cancel exactly and are masked out of the kernel
-        ind = (pg.imag < 0)[None, :].astype(float) \
-            - (pf.imag > 0)[:, None].astype(float)
-        denom = qbar[None, :] - pf[:, None]
-        mask = denom != 0
-        weights = np.zeros_like(denom)
-        np.divide(ind, denom, out=weights, where=mask)
-        cg_conj = cg.conj()
-        val = cf @ weights @ cg_conj
-        cancel = np.abs(cf) @ np.abs(weights) @ np.abs(cg_conj)
+        cg_conj = np.array([c for _, _, c in g.terms]).conj()
+        kern = np.array(cauchy_kernel(pf, pg), dtype=complex)
+        val = cf @ kern @ cg_conj
+        cancel = np.abs(cf) @ np.abs(kern) @ np.abs(cg_conj)
         if 1e-16 * cancel > 1e-14 * max(1.0, abs(val)):
-            # a masked entry can sit on a coincident pole pair: it stays 0
             with mpmath.workdps(MP_DPS):
                 mpc = mpmath.mpc
-                kern = [[float(ind[r, s]) / (mpmath.conj(mpc(q)) - mpc(p))
-                         if ind[r, s] else 0 for s, q in enumerate(pg)]
-                        for r, p in enumerate(pf)]
-                val = complex(mp_pairing([mpc(c) for c in cf],
-                                         [mpc(c) for c in cg], kern))
+                kern = cauchy_kernel([mpc(p) for p in pf], [mpc(q) for q in pg])
+                val = complex(mp_pairing([mpc(c) for _, _, c in f.terms],
+                                         [mpc(c) for _, _, c in g.terms], kern))
         return complex(2j * np.pi * val)
 
     prod = multiply(f, conj_reflect(g))
@@ -317,10 +302,13 @@ def inner_product(f, g):
 def evaluate(f, x):
     """Direct summation at a real or complex point (or numpy array)."""
     xs = np.asarray(x, dtype=complex)
-    for p, _, _ in f.terms:
-        tol = DEGENERACY_TOL * _pole_scale([abs(p)])
-        if np.any(np.abs(xs - p) < tol):
-            raise PoleProximity(f"evaluation point within {tol:g} of pole {p}")
+    poles = np.array([p for p, _, _ in f.terms], dtype=complex)
+    tols = DEGENERACY_TOL * np.maximum(1.0, np.abs(poles))
+    near = np.abs(np.subtract.outer(xs, poles)) < tols
+    if np.count_nonzero(near):
+        k = int(np.nonzero(near)[-1].min())  # the first term hit
+        raise PoleProximity(
+            f"evaluation point within {tols[k]:g} of pole {f.terms[k][0]}")
     out = np.full(xs.shape, f.constant, dtype=complex)
     for p, m, c in f.terms:
         out += c / (xs - p) ** m

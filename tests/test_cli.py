@@ -7,7 +7,14 @@ import pytest
 
 from bo_soliton import validation
 from bo_soliton.action_angle import ActionAngles
-from bo_soliton.cli import CliParseError, _evolve_times, main
+from bo_soliton.cli import (
+    MAX_GRID_POINTS,
+    CliParseError,
+    _check_point_count,
+    _evolve_times,
+    _parse_grid,
+    main,
+)
 
 
 def write_params(path, rows):
@@ -139,6 +146,22 @@ class TestEvolve:
         _, a = read_csv(outdir / "frame_t0.0000.csv")
         _, b = read_csv(synth_out)
         assert np.abs(a - b).max() < 1e-10
+
+    def test_synth_and_evolve_write_one_x_grid(self, unit_params, tmp_path):
+        # -1 + 1.3/6 * 6 rounds past 0.3; the shared grid ends on xmax
+        outdir = tmp_path / "frames"
+        synth_out = tmp_path / "synth.csv"
+        main(["evolve", unit_params, "--grid", "-1,0.3,7",
+              "--outdir", str(outdir)])
+        main(["synth", unit_params, "--grid", "-1,0.3,7",
+              "--out", str(synth_out)])
+
+        def x_column(path):
+            return [line.split(",")[0] for line in path.read_text().splitlines()]
+
+        xs = x_column(synth_out)
+        assert xs == x_column(outdir / "frame_t0.0000.csv")
+        assert float(xs[-1]) == 0.3
 
     def test_reversed_time(self, unit_params, tmp_path):
         outdir = tmp_path / "frames"
@@ -318,6 +341,33 @@ def test_non_finite_grid_is_usage_error(unit_params, tmp_path, capsys,
     assert code == 2
     assert "finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+class TestPointCap:
+    def test_grid_takes_the_cap(self):
+        assert _parse_grid(f"-1,1,{MAX_GRID_POINTS}") == (-1.0, 1.0,
+                                                           MAX_GRID_POINTS)
+
+    def test_grid_past_the_cap_is_refused(self):
+        with pytest.raises(CliParseError, match="more than"):
+            _parse_grid(f"-1,1,{MAX_GRID_POINTS + 1}")
+
+    def test_torus_m_boundary(self):
+        _check_point_count("--m", MAX_GRID_POINTS)
+        with pytest.raises(CliParseError, match="--m"):
+            _check_point_count("--m", MAX_GRID_POINTS + 1)
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--grid", "-5,5,3000000000", "--out"],
+        ["evolve", "--grid", "-5,5,3000000000", "--outdir"],
+        ["torus", "--m", "3000000000", "--out"]])
+    def test_huge_count_is_usage_error(self, unit_params, tmp_path, capsys,
+                                       argv):
+        out = tmp_path / "out"
+        code = main([argv[0], unit_params, *argv[1:], str(out)])
+        assert code == 2
+        assert "more than" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,9 +9,11 @@ from bo_soliton.errors import (
     PoleProximity,
 )
 from bo_soliton.rational import (
+    MP_DPS,
     PoleResidueForm,
     ZERO,
     add,
+    cauchy_kernel,
     conj_reflect,
     derivative,
     evaluate,
@@ -55,6 +58,8 @@ class TestPfDecompose:
     def test_degenerate_roots_rejected(self):
         with pytest.raises(DegenerateParameters):
             pf_decompose([1.0], [-1j, -1j * (1 + 1e-12)])
+        with pytest.raises(DegenerateParameters):  # was the zero function
+            pf_decompose([1.0], [-1j, -1j])
 
     def test_degree_too_large(self):
         with pytest.raises(DegreeError):
@@ -201,6 +206,35 @@ class TestInnerProduct:
             assert abs(exact - approx) <= 1e-6 * max(1.0, abs(exact))
 
 
+class TestCauchyKernel:
+    LOWER = [-1j, 2.0 - 0.5j, -3.0 - 2.0j]
+    UPPER = [1j, 1.5 + 0.25j]
+
+    @pytest.mark.parametrize("ps, qs, weight", [(LOWER, LOWER, 1),
+                                                (UPPER, UPPER, -1),
+                                                (LOWER, UPPER, 0),
+                                                (UPPER, LOWER, 0)])
+    def test_residue_weights(self, ps, qs, weight):
+        kern = cauchy_kernel(ps, qs)
+        for p, row in zip(ps, kern):
+            for q, k in zip(qs, row):
+                # mixed lists hold the coincident pair conj(1j) = -1j, whose
+                # entry is an exact 0 without a division by zero
+                assert k == (weight / (q.conjugate() - p) if weight else 0)
+
+    def test_mpmath_entries_match_doubles(self, rng):
+        for _ in range(20):
+            ps = [p for p, _, _ in random_form(rng, max_order=1).terms]
+            qs = [q for q, _, _ in random_form(rng, max_order=1).terms]
+            doubles = cauchy_kernel(ps, qs)
+            with mpmath.workdps(MP_DPS):
+                exact = cauchy_kernel([mpmath.mpc(p) for p in ps],
+                                      [mpmath.mpc(q) for q in qs])
+                for drow, erow in zip(doubles, exact):
+                    for d, e in zip(drow, erow):
+                        assert abs(d - e) <= 1e-15 * abs(e)
+
+
 class TestEvaluate:
     def test_scalar(self):
         assert abs(evaluate(form((-1j, 1, 1j)), 0.0) - 1.0) < 1e-15
@@ -218,6 +252,13 @@ class TestEvaluate:
     def test_pole_proximity(self):
         with pytest.raises(PoleProximity):
             evaluate(form((-1j, 1, 1.0)), -1j * (1 + 1e-12))
+
+    def test_pole_proximity_in_array(self):
+        f = form((3.0 - 1j, 1, 1.0), (-1j, 2, 1.0))
+        xs = np.array([0.0, 2.0, -1j * (1 + 1e-12), 5.0])
+        with pytest.raises(PoleProximity, match="within 1e-09 of pole"):
+            evaluate(f, xs)
+        assert evaluate(f, np.delete(xs, 2)).shape == (3,)
 
 
 def test_add_and_conj_reflect(rng):
