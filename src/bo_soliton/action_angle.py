@@ -9,7 +9,9 @@ negative) and angles alpha_j = gamma_j.  The matrix
 has the translation-scaling parameters as its spectrum, which inverts the
 coordinate map.  The flow is affine: actions frozen, angles drift at -I_j/pi.
 Profiles at any time come from a resolvent pairing with the rank-one vectors
-X_j = sqrt(|lambda_j|), Y_j = 1/sqrt(|lambda_j|).
+X_j = sqrt(|lambda_j|), Y_j = 1/sqrt(|lambda_j|).  The eigenvalues of M
+(zgeev) and its Schur form come from :mod:`bo_soliton._lapack`, which
+imports scipy.linalg at the first call, not when this module is imported.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import zgeev
 
+from . import _lapack
 from .errors import (
     EigensolveFailed,
     NonFiniteInput,
@@ -85,8 +86,8 @@ def m_from_aa(aa):
 
 def inverse_map(aa):
     """Phi_N^{-1}: the parameters are the eigenvalues of M (LAPACK zgeev)."""
-    roots, _, _, info = zgeev(m_from_aa(aa), compute_vl=0, compute_vr=0,
-                              overwrite_a=1)
+    roots, _, _, info = _lapack.zgeev(m_from_aa(aa), compute_vl=0,
+                                      compute_vr=0, overwrite_a=1)
     if info != 0:
         raise EigensolveFailed(f"eigenvalues of M failed: zgeev info {info}")
     # argmax picks a NaN first
@@ -147,7 +148,7 @@ def explicit_solution(aa0, t, x):
     """
     start = time.perf_counter()
     m = m_from_aa(aa0) - np.diag(aa0.rs * (t / np.pi))
-    schur = scipy.linalg.schur(m, output="complex")
+    schur = _lapack.schur(m, output="complex")
     xs = np.asarray(x, dtype=float)
     out = 2 * np.imag(_resolvent_pairing(schur, xs, aa0.lambdas))
     if log.isEnabledFor(logging.DEBUG):
@@ -163,7 +164,7 @@ def explicit_solution(aa0, t, x):
 def pi_u_resolvent(sd, x):
     """Pi u(x) = -i <(M - x)^{-1} X, Y> from spectral data alone."""
     xs = np.asarray(x, dtype=complex)
-    schur = scipy.linalg.schur(sd.m_matrix, output="complex")
+    schur = _lapack.schur(sd.m_matrix, output="complex")
     vals = -1j * _resolvent_pairing(schur, xs, sd.lambdas)
     if np.asarray(x).shape == ():
         return complex(vals)

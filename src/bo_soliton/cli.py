@@ -31,7 +31,6 @@ from .profiles import SolitonParameters, profile_values, torus_potential
 from .spectral import spectral_decompose
 from .tableio import fmt as _fmt
 from .tableio import write_csv, write_frames, write_xy
-from .validation import run_validation
 
 log = logging.getLogger("bo_soliton")
 
@@ -122,7 +121,8 @@ def _emit_plot_script(path, csv_paths, ylabel):
 def cmd_synth(args):
     params = read_params_csv(args.params_csv)
     xs = np.linspace(*_parse_grid(args.grid))  # both ends included
-    us = profile_values(params, xs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        us = profile_values(params, xs)
     if not np.all(np.isfinite(us)):  # an eta so small that eta**2 underflows
         raise DomainError("grid values must be finite")
     write_xy(args.out, ("x", "u"), xs, us)
@@ -194,6 +194,9 @@ def cmd_evolve(args):
 def cmd_validate(args):
     if args.n < 1 or args.trials < 1:
         raise CliParseError("validate needs --n >= 1 and --trials >= 1")
+    # the only command that needs the oracle, and with it mpmath
+    from .validation import run_validation
+
     results = run_validation(args.n, args.trials, args.seed,
                              with_pde=args.with_pde)
     width = max(len(r.name) for r in results)

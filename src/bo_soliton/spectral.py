@@ -16,6 +16,8 @@ eigenpairs; M = U* G U then gives the angles gamma_j = Re M_jj.  The
 module needs numpy and scipy alone: the eigenfunctions in pole-residue form
 (``eigen_coeffs``, ``eigenfunctions``, ``mt_residues``) and the other routes
 in the partial-fraction basis 1/(x - z_r) live in :mod:`bo_soliton.oracle`.
+The LAPACK and BLAS routines come from :mod:`bo_soliton._lapack`, which
+imports scipy.linalg at the first call, not when this module is imported.
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ from functools import lru_cache
 from math import sqrt
 
 import numpy as np
-from scipy.linalg.blas import zgemm, ztrmm
-from scipy.linalg.lapack import zheevd, ztrsyl
 
+from . import _lapack
 from .errors import (
     DegenerateSpectrum,
     EigensolveFailed,
@@ -102,8 +103,8 @@ def mt_lax(gmat):
     of G (lower half-plane) and G* (upper) are disjoint, so the solution is
     unique and Hermitian.
     """
-    lmat, scale_, info = ztrsyl(gmat, gmat, _fixed(len(gmat))[1],
-                                trana="N", tranb="C", isgn=-1)
+    lmat, scale_, info = _lapack.ztrsyl(gmat, gmat, _fixed(len(gmat))[1],
+                                        trana="N", tranb="C", isgn=-1)
     if info != 0:
         raise InvariantViolation(f"Sylvester solve failed: ztrsyl info {info}")
     if scale_ != 1:
@@ -145,7 +146,7 @@ def spectral_decompose(params):
     parameters in the lower half-plane, read here as ``zs_array``.
     """
     gmat, s = mt_generator(params.zs_array)
-    lam, vecs, info = zheevd(mt_lax(gmat), lower=1, overwrite_a=1)
+    lam, vecs, info = _lapack.zheevd(mt_lax(gmat), lower=1, overwrite_a=1)
     if info != 0:
         raise EigensolveFailed(f"eigensolve of L failed: zheevd info {info}")
     # zheevd returns lambda in ascending order; argmin and argmax pick a NaN
@@ -172,7 +173,8 @@ def spectral_decompose(params):
     vecs *= p.conj() / pmag
 
     # U* (G U), the triangular product reading only the upper part of G
-    mmat = zgemm(1.0, vecs, ztrmm(1.0, gmat, vecs), trans_a=2)
+    mmat = _lapack.zgemm(1.0, vecs, _lapack.ztrmm(1.0, gmat, vecs),
+                         trans_a=2)
     defect = mmat - mmat.conj().T
     defect += (2j * pmag)[:, None] * pmag
     im_defect = sqrt(np.vdot(defect, defect).real) / 2

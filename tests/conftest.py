@@ -42,10 +42,15 @@ def quad_inner(f, g, bulk=100.0):
 
     The bulk interval carries hint points at the pole real parts; the decaying
     tails are mapped through t = 1/x onto finite intervals, so the comparison
-    is against the full-line integral.
+    is against the full-line integral.  The real and the imaginary pass
+    share most abscissae, so h is evaluated once per abscissa.
     """
+    cache = {}
+
     def h(x):
-        return evaluate(f, x) * np.conj(evaluate(g, x))
+        if x not in cache:
+            cache[x] = evaluate(f, x) * np.conj(evaluate(g, x))
+        return cache[x]
 
     pts = sorted({p.real for p, _, _ in f.terms}
                  | {p.real for p, _, _ in g.terms})

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bo_soliton import action_angle
+from bo_soliton import _lapack
 from bo_soliton.action_angle import (
     ActionAngles,
     aa_from_spectral,
@@ -86,16 +86,16 @@ class TestInverseMap:
         assert abs(params.zs[0] - (-1j)) < 1e-12
 
     def test_eigensolve_info(self, monkeypatch):
-        solve = action_angle.zgeev
-        monkeypatch.setattr(action_angle, "zgeev",
+        solve = _lapack.zgeev
+        monkeypatch.setattr(_lapack, "zgeev",
                             lambda *a, **k: (*solve(*a, **k)[:3], 1))
         with pytest.raises(EigensolveFailed, match="zgeev info 1"):
             inverse_map(unit_aa())
 
     def test_nan_root_refused(self, monkeypatch):
-        solve = action_angle.zgeev
+        solve = _lapack.zgeev
         monkeypatch.setattr(
-            action_angle, "zgeev",
+            _lapack, "zgeev",
             lambda *a, **k: (np.array([np.nan + 0j]), *solve(*a, **k)[1:]))
         with pytest.raises(RootsNotInLowerHalfPlane):
             inverse_map(unit_aa())

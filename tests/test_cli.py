@@ -66,6 +66,19 @@ class TestSynth:
         assert code == 3
         assert "lower half-plane" in capsys.readouterr().err
 
+    def test_underflowed_eta_is_domain_error(self, tmp_path, capsys):
+        # eta**2 underflows to 0, so u is infinite at x = 0; the refusal is
+        # the only report (a leaked RuntimeWarning fails the test)
+        path = tmp_path / "tiny.csv"
+        write_params(path, [(0.0, 1e-200)])
+        code = main(["synth", str(path), "--grid", "-1,1,3",
+                     "--out", str(tmp_path / "u.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "grid values must be finite" in err
+        assert "Warning" not in err
+        assert not (tmp_path / "u.csv").exists()
+
     def test_deterministic_output(self, unit_params, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

@@ -70,6 +70,17 @@ def test_production_modules_do_not_import_oracle():
     assert not offenders, f"production modules importing oracle code: {offenders}"
 
 
+def test_only_the_binding_module_imports_scipy():
+    # scipy.linalg costs more start-up than a synth or torus run; it is
+    # imported in one place, at the first LAPACK call
+    package = Path(bo_soliton.__file__).parent
+    offenders = [(path.name, name) for path in sorted(package.glob("*.py"))
+                 if path.name != "_lapack.py"
+                 for name in imported_names(path)
+                 if name.split(".")[0] == "scipy"]
+    assert not offenders, f"modules importing scipy directly: {offenders}"
+
+
 def test_package_names_resolve():
     missing = [name for name in PACKAGE_NAMES if not hasattr(bo_soliton, name)]
     assert not missing, f"names gone from the package namespace: {missing}"

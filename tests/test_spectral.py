@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from bo_soliton import spectral
+from bo_soliton import _lapack, spectral
 from bo_soliton.action_angle import aa_from_spectral
 from bo_soliton.errors import (
     DegenerateSpectrum,
@@ -109,37 +109,37 @@ class TestGates:
     def test_im_m_identity_gate(self, monkeypatch, shift):
         # M + i shift I breaks Im M = -p p^T alone; with shift < 0 the top
         # eigenvalue of Im M stays negative, so only the identity sees it
-        product = spectral.zgemm
+        product = _lapack.zgemm
         monkeypatch.setattr(
-            spectral, "zgemm",
+            _lapack, "zgemm",
             lambda *a, **k: product(*a, **k) + shift * 1j * np.eye(3))
         with pytest.raises(InvariantViolation, match="Im M misses"):
             spectral_decompose(self.params)
 
     def test_sylvester_info(self, monkeypatch):
-        solve = spectral.ztrsyl
-        monkeypatch.setattr(spectral, "ztrsyl",
+        solve = _lapack.ztrsyl
+        monkeypatch.setattr(_lapack, "ztrsyl",
                             lambda *a, **k: (*solve(*a, **k)[:2], 1))
         with pytest.raises(InvariantViolation, match="ztrsyl info 1"):
             spectral_decompose(self.params)
 
     def test_hermitian_eigensolve_info(self, monkeypatch):
-        solve = spectral.zheevd
-        monkeypatch.setattr(spectral, "zheevd",
+        solve = _lapack.zheevd
+        monkeypatch.setattr(_lapack, "zheevd",
                             lambda *a, **k: (*solve(*a, **k)[:2], 2))
         with pytest.raises(EigensolveFailed, match="zheevd info 2"):
             spectral_decompose(self.params)
 
     def patch_zheevd(self, monkeypatch, edit):
         """Run ``edit(lam, vecs)`` on the output of zheevd before the gates."""
-        solve = spectral.zheevd
+        solve = _lapack.zheevd
 
         def edited(*a, **k):
             lam, vecs, info = solve(*a, **k)
             edit(lam, vecs)
             return lam, vecs, info
 
-        monkeypatch.setattr(spectral, "zheevd", edited)
+        monkeypatch.setattr(_lapack, "zheevd", edited)
 
     def test_near_degenerate_gap_gate(self, monkeypatch):
         # a finite gap of 1e-12 |lambda_1|, below GAP_TOL = 1e-10
@@ -175,14 +175,14 @@ class TestGates:
                                           (1, DegenerateSpectrum),
                                           (2, PositivityFailure)])
     def test_nan_eigenvalue_trips_a_gate(self, monkeypatch, j, error):
-        solve = spectral.zheevd
+        solve = _lapack.zheevd
 
         def nan_at_j(*a, **k):
             lam, vecs, info = solve(*a, **k)
             lam[j] = np.nan
             return lam, vecs, info
 
-        monkeypatch.setattr(spectral, "zheevd", nan_at_j)
+        monkeypatch.setattr(_lapack, "zheevd", nan_at_j)
         with pytest.raises(error):
             spectral_decompose(self.params)
 

@@ -1,0 +1,57 @@
+"""What each entry point loads, checked in a fresh interpreter.
+
+scipy.linalg costs 0.15-0.3 s of start-up and mpmath some more; only the
+commands that call LAPACK or the oracle may pay for them.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import bo_soliton
+
+SRC = Path(bo_soliton.__file__).resolve().parent.parent
+WORKER = SRC.parent / "perfbench" / "worker.py"
+
+
+def run_fresh(code, cwd):
+    """Run ``code`` in a new interpreter with ``src`` on the path."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_benchmark_imports_leave_lapack_to_the_first_call(tmp_path):
+    # the module-level imports of the benchmark worker, then one decompose
+    tree = ast.parse(WORKER.read_text())
+    imports = [ast.unparse(node) for node in tree.body
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               and getattr(node, "module", None) != "__future__"]
+    assert "from bo_soliton import pde, tableio" in imports
+    code = "\n".join(imports + [
+        "import sys",
+        "print('scipy.linalg' in sys.modules)",
+        "from bo_soliton.profiles import SolitonParameters",
+        "from bo_soliton.spectral import spectral_decompose",
+        "spectral_decompose(SolitonParameters((-1j, 1 - 2j)))",
+        "print('scipy.linalg' in sys.modules)",
+    ])
+    assert run_fresh(code, tmp_path).split() == ["False", "True"]
+
+
+def test_synth_and_torus_load_neither_lapack_nor_mpmath(tmp_path):
+    (tmp_path / "p.csv").write_text("x,eta\n-3,1\n3,0.5\n")
+    code = "\n".join([
+        "import sys",
+        "from bo_soliton.cli import main",
+        "assert main(['synth', 'p.csv', '--grid', '-5,5,11',"
+        " '--out', 'u.csv']) == 0",
+        "assert main(['torus', 'p.csv', '--m', '16', '--out', 'v.csv']) == 0",
+        "print(sorted({'scipy.linalg', 'mpmath'} & set(sys.modules)))",
+    ])
+    assert run_fresh(code, tmp_path).strip() == "[]"
+    assert (tmp_path / "u.csv").exists() and (tmp_path / "v.csv").exists()
