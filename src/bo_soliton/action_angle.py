@@ -138,16 +138,17 @@ def _resolvent_pairing(schur, shift, lambdas):
 
 
 def explicit_solution(aa0, t, x):
-    """u(t, x) = 2 Im <(M0 - x - (t/pi) diag(I_j))^{-1} X, Y>.
+    """u(t, x) = 2 Im <(M(t) - x)^{-1} X, Y>, where M(t) is M of the flowed
+    coordinates ``evolve_aa(aa0, t)``, i.e. M0 - (t/pi) diag(I_j).
 
     Vectorized over x (a scalar gives a float, an array keeps its shape):
-    one complex Schur form of M0 - (t/pi) diag(I_j), then back substitution
-    over all points at once (``_resolvent_pairing``).  At debug level the
-    ``bo_soliton.action_angle`` logger gets N, the point count, the Schur
-    residual max|Q T Q* - M| and the seconds spent.
+    one complex Schur form of M(t), then back substitution over all points
+    at once (``_resolvent_pairing``).  A non-finite t raises NonFiniteInput.
+    At debug level the ``bo_soliton.action_angle`` logger gets N, the point
+    count, the Schur residual max|Q T Q* - M| and the seconds spent.
     """
     start = time.perf_counter()
-    m = m_from_aa(aa0) - np.diag(aa0.rs * (t / np.pi))
+    m = m_from_aa(evolve_aa(aa0, t))
     schur = _lapack.schur(m, output="complex")
     xs = np.asarray(x, dtype=float)
     out = 2 * np.imag(_resolvent_pairing(schur, xs, aa0.lambdas))

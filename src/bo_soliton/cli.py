@@ -2,10 +2,12 @@
 
 Subcommands: synth, spectrum, evolve, validate, torus.  All tables are CSV
 with a header row, floats printed with 17 significant digits, LF line
-endings, written atomically (temp file + rename).
+endings; every file, plot scripts included, is written atomically (temp
+file + rename) by :mod:`bo_soliton.tableio`.
 
-Exit codes: 0 success, 2 usage or parse error, 3 domain invariant violation,
-4 numerical failure.  Verbosity via BO_SOLITON_LOG in {error, info, debug}.
+Exit codes: 0 success, 2 usage or parse error or an unwritable output,
+3 domain invariant violation, 4 numerical failure.  Verbosity via
+BO_SOLITON_LOG in {error, info, debug}.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ from .action_angle import (
 from .errors import DomainError, NumericalError
 from .profiles import SolitonParameters, profile_values, torus_potential
 from .spectral import spectral_decompose
-from .tableio import fmt as _fmt
-from .tableio import write_csv, write_frames, write_xy
+from .tableio import write_frames, write_plot_script, write_xy
 
 log = logging.getLogger("bo_soliton")
 
@@ -52,7 +53,8 @@ def _setup_logging():
 
 def read_params_csv(path):
     try:
-        with open(path, newline="") as fh:
+        # utf-8-sig also reads the byte-order mark of a spreadsheet export
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             rows = [r for r in reader if r and any(c.strip() for c in r)]
     except OSError as exc:
@@ -86,36 +88,18 @@ def _parse_grid(text):
         raise CliParseError(f"--grid expects numbers: {text!r}") from exc
     if not math.isfinite(xmax - xmin):  # an infinite or NaN bound, or span
         raise CliParseError(f"--grid needs finite bounds and span: {text!r}")
-    if n < 2 or not xmax > xmin:
-        raise CliParseError("--grid needs xmax > xmin and n >= 2")
+    if not xmax > xmin:
+        raise CliParseError("--grid needs xmax > xmin")
     _check_point_count("--grid", n)
     return xmin, xmax, n
 
 
 def _check_point_count(flag, n):
+    if n < 2:
+        raise CliParseError(f"{flag} needs at least 2 points, got {n}")
     if n > MAX_GRID_POINTS:
         raise CliParseError(
             f"{flag} asks for {n} points, more than {MAX_GRID_POINTS}")
-
-
-def _emit_plot_script(path, csv_paths, ylabel):
-    lines = [
-        "#!/usr/bin/env python3",
-        "import matplotlib.pyplot as plt",
-        "import numpy as np",
-        "",
-        f"files = {[os.path.abspath(p) for p in csv_paths]!r}",
-        "for f in files:",
-        "    data = np.genfromtxt(f, delimiter=',', names=True)",
-        "    cols = data.dtype.names",
-        "    plt.plot(data[cols[0]], data[cols[1]], label=f)",
-        "plt.xlabel('x')",
-        f"plt.ylabel({ylabel!r})",
-        "plt.legend(fontsize=6)",
-        "plt.show()",
-    ]
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def cmd_synth(args):
@@ -127,18 +111,15 @@ def cmd_synth(args):
         raise DomainError("grid values must be finite")
     write_xy(args.out, ("x", "u"), xs, us)
     if args.plot_script:
-        _emit_plot_script(args.plot_script, [args.out], "u")
+        write_plot_script(args.plot_script, [args.out], "u")
     return 0
 
 
 def cmd_spectrum(args):
     params = read_params_csv(args.params_csv)
     sd = spectral_decompose(params)
-    rows = []
-    for j in range(sd.n):
-        rows.append((str(j + 1), _fmt(sd.lambdas[j]), _fmt(sd.gammas[j]),
-                     _fmt(sd.actions[j])))
-    write_csv(args.out, ("j", "lambda", "gamma", "I"), rows)
+    write_xy(args.out, ("j", "lambda", "gamma", "I"),
+             np.arange(1, sd.n + 1), sd.lambdas, sd.gammas, sd.actions)
     return 0
 
 
@@ -178,22 +159,22 @@ def cmd_evolve(args):
     frames = write_frames(args.outdir, times,
                           lambda t: (xs, explicit_solution(aa0, t, xs)))
 
-    action_rows = []
-    for t in frames.values():
-        aa_t = evolve_aa(aa0, t)
-        for j in range(aa_t.n):
-            action_rows.append((_fmt(t), str(j + 1), _fmt(aa_t.rs[j]),
-                                _fmt(aa_t.alphas[j])))
-    write_csv(os.path.join(args.outdir, "actions.csv"),
-              ("t", "j", "r", "alpha"), action_rows)
+    flows = [evolve_aa(aa0, t) for t in frames.values()]
+    write_xy(os.path.join(args.outdir, "actions.csv"),
+             ("t", "j", "r", "alpha"),
+             np.repeat(list(frames.values()), aa0.n),
+             np.tile(np.arange(1, aa0.n + 1), len(flows)),
+             np.concatenate([aa.rs for aa in flows]),
+             np.concatenate([aa.alphas for aa in flows]))
     if args.plot_script:
-        _emit_plot_script(args.plot_script, list(frames), "u")
+        write_plot_script(args.plot_script, list(frames), "u")
     return 0
 
 
 def cmd_validate(args):
-    if args.n < 1 or args.trials < 1:
-        raise CliParseError("validate needs --n >= 1 and --trials >= 1")
+    if args.n < 1 or args.trials < 1 or args.seed < 0:
+        raise CliParseError("validate needs --n >= 1, --trials >= 1 and "
+                            "--seed >= 0")
     # the only command that needs the oracle, and with it mpmath
     from .validation import run_validation
 
@@ -216,7 +197,7 @@ def cmd_torus(args):
     field = torus_potential(params, args.m)
     write_xy(args.out, ("y", "v"), field.xs(), field.values)
     if args.plot_script:
-        _emit_plot_script(args.plot_script, [args.out], "v")
+        write_plot_script(args.plot_script, [args.out], "v")
     return 0
 
 
@@ -305,6 +286,9 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"numerical failure [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:  # tableio writes every output
+        print(f"error: cannot write: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
-"""Shared CSV output helpers: 17-significant-digit floats, LF endings,
-atomic replace, and the (x, y) frame files of profiles and evolutions."""
+"""Every file the package writes, each replaced atomically: CSV tables
+(17-significant-digit floats, LF endings), frame files and plot scripts."""
 
 import os
 import tempfile
@@ -13,14 +13,13 @@ def fmt(v):
     return f"{float(v):.17g}"
 
 
-def _write_atomic(path, header, body):
-    """Write the header line and the body to a temporary file, then rename."""
+def _write_atomic(path, text):
+    """Write the text to a temporary file, then rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            fh.write(body)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -30,19 +29,21 @@ def _write_atomic(path, header, body):
 
 def write_csv(path, header, rows):
     """Atomic CSV write: header plus rows of already-formatted strings."""
-    _write_atomic(path, header, "".join(",".join(row) + "\n" for row in rows))
+    _write_atomic(path, "".join(",".join(row) + "\n"
+                                for row in (header, *rows)))
 
 
-def write_xy(path, header, xs, ys):
-    """Atomic two-column table: the header, then one (x, y) row per point.
+def write_xy(path, header, *columns):
+    """Atomic numeric table: the header, then one row per point across the
+    equal-length ``columns`` (two for an (x, y) frame).
 
     The body is one ``%`` format over the interleaved values, which gives
     the same bytes as ``fmt`` applied to each value.
     """
-    pairs = np.column_stack((np.asarray(xs, dtype=float),
-                             np.asarray(ys, dtype=float)))
-    body = ("%.17g,%.17g\n" * len(pairs)) % tuple(pairs.ravel().tolist())
-    _write_atomic(path, header, body)
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    _write_atomic(path, ",".join(header) + "\n"
+                  + (row * len(table)) % tuple(table.ravel().tolist()))
 
 
 def write_frames(outdir, times, frame):
@@ -64,3 +65,23 @@ def write_frames(outdir, times, frame):
     for path, t in paths.items():
         write_xy(path, ("x", "u"), *frame(t))
     return paths
+
+
+def write_plot_script(path, csv_paths, ylabel):
+    """A standalone matplotlib script that plots each CSV of ``csv_paths``."""
+    lines = [
+        "#!/usr/bin/env python3",
+        "import matplotlib.pyplot as plt",
+        "import numpy as np",
+        "",
+        f"files = {[os.path.abspath(p) for p in csv_paths]!r}",
+        "for f in files:",
+        "    data = np.genfromtxt(f, delimiter=',', names=True)",
+        "    cols = data.dtype.names",
+        "    plt.plot(data[cols[0]], data[cols[1]], label=f)",
+        "plt.xlabel('x')",
+        f"plt.ylabel({ylabel!r})",
+        "plt.legend(fontsize=6)",
+        "plt.show()",
+    ]
+    _write_atomic(path, "\n".join(lines) + "\n")

@@ -187,6 +187,12 @@ class TestExplicitSolution:
         assert scalar == explicit_solution(aa, 2.0, np.array([1.5]))[0]
         assert explicit_solution(aa, 2.0, np.empty(0)).shape == (0,)
 
+    @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+    def test_non_finite_time_refused(self, t):
+        # M(t) is M of evolve_aa(aa0, t), whose angles are then not finite
+        with pytest.raises(NonFiniteInput):
+            explicit_solution(unit_aa(), t, np.linspace(-5, 5, 11))
+
     def test_debug_log_line(self, caplog):
         xs = np.linspace(-5, 5, 40)
         with caplog.at_level(logging.DEBUG, logger="bo_soliton.action_angle"):

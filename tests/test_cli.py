@@ -94,6 +94,17 @@ class TestSynth:
               "--plot-script", str(script)])
         assert "matplotlib" in script.read_text()
 
+    def test_byte_order_mark_is_read(self, unit_params, tmp_path):
+        # a spreadsheet's "CSV UTF-8" starts with U+FEFF
+        bom = tmp_path / "bom.csv"
+        plain = (tmp_path / "params.csv").read_bytes()
+        bom.write_bytes(b"\xef\xbb\xbf" + plain)
+        outs = tmp_path / "plain.csv", tmp_path / "bom_u.csv"
+        for params, out in zip((unit_params, str(bom)), outs):
+            assert main(["synth", params, "--grid", "-5,5,11",
+                         "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
 
 class TestSpectrum:
     def test_unit_soliton_row(self, unit_params, tmp_path):
@@ -310,9 +321,17 @@ class TestValidate:
         roundtrip = next(line for line in lines if line.startswith("roundtrip"))
         assert re.search(r"FAIL .* trial=0 n=[12]$", roundtrip)
 
+    def test_with_pde_passes(self, capsys):
+        code = main(["validate", "--n", "1", "--trials", "1", "--seed", "0",
+                     "--with-pde"])
+        assert code == 0
+        assert re.search(r"^pde_compare +PASS ", capsys.readouterr().out,
+                         re.MULTILINE)
+
     @pytest.mark.parametrize("flag, value", [("--n", "0"), ("--n", "-1"),
                                              ("--trials", "0"),
-                                             ("--trials", "-2")])
+                                             ("--trials", "-2"),
+                                             ("--seed", "-1")])
     def test_empty_run_is_usage_error(self, capsys, flag, value):
         code = main(["validate", flag, value])
         assert code == 2
@@ -366,9 +385,11 @@ class TestPointCap:
             _parse_grid(f"-1,1,{MAX_GRID_POINTS + 1}")
 
     def test_torus_m_boundary(self):
+        _check_point_count("--m", 2)
         _check_point_count("--m", MAX_GRID_POINTS)
-        with pytest.raises(CliParseError, match="--m"):
-            _check_point_count("--m", MAX_GRID_POINTS + 1)
+        for m in (1, -5, MAX_GRID_POINTS + 1):
+            with pytest.raises(CliParseError, match="--m"):
+                _check_point_count("--m", m)
 
     @pytest.mark.parametrize("argv", [
         ["synth", "--grid", "-5,5,3000000000", "--out"],
@@ -391,3 +412,27 @@ def test_missing_file_is_usage_error(tmp_path):
     code = main(["spectrum", str(tmp_path / "nope.csv"),
                  "--out", str(tmp_path / "s.csv")])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "one.csv", "--grid", "-1,1,3", "--out", "missing/u.csv"],
+    ["spectrum", "one.csv", "--out", "missing/s.csv"],
+    ["evolve", "one.csv", "--grid", "-1,1,3", "--outdir", "afile"],
+    ["synth", "one.csv", "--grid", "-1,1,3", "--out", "u.csv",
+     "--plot-script", "missing/p.py"],
+    ["torus", "one.csv", "--m", "8", "--out", "t.csv",
+     "--plot-script", "afile/p.py"],
+    # the name of the second frame, t = 1e307 at four decimals, is too long
+    ["evolve", "one.csv", "--grid", "-1,1,3", "--outdir", "d",
+     "--t1", "1e308", "--dt", "1e307"],
+])
+def test_unwritable_output_is_usage_error(tmp_path, monkeypatch, capsys,
+                                          argv):
+    monkeypatch.chdir(tmp_path)
+    write_params("one.csv", [(0.0, 1.0)])
+    (tmp_path / "afile").write_text("")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write")
+    assert "Traceback" not in err
+    assert not list(tmp_path.rglob("*.tmp"))

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from bo_soliton.tableio import fmt, write_csv, write_xy
 
@@ -6,15 +7,19 @@ EDGE = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308,
                  0.1, 1 / 3, 2.0 ** 60 + 2.0 ** 8, 3.0, -7.0])
 
 
-def per_value_body(xs, ys):
-    return "".join(f"{fmt(x)},{fmt(y)}\n" for x, y in zip(xs, ys))
+def per_value_body(*columns):
+    return "".join(",".join(fmt(v) for v in row) + "\n"
+                   for row in zip(*columns))
 
 
-def test_write_xy_bytes_match_fmt(tmp_path):
+@pytest.mark.parametrize("width", [2, 4])
+def test_write_xy_bytes_match_fmt(tmp_path, width):
+    columns = (EDGE, EDGE[::-1], np.roll(EDGE, 4), -np.roll(EDGE, 7))[:width]
+    header = ("x", "u", "r", "alpha")[:width]
     path = tmp_path / "xy.csv"
-    ys = EDGE[::-1]
-    write_xy(str(path), ("x", "u"), EDGE, ys)
-    assert path.read_bytes() == ("x,u\n" + per_value_body(EDGE, ys)).encode()
+    write_xy(str(path), header, *columns)
+    assert path.read_bytes() == (",".join(header) + "\n"
+                                 + per_value_body(*columns)).encode()
 
 
 def test_write_xy_integer_input(tmp_path):
