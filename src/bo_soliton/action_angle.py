@@ -8,8 +8,9 @@ negative) and angles alpha_j = gamma_j.  The matrix
 
 has the translation-scaling parameters as its spectrum, which inverts the
 coordinate map.  The flow is affine: actions frozen, angles drift at -I_j/pi.
-Profiles at any time come from a resolvent pairing with the rank-one vectors
-X_j = sqrt(|lambda_j|), Y_j = 1/sqrt(|lambda_j|).  The eigenvalues of M
+Profiles at any time, and Pi u, come from one resolvent pairing of M with
+the rank-one vectors X_j = sqrt(|lambda_j|), Y_j = 1/sqrt(|lambda_j|)
+(``_resolvent_pairing``, which takes M itself).  The eigenvalues of M
 (zgeev) and its Schur form come from :mod:`bo_soliton._lapack`, which
 imports scipy.linalg at the first call, not when this module is imported.
 """
@@ -102,24 +103,20 @@ def evolve_aa(aa, t):
     return ActionAngles(aa.rs, aa.alphas - aa.rs * (t / np.pi))
 
 
-def _xy_vectors(lambdas):
-    x = np.sqrt(np.abs(lambdas))
-    return x, 1.0 / x
+def _resolvent_pairing(m, lambdas, shift):
+    """<(m - s)^{-1} X, Y> for every entry s of ``shift``, in its shape,
+    with X_j = sqrt|lambda_j| and Y_j = 1/X_j; returns it with the complex
+    Schur form ``(T, Q)`` of m.
 
-
-def _resolvent_pairing(schur, shift, lambdas):
-    """<(m0 - s)^{-1} X, Y> for every entry s of ``shift``, in its shape.
-
-    ``schur`` is the complex Schur form ``(T, Q)`` of m0, m0 = Q T Q* with
-    T upper triangular, so the pairing is c (T - s)^{-1} b with b = Q* X
-    and c = Y^T Q, both formed once.  (T - s) w = b is solved by back
-    substitution over the N rows, each row for every shift at once; no
-    matrix is factored per shift.  A shift within SINGULAR_RTOL * max|T| of
-    a diagonal entry of T, an eigenvalue of m0, raises SingularResolvent,
+    m = Q T Q* with T upper triangular, so the pairing is c (T - s)^{-1} b
+    with b = Q* X and c = Y^T Q, both formed once.  (T - s) w = b is solved
+    by back substitution over the N rows, each row for every shift at once;
+    no matrix is factored per shift.  A shift within SINGULAR_RTOL * max|T|
+    of a diagonal entry of T, an eigenvalue of m, raises SingularResolvent,
     and so does a non-finite result (overflow, or a NaN shift).
     """
-    tri, q = schur
-    x, y = _xy_vectors(lambdas)
+    tri, q = _lapack.schur(m, output="complex")
+    x = np.sqrt(np.abs(lambdas))
     s = np.asarray(shift).ravel()
     gaps = np.diagonal(tri)[:, None] - s
     closest, scale = np.abs(gaps).min(initial=np.inf), np.abs(tri).max()
@@ -131,10 +128,10 @@ def _resolvent_pairing(schur, shift, lambdas):
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(lambdas.size - 1, -1, -1):
             w[k] = (b[k] - tri[k, k + 1:] @ w[k + 1:]) / gaps[k]
-        vals = (y @ q) @ w
+        vals = ((1.0 / x) @ q) @ w
     if not np.all(np.isfinite(vals)):
         raise SingularResolvent("resolvent pairing produced non-finite values")
-    return vals.reshape(np.shape(shift))
+    return vals.reshape(np.shape(shift)), (tri, q)
 
 
 def explicit_solution(aa0, t, x):
@@ -149,11 +146,10 @@ def explicit_solution(aa0, t, x):
     """
     start = time.perf_counter()
     m = m_from_aa(evolve_aa(aa0, t))
-    schur = _lapack.schur(m, output="complex")
     xs = np.asarray(x, dtype=float)
-    out = 2 * np.imag(_resolvent_pairing(schur, xs, aa0.lambdas))
+    vals, (tri, q) = _resolvent_pairing(m, aa0.lambdas, xs)
+    out = 2 * np.imag(vals)
     if log.isEnabledFor(logging.DEBUG):
-        tri, q = schur
         resid = np.abs(q @ tri @ q.conj().T - m).max()
         log.debug("explicit_solution: N=%d, %d points, schur residual %.2e, "
                   "%.4f s", aa0.n, xs.size, resid, time.perf_counter() - start)
@@ -165,8 +161,7 @@ def explicit_solution(aa0, t, x):
 def pi_u_resolvent(sd, x):
     """Pi u(x) = -i <(M - x)^{-1} X, Y> from spectral data alone."""
     xs = np.asarray(x, dtype=complex)
-    schur = _lapack.schur(sd.m_matrix, output="complex")
-    vals = -1j * _resolvent_pairing(schur, xs, sd.lambdas)
+    vals = -1j * _resolvent_pairing(sd.m_matrix, sd.lambdas, xs)[0]
     if np.asarray(x).shape == ():
         return complex(vals)
     return vals

@@ -3,7 +3,8 @@
 Subcommands: synth, spectrum, evolve, validate, torus.  All tables are CSV
 with a header row, floats printed with 17 significant digits, LF line
 endings; every file, plot scripts included, is written atomically (temp
-file + rename) by :mod:`bo_soliton.tableio`.
+file + rename) by :mod:`bo_soliton.tableio`, and a failed ``evolve``
+removes the files it wrote.
 
 Exit codes: 0 success, 2 usage or parse error or an unwritable output,
 3 domain invariant violation, 4 numerical failure.  Verbosity via
@@ -31,13 +32,16 @@ from .action_angle import (
 from .errors import DomainError, NumericalError
 from .profiles import SolitonParameters, profile_values, torus_potential
 from .spectral import spectral_decompose
-from .tableio import write_frames, write_plot_script, write_xy
+from .tableio import all_or_none, write_frames, write_plot_script, write_xy
 
 log = logging.getLogger("bo_soliton")
 
 # the most samples --grid or --m may ask for (README examples: at most 1001;
 # benchmark: 2e4); a larger count could exhaust memory before any output
 MAX_GRID_POINTS = 10 ** 6
+# the most frames evolve may write (README examples: 11); naming 10^6 frames
+# alone takes seconds and 0.1 GB before the first is written
+MAX_FRAMES = 10 ** 4
 
 
 class CliParseError(Exception):
@@ -128,7 +132,8 @@ def _evolve_times(t0, t1, dt):
     iterable, so that a refusal of the frame names reads only what it needs.
 
     Non-finite values, and dt = 0 with t1 != t0, are usage errors, raised
-    on the call: the steps would never reach t1.
+    on the call: the steps would never reach t1.  Reading a time past the
+    first MAX_FRAMES raises a usage error too.
     """
     if not (math.isfinite(t0) and math.isfinite(t1) and math.isfinite(dt)):
         raise CliParseError("--t0, --t1 and --dt must be finite")
@@ -139,8 +144,18 @@ def _evolve_times(t0, t1, dt):
     step = abs(dt) if t1 > t0 else -abs(dt)
     times = (t0 + k * step for k in itertools.count())
     if step > 0:
-        return itertools.takewhile(lambda t: t <= t1 + 1e-12, times)
-    return itertools.takewhile(lambda t: t >= t1 - 1e-12, times)
+        times = itertools.takewhile(lambda t: t <= t1 + 1e-12, times)
+    else:
+        times = itertools.takewhile(lambda t: t >= t1 - 1e-12, times)
+    return _at_most_max_frames(times)
+
+
+def _at_most_max_frames(times):
+    for k, t in enumerate(times):
+        if k == MAX_FRAMES:
+            raise CliParseError(f"--t0, --t1 and --dt give more than "
+                                f"{MAX_FRAMES} frames")
+        yield t
 
 
 def cmd_evolve(args):
@@ -156,18 +171,21 @@ def cmd_evolve(args):
         aa0 = ActionAngles(np.array(args.r), np.array(args.alpha))
     xs = np.linspace(*_parse_grid(args.grid))  # the grid of synth
     times = _evolve_times(args.t0, args.t1, args.dt)
-    frames = write_frames(args.outdir, times,
-                          lambda t: (xs, explicit_solution(aa0, t, xs)))
-
-    flows = [evolve_aa(aa0, t) for t in frames.values()]
-    write_xy(os.path.join(args.outdir, "actions.csv"),
-             ("t", "j", "r", "alpha"),
-             np.repeat(list(frames.values()), aa0.n),
-             np.tile(np.arange(1, aa0.n + 1), len(flows)),
-             np.concatenate([aa.rs for aa in flows]),
-             np.concatenate([aa.alphas for aa in flows]))
-    if args.plot_script:
-        write_plot_script(args.plot_script, list(frames), "u")
+    # a failed run removes what it wrote: no partial frame set
+    with all_or_none(args.outdir) as written:
+        frames = write_frames(args.outdir, times,
+                              lambda t: (xs, explicit_solution(aa0, t, xs)),
+                              written)
+        flows = [evolve_aa(aa0, t) for t in frames.values()]
+        actions = os.path.join(args.outdir, "actions.csv")
+        write_xy(actions, ("t", "j", "r", "alpha"),
+                 np.repeat(list(frames.values()), aa0.n),
+                 np.tile(np.arange(1, aa0.n + 1), len(flows)),
+                 np.concatenate([aa.rs for aa in flows]),
+                 np.concatenate([aa.alphas for aa in flows]))
+        written.append(actions)
+        if args.plot_script:
+            write_plot_script(args.plot_script, list(frames), "u")
     return 0
 
 

@@ -11,9 +11,9 @@ forms in w = (eta_j + eta_k) + i(x_j - x_k):
     omega(g_j, g_k) = -4 pi Im(1/w**2)
 
 (The test suite re-derives these against direct numerical xi-integration.)
-Central differences of the coordinate map at one fixed step then verify
-the pullback identity J^T nu J = Omega and the canonical bracket relations
-{I_j, gamma_k} = delta_jk.
+Central differences of the coordinate map at one fixed step, each side one
+``spectral_decompose`` (``fd_jacobian``), then verify the pullback identity
+J^T nu J = Omega and the canonical bracket relations {I_j, gamma_k} = delta_jk.
 """
 
 from __future__ import annotations
@@ -27,55 +27,40 @@ from .spectral import spectral_decompose
 FD_STEP_DEFAULT = 1e-5
 
 
-def _pairing_block(params):
-    """Closed-form pairings; returns (ff, fg, gg) as N x N real arrays."""
+def omega_matrix(params):
+    """2N x 2N pairing matrix in coordinates (x_1, eta_1, ..., x_N, eta_N)."""
     xs = params.positions
     etas = params.etas
     w = (etas[:, None] + etas[None, :]) + 1j * (xs[:, None] - xs[None, :])
     inv_w2 = 1.0 / w ** 2
-    ff = -4 * np.pi * inv_w2.imag  # equal to gg
-    return ff, 4 * np.pi * inv_w2.real, ff
-
-
-def omega_matrix(params):
-    """2N x 2N pairing matrix in coordinates (x_1, eta_1, ..., x_N, eta_N)."""
-    ff, fg, gg = _pairing_block(params)
+    # the f-f and g-g blocks are equal (module docstring)
+    ff = -4 * np.pi * inv_w2.imag
+    fg = 4 * np.pi * inv_w2.real
     omega = np.empty((2 * params.n, 2 * params.n))
-    omega[0::2, 0::2] = gg
+    omega[0::2, 0::2] = ff     # omega(g_j, g_k)
     omega[0::2, 1::2] = -fg.T  # omega(g_j, f_k)
     omega[1::2, 0::2] = fg     # omega(f_j, g_k)
     omega[1::2, 1::2] = ff
     return omega
 
 
-def _theta_of(params):
-    th = np.empty(2 * params.n)
-    th[0::2] = params.positions
-    th[1::2] = params.etas
-    return th
-
-
-def _params_of_theta(theta):
-    return SolitonParameters.from_x_eta(theta[0::2], theta[1::2])
-
-
-def _phi_of_theta(theta):
-    sd = spectral_decompose(_params_of_theta(theta))
-    return np.concatenate([sd.actions, sd.gammas])
-
-
 def fd_jacobian(params, fd_step):
-    """Central-difference Jacobian of (I_1..I_N, gamma_1..gamma_N) in theta."""
-    theta = _theta_of(params)
-    n2 = theta.size
-    jac = np.empty((n2, n2))
-    for b in range(n2):
+    """Central-difference Jacobian of (I_1..I_N, gamma_1..gamma_N) in
+    theta = (x_1, eta_1, ..., x_N, eta_N)."""
+    theta = np.empty(2 * params.n)
+    theta[0::2] = params.positions
+    theta[1::2] = params.etas
+    jac = np.empty((theta.size, theta.size))
+    for b in range(theta.size):
         h = fd_step * (1.0 + abs(theta[b]))
-        tp = theta.copy()
-        tp[b] += h
-        tm = theta.copy()
-        tm[b] -= h
-        jac[:, b] = (_phi_of_theta(tp) - _phi_of_theta(tm)) / (2 * h)
+        phi = []
+        for step in (h, -h):  # theta[b] + (-h) is bitwise theta[b] - h
+            tp = theta.copy()
+            tp[b] += step
+            sd = spectral_decompose(
+                SolitonParameters.from_x_eta(tp[0::2], tp[1::2]))
+            phi.append(np.concatenate([sd.actions, sd.gammas]))
+        jac[:, b] = (phi[0] - phi[1]) / (2 * h)
     return jac
 
 

@@ -38,7 +38,7 @@ from .errors import (
     GridMismatch,
 )
 from .profiles import GridField, profile_values
-from .tableio import write_frames
+from .tableio import all_or_none, write_frames
 
 log = logging.getLogger("bo_soliton.pde")
 
@@ -220,7 +220,9 @@ def compare(pde_field, explicit_field):
 
 def write_snapshots(snapshots, outdir):
     """Dump a list of (t, GridField) pairs as frame_t<t>.csv files; returns
-    the paths."""
+    the paths.  A failed dump removes the files it wrote."""
     fields = dict(snapshots)
-    return list(write_frames(outdir, (t for t, _ in snapshots),
-                             lambda t: (fields[t].xs(), fields[t].values)))
+    with all_or_none(outdir) as written:
+        return list(write_frames(outdir, (t for t, _ in snapshots),
+                                 lambda t: (fields[t].xs(), fields[t].values),
+                                 written))

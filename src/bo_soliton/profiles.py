@@ -142,9 +142,9 @@ def torus_potential(params, m):
     if m < 2:
         raise DomainError("need at least two samples")
     ws = [np.exp(1j * z) for z in params.zs]
-    y = 2 * np.pi * np.arange(m) / m
-    eiy = np.exp(1j * y)
+    dx = 2 * np.pi / m
+    eiy = np.exp(1j * (dx * np.arange(m)))  # at the y of the field, bit for bit
     h = np.zeros(m, dtype=complex)
     for w in ws:
         h -= eiy / (eiy - w)
-    return GridField(0.0, 2 * np.pi / m, 2 * h.real)
+    return GridField(0.0, dx, 2 * h.real)

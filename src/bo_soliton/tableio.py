@@ -3,6 +3,7 @@
 
 import os
 import tempfile
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -14,17 +15,20 @@ def fmt(v):
 
 
 def _write_atomic(path, text):
-    """Write the text to a temporary file, then rename."""
+    """Write the text to a temporary file, then rename; an OSError names
+    ``path``, not the temporary file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = ""
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def write_csv(path, header, rows):
@@ -46,14 +50,43 @@ def write_xy(path, header, *columns):
                   + (row * len(table)) % tuple(table.ravel().tolist()))
 
 
-def write_frames(outdir, times, frame):
+@contextmanager
+def all_or_none(outdir):
+    """Yield a list for the files that a block writes, into ``outdir`` or
+    elsewhere.
+
+    If the block raises, each listed file is removed, then each directory
+    of the path of ``outdir`` that was missing on entry, innermost first and
+    only if empty; then the error propagates.  Files not listed stay.
+    """
+    missing = []
+    path = os.path.abspath(outdir)
+    while not os.path.lexists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    written = []
+    try:
+        yield written
+    except BaseException:
+        for path in written:
+            with suppress(OSError):
+                os.unlink(path)
+        for path in missing:
+            with suppress(OSError):
+                os.rmdir(path)
+        raise
+
+
+def write_frames(outdir, times, frame, written):
     """Write frame(t) = (xs, us) for each t of ``times`` as
-    outdir/frame_t<t>.csv; returns the path of each time, as a dict
+    outdir/frame_t<t>.csv, and append each path to ``written`` once it is
+    written (see ``all_or_none``); returns the path of each time, as a dict
     {path: t} in the order of ``times``.
 
-    All names are fixed before anything is written.  ``times`` may be any
-    iterable, and is read only up to the first time whose name at four
-    decimals repeats an earlier one, which raises a DomainError.
+    All names are fixed before anything is written, ``outdir`` included.
+    ``times`` may be any iterable, and is read only up to the first time
+    whose name at four decimals repeats an earlier one, which raises a
+    DomainError.
     """
     paths = {}
     for t in times:
@@ -64,6 +97,7 @@ def write_frames(outdir, times, frame):
     os.makedirs(outdir, exist_ok=True)
     for path, t in paths.items():
         write_xy(path, ("x", "u"), *frame(t))
+        written.append(path)
     return paths
 
 

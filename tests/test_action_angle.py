@@ -227,6 +227,16 @@ class TestPiUResolvent:
         for x in (1e6, -1e6):
             assert abs(pi_u_resolvent(sd, x)) <= bound / abs(x)
 
+    def test_one_pairing_for_both_callers(self, rng):
+        # u = 2 Re Pi u: M from m_formula on one side, from the forward map
+        # on the other
+        xs = np.linspace(-30, 30, 241)
+        for n in range(1, 9):
+            sd = spectral_decompose(random_params(rng, n))
+            u = explicit_solution(aa_from_spectral(sd), 0.0, xs)
+            gap = np.abs(u - 2 * pi_u_resolvent(sd, xs).real).max()
+            assert gap <= 1e-12 * np.abs(u).max()
+
     def test_scalar_is_complex(self):
         sd = spectral_decompose(SolitonParameters((-1j,)))
         assert type(pi_u_resolvent(sd, 0.5)) is complex

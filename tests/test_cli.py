@@ -8,6 +8,7 @@ import pytest
 from bo_soliton import validation
 from bo_soliton.action_angle import ActionAngles
 from bo_soliton.cli import (
+    MAX_FRAMES,
     MAX_GRID_POINTS,
     CliParseError,
     _check_point_count,
@@ -221,6 +222,18 @@ class TestEvolve:
         assert "frame_t0.0000.csv" in capsys.readouterr().err
         assert not outdir.exists()
 
+    def test_frame_count_past_the_cap_is_usage_error(self, unit_params,
+                                                     tmp_path, capsys):
+        outdir = tmp_path / "d"
+        start = time.perf_counter()
+        code = main(["evolve", unit_params, "--t0", "0", "--t1", "1e9",
+                     "--dt", "1", "--grid", "-5,5,11",
+                     "--outdir", str(outdir)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert f"more than {MAX_FRAMES} frames" in capsys.readouterr().err
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("flags", [["--r", "-3.14"], ["--alpha", "0"],
                                        ["--r", "-3.14", "--alpha", "0"]])
     def test_params_csv_with_r_alpha_is_usage_error(self, unit_params,
@@ -237,6 +250,11 @@ class TestEvolveTimes:
     def test_steps_towards_t1(self):
         assert list(_evolve_times(1.0, -1.0, 1.0)) == [1.0, 0.0, -1.0]
         assert list(_evolve_times(0.0, 1.0, -0.5)) == [0.0, 0.5, 1.0]
+
+    def test_frame_cap_boundary(self):
+        assert len(list(_evolve_times(0.0, MAX_FRAMES - 1.0, 1.0))) == MAX_FRAMES
+        with pytest.raises(CliParseError, match="more than"):
+            list(_evolve_times(0.0, float(MAX_FRAMES), 1.0))
 
     def test_single_time_takes_any_finite_step(self):
         assert list(_evolve_times(2.0, 2.0, 0.0)) == [2.0]
@@ -435,4 +453,46 @@ def test_unwritable_output_is_usage_error(tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write")
     assert "Traceback" not in err
+    assert ".tmp" not in err  # the message names the output, not its temp file
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+class TestFailedEvolveWritesNothing:
+    """An error after the first frame is written removes what the run wrote,
+    and the output directory if the run made it; other files stay."""
+
+    # the second frame name, t = 1e307 at four decimals, is too long
+    TOO_LONG = ["--t1", "1e308", "--dt", "1e307"]
+
+    def run(self, tmp_path, outdir, *extra):
+        write_params(tmp_path / "one.csv", [(0.0, 1.0)])
+        return main(["evolve", str(tmp_path / "one.csv"), "--grid", "-1,1,3",
+                     "--outdir", str(outdir), *extra])
+
+    def test_made_directories_are_removed(self, tmp_path):
+        outdir = tmp_path / "a" / "b" / "d"
+        assert self.run(tmp_path, outdir, *self.TOO_LONG) == 2
+        assert not (tmp_path / "a").exists()
+
+    def test_existing_files_stay(self, tmp_path):
+        outdir = tmp_path / "d"
+        outdir.mkdir()
+        (outdir / "keep.txt").write_text("kept")
+        (outdir / "frame_t1.0000.csv").write_text("old")
+        assert self.run(tmp_path, outdir, *self.TOO_LONG) == 2
+        assert sorted(p.name for p in outdir.iterdir()) == [
+            "frame_t1.0000.csv", "keep.txt"]
+        assert (outdir / "frame_t1.0000.csv").read_text() == "old"
+
+    def test_failed_actions_table_removes_the_frames(self, tmp_path):
+        outdir = tmp_path / "d"
+        (outdir / "actions.csv" / "x").mkdir(parents=True)
+        assert self.run(tmp_path, outdir, "--t1", "2", "--dt", "1") == 2
+        assert [p.name for p in outdir.iterdir()] == ["actions.csv"]
+
+    def test_failed_plot_script_removes_the_output(self, tmp_path):
+        outdir = tmp_path / "d"
+        code = self.run(tmp_path, outdir, "--t1", "2", "--dt", "1",
+                        "--plot-script", str(tmp_path / "missing" / "p.py"))
+        assert code == 2
+        assert not outdir.exists()

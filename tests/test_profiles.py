@@ -112,6 +112,17 @@ class TestTorusPotential:
         b = torus_potential(shifted, 256)
         assert np.abs(a.values - b.values).max() < 1e-10
 
+    def test_values_at_its_own_grid(self, rng):
+        # at m = 300, 2*pi*k/m and k*(2*pi/m) differ in the last bit for
+        # about half the k; the written y must be where v was evaluated
+        params = random_params(rng, 3)
+        field = torus_potential(params, 300)
+        eiy = np.exp(1j * field.xs())
+        h = np.zeros(300, dtype=complex)
+        for z in params.zs:
+            h -= eiy / (eiy - np.exp(1j * z))
+        assert np.array_equal(field.values, 2 * h.real)
+
 
 class TestGridField:
     def test_xs(self):

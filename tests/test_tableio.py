@@ -37,3 +37,11 @@ def test_write_csv_rows(tmp_path):
     body = "".join(f"{j},{v}\n" for j, v in rows)
     assert path.read_bytes() == ("j,v\n" + body).encode()
     assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
+
+
+def test_write_error_names_the_output(tmp_path):
+    path = str(tmp_path / "missing" / "u.csv")
+    with pytest.raises(FileNotFoundError) as info:
+        write_xy(path, ("x",), [1.0])
+    assert info.value.filename == path
+    assert str(info.value).endswith(f"'{path}'")
