@@ -8,7 +8,7 @@ removes the files it wrote.
 
 Exit codes: 0 success, 2 usage or parse error or an unwritable output,
 3 domain invariant violation, 4 numerical failure.  Verbosity via
-BO_SOLITON_LOG in {error, info, debug}.
+BO_SOLITON_LOG in {error, debug}; any other value means error.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ from .profiles import SolitonParameters, profile_values, torus_potential
 from .spectral import spectral_decompose
 from .tableio import all_or_none, write_frames, write_plot_script, write_xy
 
-log = logging.getLogger("bo_soliton")
-
 # the most samples --grid or --m may ask for (README examples: at most 1001;
 # benchmark: 2e4); a larger count could exhaust memory before any output
 MAX_GRID_POINTS = 10 ** 6
@@ -50,8 +48,8 @@ class CliParseError(Exception):
 
 def _setup_logging():
     level = os.environ.get("BO_SOLITON_LOG", "error").strip().lower()
-    chosen = {"error": logging.ERROR, "info": logging.INFO,
-              "debug": logging.DEBUG}.get(level, logging.ERROR)
+    chosen = {"error": logging.ERROR, "debug": logging.DEBUG}.get(
+        level, logging.ERROR)
     logging.basicConfig(level=chosen, format="%(levelname)s %(name)s: %(message)s")
 
 

@@ -14,6 +14,8 @@ forms in w = (eta_j + eta_k) + i(x_j - x_k):
 Central differences of the coordinate map at one fixed step, each side one
 ``spectral_decompose`` (``fd_jacobian``), then verify the pullback identity
 J^T nu J = Omega and the canonical bracket relations {I_j, gamma_k} = delta_jk.
+The conserved quantities E_n and the generating function H_lambda read the
+eigenvalues ``.lambdas`` of a SpectralData or of an ActionAngles alike.
 """
 
 from __future__ import annotations
@@ -95,14 +97,11 @@ def poisson_bracket_table(params, fd_step=FD_STEP_DEFAULT):
     return jac @ pmat @ jac.T
 
 
-def e_n_from_lambdas(lambdas, n):
-    """E_n = sum over j of 2 pi |lambda_j| lambda_j^n."""
-    lam = np.asarray(lambdas, dtype=float)
-    return float(np.sum(2 * np.pi * np.abs(lam) * lam ** n))
-
-
 def e_n_from_spectrum(sd, n):
-    return e_n_from_lambdas(sd.lambdas, n)
+    """E_n = sum over j of 2 pi |lambda_j| lambda_j^n; ``sd`` is any record
+    with ``.lambdas`` (a SpectralData or an ActionAngles)."""
+    lam = np.asarray(sd.lambdas, dtype=float)
+    return float(np.sum(2 * np.pi * np.abs(lam) * lam ** n))
 
 
 def e1_quadrature(field, periodic=False):
@@ -133,13 +132,10 @@ def e1_quadrature(field, periodic=False):
     return quad_term - cubic / 3.0
 
 
-def h_lambda_from_lambdas(lambdas, lam):
-    """Generating function H_lambda = -sum 2 pi lambda_j / (lambda + lambda_j)."""
-    lj = np.asarray(lambdas, dtype=float)
+def h_lambda(sd, lam):
+    """Generating function H_lambda = -sum 2 pi lambda_j / (lambda + lambda_j);
+    ``sd`` is any record with ``.lambdas``, like :func:`e_n_from_spectrum`."""
+    lj = np.asarray(sd.lambdas, dtype=float)
     if np.any(np.abs(lam + lj) <= 1e-8):
         raise PoleProximity(f"lambda = {lam} too close to a pole of H")
     return float(-np.sum(2 * np.pi * lj / (lam + lj)))
-
-
-def h_lambda(sd, lam):
-    return h_lambda_from_lambdas(sd.lambdas, lam)

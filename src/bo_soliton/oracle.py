@@ -6,10 +6,11 @@ of that path: ``spectral``, ``action_angle``, ``profiles``, ``invariants``,
 mpmath.  It holds every route that needs the pole-residue calculus or
 extended precision: ``pi_u`` and ``u_rational``; the eigenfunctions
 ``eigen_coeffs(sd)`` and ``eigenfunctions(sd)``, with ``mt_residues``; the
-Lax matrix and the Cauchy kernel in that basis (plain scalar arithmetic, so
-the same code runs in doubles and in mpmath); the operators ``lax_apply``
-and ``g_apply``; and the independent checks behind ``validate``,
-``h_lambda_resolvent`` and ``wu_defect``.
+Lax matrix in that basis (plain scalar arithmetic, so the same code runs in
+doubles and in mpmath) and its Cauchy Gram ``cauchy_gram``; the operators
+``lax_apply`` and ``g_apply``; and the independent checks behind
+``validate``, ``h_lambda_resolvent`` and ``wu_defect``, which pair over
+:func:`bo_soliton.rational.cauchy_kernel` in MP_DPS digits.
 """
 
 from __future__ import annotations
@@ -73,26 +74,22 @@ def one_minus_theta(params):
     return PoleResidueForm(tuple(terms))
 
 
-def _strip_high_orders(f, what):
-    """Drop order >= 2 terms whose mass is below tolerance, else raise."""
-    scale_ = max(f.coeff_scale(), 1.0)
-    worst = max((abs(c) for _, m, c in f.terms if m >= 2), default=0.0)
-    if worst > ORDER_RESIDUAL_TOL * scale_:
-        raise InvariantViolation(
-            f"{what}: residual pole mass {worst:.3e} at order >= 2")
-    return PoleResidueForm(tuple(t for t in f.terms if t[1] == 1), f.constant)
-
-
 def lax_apply(params, f):
     """L_u f = -i f' - P(u f), with P the Szego projection.
 
-    The order-2 intermediates at the z_j must cancel; the post-check enforces
-    that and returns a clean simple-pole element of the invariant subspace.
+    The order-2 intermediates at the z_j must cancel: order >= 2 terms with
+    mass below tolerance are dropped, larger ones raise, so the result is a
+    clean simple-pole element of the invariant subspace.
     """
     df = scale(derivative(f), -1j)
     tuf = szego_project(multiply(u_rational(params), f))
     out = add(df, scale(tuf, -1.0))
-    return _strip_high_orders(out, "lax_apply")
+    worst = max((abs(c) for _, m, c in out.terms if m >= 2), default=0.0)
+    if worst > ORDER_RESIDUAL_TOL * max(out.coeff_scale(), 1.0):
+        raise InvariantViolation(
+            f"lax_apply: residual pole mass {worst:.3e} at order >= 2")
+    return PoleResidueForm(tuple(t for t in out.terms if t[1] == 1),
+                           out.constant)
 
 
 def g_apply(params, f):
@@ -138,19 +135,11 @@ def lax_matrix(params):
     return np.array(lax_entries(params.zs))
 
 
-def cauchy_entries(z, pi):
-    """K with <f, g> = f @ K @ conj(g) for coefficients in the c_r basis.
-
-    K_rs = 2 pi i / (conj(z_s) - z_r), 2 pi i times the :func:`cauchy_kernel`
-    of the lower-half-plane z; nested lists of plain scalars like
-    :func:`lax_entries`, with ``pi`` at the working precision.
-    """
-    return [[2j * pi * k for k in row] for row in cauchy_kernel(z, z)]
-
-
 def cauchy_gram(zs):
-    """Cauchy kernel of the poles ``zs`` and its Gram condition."""
-    kern = np.array(cauchy_entries(zs, np.pi))
+    """K with <f, g> = f @ K @ conj(g) for coefficients in the basis
+    1/(x - z_r), 2 pi i times the :func:`cauchy_kernel` of the poles ``zs``,
+    and the condition number of its Gram matrix."""
+    kern = 2j * np.pi * np.array(cauchy_kernel(zs, zs))
     return kern, float(np.linalg.cond(0.5 * (kern.T + kern.conj())))
 
 
@@ -210,7 +199,7 @@ def h_lambda_resolvent(params, lam):
         sol = mpmath.lu_solve(mpmath.matrix(lax_entries(z, lam)),
                               mpmath.matrix(rhs))
         return float(mpmath.re(
-            mp_pairing(sol, rhs, cauchy_entries(z, mpmath.pi))))
+            2j * mpmath.pi * mp_pairing(sol, rhs, cauchy_kernel(z, z))))
 
 
 def wu_defect(params, sd):
@@ -222,11 +211,12 @@ def wu_defect(params, sd):
     """
     worst = 0.0
     with mpmath.workdps(MP_DPS):
-        kern = cauchy_entries([mpmath.mpc(v) for v in params.zs], mpmath.pi)
+        z = [mpmath.mpc(v) for v in params.zs]
+        kern = cauchy_kernel(z, z)
         pi_coeffs = [1j] * params.n
         for lam, col in zip(sd.lambdas, eigen_coeffs(sd)):
-            pairing = mp_pairing(pi_coeffs, col, kern)
-            norm2 = mpmath.re(mp_pairing(col, col, kern))
+            pairing = 2j * mpmath.pi * mp_pairing(pi_coeffs, col, kern)
+            norm2 = mpmath.re(2j * mpmath.pi * mp_pairing(col, col, kern))
             scale_ = 2 * mpmath.pi * abs(lam) * norm2
             worst = max(worst, float(abs(abs(pairing) ** 2 - scale_) / scale_))
     return worst

@@ -32,26 +32,8 @@ from .profiles import DEGENERACY_TOL
 
 DROP_TOL = 1e-14
 POLE_REAL_TOL = 1e-12
-# working precision (decimal digits) of every extended-precision fallback
+# working precision (decimal digits) of every extended-precision route
 MP_DPS = 40
-
-
-def _canonical(termdict, constant):
-    """Merge equal (pole, order) keys, prune tiny coefficients, sort."""
-    scale = max([abs(c) for c in termdict.values()] + [abs(constant)])
-    cut = DROP_TOL * scale
-    terms = []
-    for (pole, order), coeff in termdict.items():
-        if abs(coeff) <= cut or coeff == 0:
-            continue
-        if abs(pole.imag) <= POLE_REAL_TOL:
-            raise InvariantViolation(
-                f"pole {pole} lies on the real axis (|Im| <= {POLE_REAL_TOL:g})")
-        terms.append((pole, order, coeff))
-    if abs(constant) <= cut:
-        constant = 0j
-    terms.sort(key=lambda t: (t[0].real, t[0].imag, t[1]))
-    return tuple(terms), complex(constant)
 
 
 @dataclass(frozen=True)
@@ -71,8 +53,21 @@ class PoleResidueForm:
         for pole, order, coeff in self.terms:
             key = (complex(pole), int(order))
             td[key] = td.get(key, 0j) + complex(coeff)
-        terms, constant = _canonical(td, complex(self.constant))
-        object.__setattr__(self, "terms", terms)
+        constant = complex(self.constant)
+        # prune coefficients below DROP_TOL of the largest, then sort
+        cut = DROP_TOL * max([abs(c) for c in td.values()] + [abs(constant)])
+        terms = []
+        for (pole, order), coeff in td.items():
+            if abs(coeff) <= cut or coeff == 0:
+                continue
+            if abs(pole.imag) <= POLE_REAL_TOL:
+                raise InvariantViolation(f"pole {pole} lies on the real axis "
+                                         f"(|Im| <= {POLE_REAL_TOL:g})")
+            terms.append((pole, order, coeff))
+        if abs(constant) <= cut:
+            constant = 0j
+        terms.sort(key=lambda t: (t[0].real, t[0].imag, t[1]))
+        object.__setattr__(self, "terms", tuple(terms))
         object.__setattr__(self, "constant", constant)
 
     # -- structure queries ----------------------------------------------
@@ -98,9 +93,6 @@ class PoleResidueForm:
     def coeff_scale(self):
         return max((abs(c) for _, _, c in self.terms), default=0.0)
 
-    def __call__(self, x):
-        return evaluate(self, x)
-
 
 ZERO = PoleResidueForm()
 
@@ -122,7 +114,8 @@ def pf_decompose(numerator_coeffs, den_roots):
     deg_p = coeffs.size - 1
     if deg_p > n:
         raise DegreeError(f"deg P = {deg_p} exceeds deg Q = {n}")
-    _check_pairwise_distinct(roots)
+    for p, q in itertools.combinations(roots, 2):
+        _check_separated(p, q)
 
     constant = coeffs[0] if deg_p == n else 0j
     terms = []
@@ -138,11 +131,6 @@ def _check_separated(p, q):
     tol = DEGENERACY_TOL * max(1.0, abs(p), abs(q))
     if abs(p - q) < tol:
         raise DegenerateParameters(f"poles {p} and {q} closer than {tol:g}")
-
-
-def _check_pairwise_distinct(poles):
-    for p, q in itertools.combinations(poles, 2):
-        _check_separated(p, q)
 
 
 def add(f, g):
@@ -255,8 +243,8 @@ def cauchy_kernel(ps, qs):
 
 
 def mp_pairing(f, g, kern):
-    """sum_rs f_r K_rs conj(g_s) of mpmath numbers, summed exactly; <f, g>
-    when K is 2 pi i times the :func:`cauchy_kernel` of the poles.
+    """sum_rs f_r K_rs conj(g_s) of mpmath numbers, summed exactly; 2 pi i
+    times it is <f, g> when K is the :func:`cauchy_kernel` of the poles.
     """
     return mpmath.fsum(f[r] * mpmath.conj(g[s]) * kern[r][s]
                        for r in range(len(f)) for s in range(len(g)))
@@ -267,11 +255,11 @@ def inner_product(f, g):
 
     Closing the contour in the upper half-plane gives 2*pi*i times the sum of
     residues of f * g^* there, where g^* has conjugated poles/coefficients.
-    For simple poles this is the double sum over :func:`cauchy_kernel`;
-    when the summands cancel strongly (nearly parallel pole clusters), the
-    sum is redone in MP_DPS digits from the exact double inputs, over the
-    same kernel, and summed by :func:`mp_pairing`.  Higher-order poles go
-    through the exact product expansion instead.
+    For simple poles this is the double sum over :func:`cauchy_kernel`,
+    always formed in MP_DPS digits from the exact double inputs and summed
+    by :func:`mp_pairing`, so nearly parallel pole clusters, whose summands
+    cancel strongly, still give a correctly rounded result.  Higher-order
+    poles go through the exact product expansion instead.
     """
     if f.constant != 0 or g.constant != 0:
         raise NotSquareIntegrable("both factors must be in L2 (constant = 0)")
@@ -279,20 +267,13 @@ def inner_product(f, g):
         return 0j
 
     if max(f.max_order(), g.max_order()) == 1:
-        pf = [p for p, _, _ in f.terms]
-        pg = [p for p, _, _ in g.terms]
-        cf = np.array([c for _, _, c in f.terms])
-        cg_conj = np.array([c for _, _, c in g.terms]).conj()
-        kern = np.array(cauchy_kernel(pf, pg), dtype=complex)
-        val = cf @ kern @ cg_conj
-        cancel = np.abs(cf) @ np.abs(kern) @ np.abs(cg_conj)
-        if 1e-16 * cancel > 1e-14 * max(1.0, abs(val)):
-            with mpmath.workdps(MP_DPS):
-                mpc = mpmath.mpc
-                kern = cauchy_kernel([mpc(p) for p in pf], [mpc(q) for q in pg])
-                val = complex(mp_pairing([mpc(c) for _, _, c in f.terms],
-                                         [mpc(c) for _, _, c in g.terms], kern))
-        return complex(2j * np.pi * val)
+        mpc = mpmath.mpc
+        with mpmath.workdps(MP_DPS):
+            kern = cauchy_kernel([mpc(p) for p, _, _ in f.terms],
+                                 [mpc(q) for q, _, _ in g.terms])
+            val = mp_pairing([mpc(c) for _, _, c in f.terms],
+                             [mpc(c) for _, _, c in g.terms], kern)
+            return complex(2j * mpmath.pi * val)
 
     prod = multiply(f, conj_reflect(g))
     res = sum(c for p, m, c in prod.terms if m == 1 and p.imag > 0)

@@ -18,9 +18,8 @@ from bo_soliton.action_angle import (
 )
 from bo_soliton.invariants import (
     e1_quadrature,
-    e_n_from_lambdas,
     e_n_from_spectrum,
-    h_lambda_from_lambdas,
+    h_lambda,
     symplectomorphism_check,
 )
 from bo_soliton.oracle import eigenfunctions, pi_u
@@ -185,12 +184,10 @@ def test_criterion_7_conservation(pde_runs):
         aa_t = evolve_aa(aa, t)
         for n in range(4):
             flow_drift = max(flow_drift, abs(
-                e_n_from_lambdas(aa_t.lambdas, n)
-                - e_n_from_lambdas(aa.lambdas, n)))
+                e_n_from_spectrum(aa_t, n) - e_n_from_spectrum(aa, n)))
         for lam in lams:
             flow_drift = max(flow_drift, abs(
-                h_lambda_from_lambdas(aa_t.lambdas, lam)
-                - h_lambda_from_lambdas(aa.lambdas, lam)))
+                h_lambda(aa_t, lam) - h_lambda(aa, lam)))
     ok = e_drift < 1e-4 and m_drift < 1e-8 and flow_drift <= 1e-12
     assert report(7, ok, f"E drift {e_drift:.2e}, mass drift {m_drift:.2e}, "
                          f"flow drift {flow_drift:.2e}")

@@ -1,11 +1,15 @@
 import csv
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bo_soliton import validation
+from bo_soliton import cli, validation
 from bo_soliton.action_angle import ActionAngles
 from bo_soliton.cli import (
     MAX_FRAMES,
@@ -16,6 +20,7 @@ from bo_soliton.cli import (
     _parse_grid,
     main,
 )
+from bo_soliton.errors import EigensolveFailed
 
 
 def write_params(path, rows):
@@ -420,6 +425,59 @@ class TestPointCap:
         assert code == 2
         assert "more than" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("params, argv, message", [
+    ("", ["synth", "--grid", "-1,1,3"], "empty parameter file"),
+    ("a,b\n0,1\n", ["synth", "--grid", "-1,1,3"], "expected header 'x,eta'"),
+    ("x,eta\n0,1,2\n", ["synth", "--grid", "-1,1,3"], "malformed row"),
+    ("x,eta\n0,one\n", ["synth", "--grid", "-1,1,3"], "non-numeric row"),
+    ("x,eta\n0,1\n", ["synth", "--grid", "-1,1"], "expects 'xmin,xmax,n'"),
+    ("x,eta\n0,1\n", ["synth", "--grid", "-1,a,3"], "expects numbers"),
+    ("x,eta\n0,1\n", ["synth", "--grid", "1,-1,3"], "needs xmax > xmin"),
+    (None, ["evolve", "--grid", "-1,1,3"],
+     "need either a params CSV or --r/--alpha lists"),
+], ids=["empty", "header", "fields", "non-numeric", "grid-fields",
+        "grid-numbers", "grid-order", "no-initial-data"])
+def test_refused_input_is_usage_error(tmp_path, monkeypatch, capsys, params,
+                                      argv, message):
+    monkeypatch.chdir(tmp_path)
+    command, *flags = argv
+    if params is None:
+        code = main([command, *flags, "--outdir", "out"])
+    else:
+        (tmp_path / "p.csv").write_text(params)
+        code = main([command, "p.csv", *flags, "--out", "out"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_numerical_failure_exits_4(tmp_path, monkeypatch, capsys,
+                                   unit_params):
+    def fail(params):
+        raise EigensolveFailed("zheevd info = 3")
+
+    monkeypatch.setattr(cli, "spectral_decompose", fail)
+    out = tmp_path / "s.csv"
+    assert main(["spectrum", unit_params, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err == "numerical failure [EigensolveFailed]: zheevd info = 3\n"
+    assert not out.exists()
+
+
+def test_debug_log_level_prints_debug_lines(tmp_path):
+    # in a fresh process: logging.basicConfig does nothing while a test
+    # runner's handlers sit on the root logger
+    env = dict(os.environ, BO_SOLITON_LOG="debug",
+               PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-m", "bo_soliton.cli", "evolve", "--r", "-3",
+         "--alpha", "0", "--grid", "-1,1,3", "--outdir", "d"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "DEBUG bo_soliton.action_angle: explicit_solution: N=1" in (
+        done.stderr)
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -4,10 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bo_soliton.errors import BoundaryContamination, DomainError, GridMismatch
+from bo_soliton.errors import (
+    BlowupDetected,
+    BoundaryContamination,
+    DomainError,
+    GridMismatch,
+)
 from bo_soliton.pde import (
     PdeConfig,
-    _propagators,
     _Stepper,
     compare,
     run,
@@ -38,8 +42,7 @@ class TestStep:
         cfg = small_cfg()
         size = cfg.modes // 2 + 1
         state = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        _, e_full, _ = _propagators(cfg)
-        out = e_full * state
+        out = _Stepper(cfg).e_full * state
         k = cfg.wavenumbers()
         assert np.abs(np.abs(out) - np.abs(state)).max() < 1e-13 * np.abs(state).max()
         assert np.abs(out - np.exp(1j * np.abs(k) * k * cfg.dt) * state).max() < 1e-12
@@ -140,6 +143,15 @@ class TestRun:
                         t_end=0.01)
         with pytest.raises(BoundaryContamination):
             run(params, cfg)
+
+    def test_blowup_raises_only_the_typed_error(self):
+        # a narrow soliton at a step far past stability overflows; the
+        # suite turns RuntimeWarning into an error, so a numpy warning on
+        # the way would surface instead of BlowupDetected
+        cfg = PdeConfig(domain_half_width=50.0, modes=256, dt=0.5, t_end=40.0,
+                        snapshot_dt=40.0)
+        with pytest.raises(BlowupDetected, match="non-finite field at t = 40"):
+            run(SolitonParameters((-0.05j,)), cfg)
 
 
 # Oracle: the full complex-spectrum integrator the half-spectrum state

@@ -8,6 +8,7 @@ from bo_soliton.errors import (
     NotSquareIntegrable,
     PoleProximity,
 )
+from bo_soliton.oracle import eigenfunctions, u_rational
 from bo_soliton.rational import (
     MP_DPS,
     PoleResidueForm,
@@ -18,11 +19,14 @@ from bo_soliton.rational import (
     derivative,
     evaluate,
     inner_product,
+    mp_pairing,
     multiply,
     multiply_by_x,
     pf_decompose,
     szego_project,
 )
+from bo_soliton.spectral import spectral_decompose
+from bo_soliton.validation import random_params
 from conftest import quad_inner, random_form
 
 
@@ -204,6 +208,28 @@ class TestInnerProduct:
             exact = inner_product(f, g)
             approx = quad_inner(f, g)
             assert abs(exact - approx) <= 1e-6 * max(1.0, abs(exact))
+
+    def test_simple_poles_correctly_rounded(self):
+        # the first draws of acceptance criterion 3: clustered poles, whose
+        # pairings <u, phi_j> and <phi_j, phi_j> cancel strongly; each must
+        # be the rounding of the exact residue sum over the same kernel
+        rng = np.random.default_rng(20240817)
+        for trial in range(10):
+            params = random_params(rng, 2 + trial % 7, xbox=5.0,
+                                   eta_range=(0.2, 5.0), gap=0.1)
+            u = u_rational(params)
+            for phi in eigenfunctions(spectral_decompose(params)):
+                for f, g in ((u, phi), (phi, phi)):
+                    val = inner_product(f, g)
+                    with mpmath.workdps(80):
+                        mpc = mpmath.mpc
+                        kern = cauchy_kernel([mpc(p) for p, _, _ in f.terms],
+                                             [mpc(q) for q, _, _ in g.terms])
+                        exact = 2j * mpmath.pi * mp_pairing(
+                            [mpc(c) for _, _, c in f.terms],
+                            [mpc(c) for _, _, c in g.terms], kern)
+                        err = abs(mpc(val) - exact) / max(1, abs(exact))
+                    assert err <= 4.5e-16
 
 
 class TestCauchyKernel:

@@ -12,7 +12,6 @@ from bo_soliton.errors import (
 )
 from bo_soliton.invariants import h_lambda
 from bo_soliton.oracle import (
-    cauchy_entries,
     cauchy_gram,
     eigenfunctions,
     h_lambda_resolvent,
@@ -22,7 +21,12 @@ from bo_soliton.oracle import (
     u_rational,
 )
 from bo_soliton.profiles import SolitonParameters
-from bo_soliton.rational import MP_DPS, evaluate, inner_product
+from bo_soliton.rational import (
+    MP_DPS,
+    cauchy_kernel,
+    evaluate,
+    inner_product,
+)
 from bo_soliton.spectral import (
     m_formula,
     mt_generator,
@@ -272,7 +276,7 @@ def mpmath_eig_reference(params):
     n = params.n
     with mpmath.workdps(MP_DPS):
         z = [mpmath.mpc(v) for v in params.zs]
-        kern = cauchy_entries(z, mpmath.pi)
+        kern = [[2j * mpmath.pi * k for k in row] for row in cauchy_kernel(z, z)]
         lam, wmat = mpmath.eig(mpmath.matrix(lax_entries(z)))
         order = sorted(range(n), key=lambda j: mpmath.re(lam[j]))
         gam = []
