@@ -17,7 +17,7 @@ _EXPORTS = {
     "invariants": """e1_quadrature e_n_from_spectrum h_lambda omega_matrix
         poisson_bracket_table symplectomorphism_check""",
     "oracle": "h_lambda_resolvent pi_u u_rational",
-    "pde": "PdeConfig compare run step write_snapshots",
+    "pde": "PdeConfig compare run step",
     "profiles": "GridField SolitonParameters profile torus_potential",
     "rational": """PoleResidueForm derivative evaluate inner_product multiply
         multiply_by_x pf_decompose szego_project""",

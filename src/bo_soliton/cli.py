@@ -3,8 +3,9 @@
 Subcommands: synth, spectrum, evolve, validate, torus.  All tables are CSV
 with a header row, floats printed with 17 significant digits, LF line
 endings; every file, plot scripts included, is written atomically (temp
-file + rename) by :mod:`bo_soliton.tableio`, and a failed ``evolve``
-removes the files it wrote.
+file + rename) by :mod:`bo_soliton.tableio`.  ``evolve`` fixes its whole
+frame set in ``_evolve_times`` before it writes anything, and a failed
+``evolve`` removes the files it wrote.
 
 Exit codes: 0 success, 2 usage or parse error or an unwritable output,
 3 domain invariant violation, 4 numerical failure.  Verbosity via
@@ -32,7 +33,7 @@ from .action_angle import (
 from .errors import DomainError, NumericalError
 from .profiles import SolitonParameters, profile_values, torus_potential
 from .spectral import spectral_decompose
-from .tableio import all_or_none, write_frames, write_plot_script, write_xy
+from .tableio import all_or_none, write_plot_script, write_xy
 
 # the most samples --grid or --m may ask for (README examples: at most 1001;
 # benchmark: 2e4); a larger count could exhaust memory before any output
@@ -40,6 +41,12 @@ MAX_GRID_POINTS = 10 ** 6
 # the most frames evolve may write (README examples: 11); naming 10^6 frames
 # alone takes seconds and 0.1 GB before the first is written
 MAX_FRAMES = 10 ** 4
+# the largest --n validate takes: past it the rejection draw of N points 0.1
+# apart in its 10 x 4.8 box stalls (> 20 000 tries at N = 200), and the
+# 40-digit references drift (wu_defect 5.6e-3 on a draw at N = 40)
+MAX_VALIDATE_N = 32
+# the file of each evolve frame, by its time at four decimals
+FRAME_NAME = "frame_t{:.4f}.csv"
 
 
 class CliParseError(Exception):
@@ -107,9 +114,11 @@ def _check_point_count(flag, n):
 def cmd_synth(args):
     params = read_params_csv(args.params_csv)
     xs = np.linspace(*_parse_grid(args.grid))  # both ends included
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a soliton far from the grid overflows its squares and adds 0; one whose
+    # eta**2 underflows divides by 0, which the check below reports
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         us = profile_values(params, xs)
-    if not np.all(np.isfinite(us)):  # an eta so small that eta**2 underflows
+    if not np.all(np.isfinite(us)):
         raise DomainError("grid values must be finite")
     write_xy(args.out, ("x", "u"), xs, us)
     if args.plot_script:
@@ -126,12 +135,13 @@ def cmd_spectrum(args):
 
 
 def _evolve_times(t0, t1, dt):
-    """Frame times t0 + k |dt| from t0 towards t1, t1 included, as a lazy
-    iterable, so that a refusal of the frame names reads only what it needs.
+    """Frame times t0 + k |dt| from t0 towards t1, t1 included.
 
-    Non-finite values, and dt = 0 with t1 != t0, are usage errors, raised
-    on the call: the steps would never reach t1.  Reading a time past the
-    first MAX_FRAMES raises a usage error too.
+    Non-finite values, and dt = 0 with t1 != t0, are usage errors: the steps
+    would never reach t1.  Each time is checked as it is produced: a time
+    past the first MAX_FRAMES is a usage error, and a time whose FRAME_NAME
+    repeats an earlier one a DomainError, so a refusal costs only the times
+    before it.
     """
     if not (math.isfinite(t0) and math.isfinite(t1) and math.isfinite(dt)):
         raise CliParseError("--t0, --t1 and --dt must be finite")
@@ -140,20 +150,19 @@ def _evolve_times(t0, t1, dt):
     if dt == 0:
         raise CliParseError("--dt must be nonzero when --t1 differs from --t0")
     step = abs(dt) if t1 > t0 else -abs(dt)
-    times = (t0 + k * step for k in itertools.count())
-    if step > 0:
-        times = itertools.takewhile(lambda t: t <= t1 + 1e-12, times)
-    else:
-        times = itertools.takewhile(lambda t: t >= t1 - 1e-12, times)
-    return _at_most_max_frames(times)
-
-
-def _at_most_max_frames(times):
-    for k, t in enumerate(times):
+    times, names = [], set()
+    for k in itertools.count():
+        t = t0 + k * step
+        if (t > t1 + 1e-12) if step > 0 else (t < t1 - 1e-12):
+            return times
         if k == MAX_FRAMES:
             raise CliParseError(f"--t0, --t1 and --dt give more than "
                                 f"{MAX_FRAMES} frames")
-        yield t
+        name = FRAME_NAME.format(t)
+        if name in names:
+            raise DomainError(f"two frame times share the file {name}")
+        names.add(name)
+        times.append(t)
 
 
 def cmd_evolve(args):
@@ -169,21 +178,23 @@ def cmd_evolve(args):
         aa0 = ActionAngles(np.array(args.r), np.array(args.alpha))
     xs = np.linspace(*_parse_grid(args.grid))  # the grid of synth
     times = _evolve_times(args.t0, args.t1, args.dt)
+    frames = [os.path.join(args.outdir, FRAME_NAME.format(t)) for t in times]
     # a failed run removes what it wrote: no partial frame set
     with all_or_none(args.outdir) as written:
-        frames = write_frames(args.outdir, times,
-                              lambda t: (xs, explicit_solution(aa0, t, xs)),
-                              written)
-        flows = [evolve_aa(aa0, t) for t in frames.values()]
+        os.makedirs(args.outdir, exist_ok=True)
+        for path, t in zip(frames, times):
+            write_xy(path, ("x", "u"), xs, explicit_solution(aa0, t, xs))
+            written.append(path)
+        flows = [evolve_aa(aa0, t) for t in times]
         actions = os.path.join(args.outdir, "actions.csv")
         write_xy(actions, ("t", "j", "r", "alpha"),
-                 np.repeat(list(frames.values()), aa0.n),
+                 np.repeat(times, aa0.n),
                  np.tile(np.arange(1, aa0.n + 1), len(flows)),
                  np.concatenate([aa.rs for aa in flows]),
                  np.concatenate([aa.alphas for aa in flows]))
         written.append(actions)
         if args.plot_script:
-            write_plot_script(args.plot_script, list(frames), "u")
+            write_plot_script(args.plot_script, frames, "u")
     return 0
 
 
@@ -191,6 +202,9 @@ def cmd_validate(args):
     if args.n < 1 or args.trials < 1 or args.seed < 0:
         raise CliParseError("validate needs --n >= 1, --trials >= 1 and "
                             "--seed >= 0")
+    if args.n > MAX_VALIDATE_N:
+        raise CliParseError(f"validate takes --n at most {MAX_VALIDATE_N}, "
+                            f"got {args.n}")
     # the only command that needs the oracle, and with it mpmath
     from .validation import run_validation
 
@@ -210,7 +224,10 @@ def cmd_validate(args):
 def cmd_torus(args):
     _check_point_count("--m", args.m)
     params = read_params_csv(args.params_csv)
-    field = torus_potential(params, args.m)
+    # an eta past ~709 overflows exp(eta) and adds 0; one so small that
+    # exp(i z) rounds onto the circle divides by 0, which GridField reports
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        field = torus_potential(params, args.m)
     write_xy(args.out, ("y", "v"), field.xs(), field.values)
     if args.plot_script:
         write_plot_script(args.plot_script, [args.out], "v")

@@ -20,7 +20,8 @@ one multiplier g = -i k [|k| <= (2/3) max|k|], and g is folded into each RK4
 weight, so the weighted updates run only over the band where g is nonzero.
 The stepper holding these weights is built once per run; its transforms and
 products write into a fixed workspace (the ``out=`` argument of the FFTs
-needs numpy >= 2.0), so a step allocates no array.
+needs numpy >= 2.0), so a step allocates no array.  The module is purely
+numerical: ``run`` returns its snapshots and writes no file.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .errors import (
     GridMismatch,
 )
 from .profiles import GridField, profile_values
-from .tableio import all_or_none, write_frames
 
 log = logging.getLogger("bo_soliton.pde")
 
@@ -216,12 +216,3 @@ def compare(pde_field, explicit_field):
         np.linalg.norm(diff))
     return l2_rel, float(np.abs(diff).max())
 
-
-def write_snapshots(snapshots, outdir):
-    """Dump a list of (t, GridField) pairs as frame_t<t>.csv files; returns
-    the paths.  A failed dump removes the files it wrote."""
-    fields = dict(snapshots)
-    with all_or_none(outdir) as written:
-        return list(write_frames(outdir, (t for t, _ in snapshots),
-                                 lambda t: (fields[t].xs(), fields[t].values),
-                                 written))

@@ -144,5 +144,6 @@ def torus_potential(params, m):
     eiy = np.exp(1j * (dx * np.arange(m)))  # at the y of the field, bit for bit
     h = np.zeros(m, dtype=complex)
     for w in ws:
-        h -= eiy / (eiy - w)
+        if np.isfinite(w):  # else exp(eta) overflowed: the term tends to 0
+            h -= eiy / (eiy - w)
     return GridField(0.0, dx, 2 * h.real)

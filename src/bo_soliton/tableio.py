@@ -1,13 +1,12 @@
 """Every file the package writes, each replaced atomically: CSV tables
-(17-significant-digit floats, LF endings), frame files and plot scripts."""
+(17-significant-digit floats, LF endings) and plot scripts.  Only writers
+and ``all_or_none`` live here; which files to write is the caller's choice."""
 
 import os
 import tempfile
 from contextlib import contextmanager, suppress
 
 import numpy as np
-
-from .errors import DomainError
 
 
 def fmt(v):
@@ -75,30 +74,6 @@ def all_or_none(outdir):
             with suppress(OSError):
                 os.rmdir(path)
         raise
-
-
-def write_frames(outdir, times, frame, written):
-    """Write frame(t) = (xs, us) for each t of ``times`` as
-    outdir/frame_t<t>.csv, and append each path to ``written`` once it is
-    written (see ``all_or_none``); returns the path of each time, as a dict
-    {path: t} in the order of ``times``.
-
-    All names are fixed before anything is written, ``outdir`` included.
-    ``times`` may be any iterable, and is read only up to the first time
-    whose name at four decimals repeats an earlier one, which raises a
-    DomainError.
-    """
-    paths = {}
-    for t in times:
-        path = os.path.join(outdir, f"frame_t{t:.4f}.csv")
-        if path in paths:
-            raise DomainError(f"two frame times share the file {path}")
-        paths[path] = t
-    os.makedirs(outdir, exist_ok=True)
-    for path, t in paths.items():
-        write_xy(path, ("x", "u"), *frame(t))
-        written.append(path)
-    return paths
 
 
 def write_plot_script(path, csv_paths, ylabel):

@@ -24,7 +24,7 @@ from .invariants import (
 )
 from .oracle import h_lambda_resolvent, wu_defect
 from .pde import PdeConfig, compare, run
-from .profiles import GridField, SolitonParameters, profile
+from .profiles import GridField, SolitonParameters, profile, profile_values
 from .spectral import spectral_decompose, verify_m_matrix
 
 # check name -> tolerance, in report order
@@ -88,9 +88,19 @@ def im_m_top(m):
 
 
 def energy_defect(params, sd):
-    """Relative gap between E_1 from the spectrum and by quadrature of u."""
+    """Relative gap between E_1 from the spectrum and by quadrature of u.
+
+    The grid spans [-1e4, 1e4) at 2^19 points unless u, about 2 sum eta / x^2
+    there, exceeds e1_quadrature's edge bound; then the point count doubles,
+    at the same spacing, until it does not.
+    """
+    dx, n = 2e4 / 2 ** 19, 2 ** 19
+    # the first and last value of profile(params, -dx * n / 2, dx, n)
+    while np.abs(profile_values(
+            params, -dx * n / 2 + dx * np.array([0, n - 1]))).max() > 1e-6:
+        n *= 2
     e_spec = e_n_from_spectrum(sd, 1)
-    e_quad = e1_quadrature(profile(params, -1e4, 2e4 / 2 ** 19, 2 ** 19))
+    e_quad = e1_quadrature(profile(params, -dx * n / 2, dx, n))
     return abs(e_spec - e_quad) / abs(e_spec)
 
 

@@ -14,6 +14,7 @@ from bo_soliton.action_angle import ActionAngles
 from bo_soliton.cli import (
     MAX_FRAMES,
     MAX_GRID_POINTS,
+    MAX_VALIDATE_N,
     CliParseError,
     _check_point_count,
     _evolve_times,
@@ -362,6 +363,15 @@ class TestValidate:
         assert "PASS" not in captured.out
         assert ">= 1" in captured.err
 
+    def test_n_past_the_cap_is_usage_error(self, capsys):
+        start = time.perf_counter()
+        code = main(["validate", "--n", str(MAX_VALIDATE_N + 1)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"at most {MAX_VALIDATE_N}" in captured.err
+
 
 class TestTorus:
     def test_values_and_mean(self, unit_params, tmp_path):
@@ -383,6 +393,29 @@ class TestTorus:
         _, a = read_csv(a_path)
         _, b = read_csv(b_path)
         assert np.abs(a[:, 1] - b[:, 1]).max() < 1e-10
+
+
+@pytest.mark.parametrize("command, row, code", [
+    (["torus", "--m", "8"], "0,1000", 0),
+    (["torus", "--m", "8"], "0,1e-300", 3),
+    (["synth", "--grid=-1,1,3"], "1e300,1", 0),
+], ids=["torus-overflow", "torus-on-circle", "synth-far"])
+def test_extreme_parameters_report_only_typed_errors(tmp_path, capsys,
+                                                     command, row, code):
+    # numpy's RuntimeWarnings are errors in this suite
+    (tmp_path / "p.csv").write_text(f"x,eta\n{row}\n")
+    out = tmp_path / "out.csv"
+    assert main([command[0], str(tmp_path / "p.csv"), *command[1:],
+                 "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+        _, rows = read_csv(out)
+        assert np.all(rows[:, 1] == 0)
+    else:
+        assert err == ("invariant violation [DomainError]: "
+                       "grid values must be finite\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command, out_flag", [("synth", "--out"),

@@ -16,7 +16,7 @@ from bo_soliton.oracle import h_lambda_resolvent, pi_u
 from bo_soliton.profiles import GridField, SolitonParameters, profile
 from bo_soliton.rational import inner_product
 from bo_soliton.spectral import spectral_decompose
-from bo_soliton.validation import bracket_defect
+from bo_soliton.validation import bracket_defect, energy_defect
 from conftest import random_params
 
 
@@ -135,6 +135,11 @@ class TestE1Quadrature:
         g = profile(params, -1e4, 2e4 / 2 ** 19, 2 ** 19)
         assert e1_quadrature(g) == pytest.approx(
             e_n_from_spectrum(sd, 1), rel=1e-4)
+
+    def test_validate_grid_widens_for_broad_solitons(self):
+        # sum eta = 90: u at +-1e4 is 1.8e-6, past the 1e-6 edge bound
+        params = random_params(np.random.default_rng(1), 32)
+        assert energy_defect(params, spectral_decompose(params)) <= 1e-4
 
     @pytest.mark.parametrize("kind", ["soliton", "random_even", "random_odd"])
     def test_half_spectrum_matches_full_fft(self, kind, rng):

@@ -35,6 +35,9 @@ from conftest import SQRT_PI, one_soliton, phi_one, random_params
 PRODUCTION_MODULES = ("spectral", "action_angle", "profiles", "invariants",
                       "pde", "tableio")
 FORBIDDEN_IMPORTS = {"oracle", "rational", "mpmath"}
+# the numerical modules write no file: tableio's writers serve the CLI alone
+NUMERICAL_MODULES = ("spectral", "action_angle", "profiles", "invariants",
+                     "pde")
 
 # every public name of the package namespace; each must keep resolving as
 # bo_soliton.<name> wherever its definition lives
@@ -47,7 +50,7 @@ PACKAGE_NAMES = """
     oracle pde pf_decompose pi_u pi_u_resolvent poisson_bracket_table profile
     profiles rational run spectral spectral_decompose step
     symplectomorphism_check szego_project tableio torus_potential u_rational
-    verify_m_matrix write_snapshots __version__
+    verify_m_matrix __version__
 """.split()
 
 
@@ -68,6 +71,14 @@ def test_production_modules_do_not_import_oracle():
                  for name in imported_names(package / f"{module}.py")
                  if FORBIDDEN_IMPORTS & set(name.split("."))]
     assert not offenders, f"production modules importing oracle code: {offenders}"
+
+
+def test_numerical_modules_do_not_import_tableio():
+    package = Path(bo_soliton.__file__).parent
+    offenders = [(module, name) for module in NUMERICAL_MODULES
+                 for name in imported_names(package / f"{module}.py")
+                 if "tableio" in name.split(".")]
+    assert not offenders, f"numerical modules importing tableio: {offenders}"
 
 
 def test_only_the_binding_module_imports_scipy():

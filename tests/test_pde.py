@@ -238,20 +238,3 @@ def test_run_logs_timing(caplog):
     msg = rec.getMessage()
     assert msg.startswith("run: 512 modes, 5 steps, dt 0.001, ")
     assert msg.endswith(" ms/step")
-
-
-def test_write_snapshots(tmp_path):
-    from bo_soliton.pde import write_snapshots
-
-    params = SolitonParameters((0.0 - 1j,))
-    cfg = PdeConfig(domain_half_width=200.0, modes=2 ** 12, dt=5e-3,
-                    t_end=0.2, snapshot_dt=0.1)
-    snaps = run(params, cfg)
-    paths = write_snapshots(snaps, tmp_path / "frames")
-    names = sorted(p.split("/")[-1] for p in paths)
-    assert names == ["frame_t0.0000.csv", "frame_t0.1000.csv",
-                     "frame_t0.2000.csv"]
-    with open(paths[0]) as fh:
-        assert fh.readline().strip() == "x,u"
-        first = fh.readline().split(",")
-    assert float(first[0]) == -200.0
