@@ -27,6 +27,8 @@ from .profiles import SolitonParameters
 from .spectral import spectral_decompose
 
 FD_STEP_DEFAULT = 1e-5
+# the largest edge value |u| that e1_quadrature accepts on a line grid
+EDGE_TOL = 1e-6
 
 
 def omega_matrix(params):
@@ -114,7 +116,7 @@ def e1_quadrature(field, periodic=False):
     u = field.values
     if not periodic:
         edge = max(abs(u[0]), abs(u[-1]))
-        if edge > 1e-6:
+        if edge > EDGE_TOL:  # the message spells EDGE_TOL as 1e-6
             raise BoundaryNotDecayed(
                 f"edge magnitude {edge:.3e} exceeds 1e-6")
     n = u.size

@@ -8,7 +8,8 @@ amplitude eta_j = 1/c_j) determine the profile
 its Hardy representative Pi u = i Q'/Q with Q = prod (x - z_j), and the
 periodic gap potential obtained through z -> exp(i z).  The pole-residue
 forms of Pi u and u (``pi_u``, ``u_rational``) live in
-:mod:`bo_soliton.oracle`.
+:mod:`bo_soliton.oracle`.  Where a sample is not finite, ``profile_values``
+and ``torus_potential`` raise DomainError; an overflowed term adds 0.
 """
 
 from __future__ import annotations
@@ -115,10 +116,16 @@ class GridField:
 
 
 def profile_values(params, x):
+    """u at the points x; a DomainError where it is not finite."""
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
-    for z in params.zs:
-        out += 2 * (-z.imag) / ((x - z.real) ** 2 + z.imag ** 2)
+    # a soliton far from x overflows its squares and adds its limit 0; one
+    # whose eta**2 underflows divides by 0, which the check below refuses
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for z in params.zs:
+            out += 2 * (-z.imag) / ((x - z.real) ** 2 + z.imag ** 2)
+    if not np.all(np.isfinite(out)):
+        raise DomainError("grid values must be finite")
     return out
 
 
@@ -139,11 +146,14 @@ def torus_potential(params, m):
     """
     if m < 2:
         raise DomainError("need at least two samples")
-    ws = [np.exp(1j * z) for z in params.zs]
     dx = 2 * np.pi / m
     eiy = np.exp(1j * (dx * np.arange(m)))  # at the y of the field, bit for bit
     h = np.zeros(m, dtype=complex)
-    for w in ws:
-        if np.isfinite(w):  # else exp(eta) overflowed: the term tends to 0
-            h -= eiy / (eiy - w)
+    # an eta past ~709 overflows exp(eta): the term tends to 0; an eta so
+    # small that exp(i z) rounds onto |w| = 1 divides by 0: GridField refuses
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for z in params.zs:
+            w = np.exp(1j * z)
+            if np.isfinite(w):
+                h -= eiy / (eiy - w)
     return GridField(0.0, dx, 2 * h.real)

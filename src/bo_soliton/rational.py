@@ -263,9 +263,6 @@ def inner_product(f, g):
     """
     if f.constant != 0 or g.constant != 0:
         raise NotSquareIntegrable("both factors must be in L2 (constant = 0)")
-    if f.is_zero or g.is_zero:
-        return 0j
-
     if max(f.max_order(), g.max_order()) == 1:
         mpc = mpmath.mpc
         with mpmath.workdps(MP_DPS):

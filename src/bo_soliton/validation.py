@@ -14,6 +14,7 @@ import numpy as np
 
 from .action_angle import aa_from_spectral, explicit_solution, inverse_map
 from .invariants import (
+    EDGE_TOL,
     FD_STEP_DEFAULT,
     canonical_form_matrix,
     e1_quadrature,
@@ -97,7 +98,7 @@ def energy_defect(params, sd):
     dx, n = 2e4 / 2 ** 19, 2 ** 19
     # the first and last value of profile(params, -dx * n / 2, dx, n)
     while np.abs(profile_values(
-            params, -dx * n / 2 + dx * np.array([0, n - 1]))).max() > 1e-6:
+            params, -dx * n / 2 + dx * np.array([0, n - 1]))).max() > EDGE_TOL:
         n *= 2
     e_spec = e_n_from_spectrum(sd, 1)
     e_quad = e1_quadrature(profile(params, -dx * n / 2, dx, n))

@@ -240,6 +240,26 @@ class TestEvolve:
         assert f"more than {MAX_FRAMES} frames" in capsys.readouterr().err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("times, names", [
+        (["--t0", "-1e-1", "--t1", "0", "--dt", "1e-1"],
+         ["frame_t-0.1000.csv", "frame_t0.0000.csv"]),
+        (["--t0", "0", "--t1", "-1e-1", "--dt", "-5e-2"],
+         ["frame_t-0.0500.csv", "frame_t-0.1000.csv", "frame_t0.0000.csv"]),
+    ], ids=["t0", "t1-dt"])
+    def test_exponent_form_negatives(self, tmp_path, times, names):
+        # argparse alone reads only the -5 and -0.5 forms as values
+        outdir = tmp_path / "frames"
+        code = main(["evolve", "--r", "-3.14e0", "-1e0", "--alpha", "-2e-1",
+                     "0", *times, "--grid", "-1e1,1e1,5",
+                     "--outdir", str(outdir)])
+        assert code == 0
+        assert sorted(p.name for p in outdir.glob("frame_*.csv")) == names
+        _, frame = read_csv(outdir / "frame_t0.0000.csv")
+        assert frame[:, 0].tolist() == [-10.0, -5.0, 0.0, 5.0, 10.0]
+        _, actions = read_csv(outdir / "actions.csv")
+        at_zero = actions[actions[:, 0] == 0.0][:, 1:]
+        assert at_zero.tolist() == [[1.0, -3.14, -0.2], [2.0, -1.0, 0.0]]
+
     @pytest.mark.parametrize("flags", [["--r", "-3.14"], ["--alpha", "0"],
                                        ["--r", "-3.14", "--alpha", "0"]])
     def test_params_csv_with_r_alpha_is_usage_error(self, unit_params,
@@ -288,6 +308,21 @@ class TestEvolveTimes:
         outdir = tmp_path / "d"
         code = main(["evolve", unit_params,
                      *(f"{k}={v}" for k, v in times.items()),
+                     "--grid", "-5,5,11", "--outdir", str(outdir)])
+        assert code == 2
+        assert "must be" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--t0", "-inf"),
+                                             ("--t1", "-Infinity"),
+                                             ("--dt", "-nan")])
+    def test_space_separated_value_reports_usage_error(
+            self, unit_params, tmp_path, capsys, flag, value):
+        # the value as its own token, where argparse alone reads it as a flag
+        times = {"--t0": "0", "--t1": "5", "--dt": "1", flag: value}
+        outdir = tmp_path / "d"
+        code = main(["evolve", unit_params,
+                     *(tok for item in times.items() for tok in item),
                      "--grid", "-5,5,11", "--outdir", str(outdir)])
         assert code == 2
         assert "must be" in capsys.readouterr().err

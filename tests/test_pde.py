@@ -153,6 +153,14 @@ class TestRun:
         with pytest.raises(BlowupDetected, match="non-finite field at t = 40"):
             run(SolitonParameters((-0.05j,)), cfg)
 
+    def test_underflowed_eta_is_domain_error(self):
+        # eta**2 underflows, so u is infinite at x = 0 of the grid: the
+        # initial profile is refused before any step, with no raw warning
+        cfg = PdeConfig(domain_half_width=50.0, modes=256, dt=0.5, t_end=1.0,
+                        snapshot_dt=0.5)
+        with pytest.raises(DomainError, match="grid values must be finite"):
+            run(SolitonParameters((-1e-200j,)), cfg)
+
 
 # Oracle: the full complex-spectrum integrator the half-spectrum state
 # replaced, kept verbatim (two complex FFTs per nonlinear evaluation, the

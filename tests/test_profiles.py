@@ -124,6 +124,22 @@ class TestTorusPotential:
         assert np.array_equal(field.values, 2 * h.real)
 
 
+class TestFloatLimits:
+    # numpy's RuntimeWarnings are errors in this suite, so each case also
+    # shows that the formula reports no raw warning
+    def test_far_soliton_gives_zeros(self):
+        u = profile_values(SolitonParameters((1e300 - 1j,)), [-1.0, 0.0, 1.0])
+        assert np.array_equal(u, np.zeros(3))
+
+    def test_underflowed_eta_is_domain_error(self):
+        with pytest.raises(DomainError, match="grid values must be finite"):
+            profile_values(SolitonParameters((-1e-200j,)), [-1.0, 0.0, 1.0])
+
+    def test_huge_torus_soliton_gives_zeros(self):
+        field = torus_potential(SolitonParameters((-1000j,)), 8)
+        assert np.array_equal(field.values, np.zeros(8))
+
+
 class TestGridField:
     def test_xs(self):
         g = GridField(-1.0, 0.5, np.zeros(5))

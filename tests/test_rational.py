@@ -100,6 +100,17 @@ class TestMultiply:
                 rhs = evaluate(f, x) * evaluate(g, x)
                 assert abs(lhs - rhs) < 1e-11 * scale
 
+    def test_constant_parts(self, rng):
+        # random_form's constant is 0; here both factors carry one
+        for _ in range(20):
+            f, g = (PoleResidueForm(random_form(rng, max_poles=3).terms,
+                                    complex(*rng.normal(size=2)))
+                    for _ in range(2))
+            xs = rng.uniform(-8, 8, 20)
+            rhs = evaluate(f, xs) * evaluate(g, xs)
+            gap = np.abs(evaluate(multiply(f, g), xs) - rhs).max()
+            assert gap < 1e-12 * np.abs(rhs).max()
+
     def test_close_distinct_poles_rejected(self):
         f = form((-1j, 1, 1.0))
         g = form((-1j * (1 + 1e-11), 1, 1.0))
@@ -199,6 +210,18 @@ class TestInnerProduct:
     def test_requires_l2(self):
         with pytest.raises(NotSquareIntegrable):
             inner_product(form((-1j, 1, 1.0), constant=1.0), form((-1j, 1, 1.0)))
+
+    @pytest.mark.parametrize("f, g", [
+        (ZERO, form((-1j, 1, 2.0), (1 + 2j, 1, 1j))),
+        (form((-1j, 1, 2.0), (1 + 2j, 1, 1j)), ZERO),
+        (ZERO, form((-1j, 2, 1.0), (2 + 1j, 1, 1.0))),
+        (form((-1j, 2, 1.0), (2 + 1j, 1, 1.0)), ZERO),
+        (ZERO, ZERO),
+    ], ids=["zero-simple", "simple-zero", "zero-order2", "order2-zero",
+            "zero-zero"])
+    def test_zero_pairs_to_zero(self, f, g):
+        val = inner_product(f, g)
+        assert type(val) is complex and val == 0j
 
     def test_residues_match_quadrature(self, rng):
         # the residue computation against full-line adaptive quadrature
