@@ -11,8 +11,9 @@ coordinate map.  The flow is affine: actions frozen, angles drift at -I_j/pi.
 Profiles at any time, and Pi u, come from one resolvent pairing of M with
 the rank-one vectors X_j = sqrt(|lambda_j|), Y_j = 1/sqrt(|lambda_j|)
 (``_resolvent_pairing``, which takes M itself).  The eigenvalues of M
-(zgeev) and its Schur form come from :mod:`bo_soliton._lapack`, which
-imports scipy.linalg at the first call, not when this module is imported.
+(zgeev) and its Schur form (zgees) come from :mod:`bo_soliton._lapack`,
+which loads scipy's LAPACK extension at the first call, not when this
+module is imported, and never imports scipy.linalg.
 """
 
 from __future__ import annotations
@@ -103,6 +104,10 @@ def evolve_aa(aa, t):
     return ActionAngles(aa.rs, aa.alphas - aa.rs * (t / np.pi))
 
 
+def _unsorted(eigenvalue):
+    """zgees's selection callback, which it does not call without sorting."""
+
+
 def _resolvent_pairing(m, lambdas, shift):
     """<(m - s)^{-1} X, Y> for every entry s of ``shift``, in its shape,
     with X_j = sqrt|lambda_j| and Y_j = 1/X_j; returns it with the complex
@@ -113,9 +118,16 @@ def _resolvent_pairing(m, lambdas, shift):
     by back substitution over the N rows, each row for every shift at once;
     no matrix is factored per shift.  A shift within SINGULAR_RTOL * max|T|
     of a diagonal entry of T, an eigenvalue of m, raises SingularResolvent,
-    and so does a non-finite result (overflow, or a NaN shift).
+    and so does a non-finite result (overflow, or a NaN shift).  The Schur
+    form is LAPACK zgees after its workspace query, as scipy.linalg.schur
+    calls it; a nonzero info raises EigensolveFailed.  m must be finite, as
+    ``m_formula`` guarantees.
     """
-    tri, q = _lapack.schur(m, output="complex")
+    work = _lapack.zgees(_unsorted, m, lwork=-1)[-2]
+    tri, _, _, q, _, info = _lapack.zgees(_unsorted, m,
+                                          lwork=int(work[0].real))
+    if info != 0:
+        raise EigensolveFailed(f"Schur form of M failed: zgees info {info}")
     x = np.sqrt(np.abs(lambdas))
     s = np.asarray(shift).ravel()
     gaps = np.diagonal(tri)[:, None] - s

@@ -21,7 +21,6 @@ import itertools
 import logging
 import math
 import os
-import re
 import sys
 
 import numpy as np
@@ -235,27 +234,27 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="sample an N-soliton profile onto a grid")
-    p.add_argument("params_csv")
+    p.add_argument("params_csv", type=_path)
     p.add_argument("--grid", required=True, help="xmin,xmax,n")
-    p.add_argument("--out", required=True)
-    p.add_argument("--plot-script", dest="plot_script")
+    p.add_argument("--out", required=True, type=_path)
+    p.add_argument("--plot-script", dest="plot_script", type=_path)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("spectrum", help="eigenvalues, angles, and actions")
-    p.add_argument("params_csv")
-    p.add_argument("--out", required=True)
+    p.add_argument("params_csv", type=_path)
+    p.add_argument("--out", required=True, type=_path)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("evolve", help="explicit time evolution frames")
-    p.add_argument("params_csv", nargs="?", default=None)
+    p.add_argument("params_csv", nargs="?", default=None, type=_path)
     p.add_argument("--r", type=float, nargs="+", help="actions r1..rN")
     p.add_argument("--alpha", type=float, nargs="+", help="angles a1..aN")
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--t1", type=float, default=0.0)
     p.add_argument("--dt", type=float, default=0.0)
     p.add_argument("--grid", required=True, help="xmin,xmax,n")
-    p.add_argument("--outdir", required=True)
-    p.add_argument("--plot-script", dest="plot_script")
+    p.add_argument("--outdir", required=True, type=_path)
+    p.add_argument("--plot-script", dest="plot_script", type=_path)
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("validate", help="run the randomized invariant suite")
@@ -269,21 +268,41 @@ def build_parser():
         "torus",
         help="periodic gap potential via z -> exp(iz); mean zero, and v + N "
              "is the 2*pi-periodization of the line profile u")
-    p.add_argument("params_csv")
+    p.add_argument("params_csv", type=_path)
     p.add_argument("--m", type=int, default=256)
-    p.add_argument("--out", required=True)
-    p.add_argument("--plot-script", dest="plot_script")
+    p.add_argument("--out", required=True, type=_path)
+    p.add_argument("--plot-script", dest="plot_script", type=_path)
     p.set_defaults(func=cmd_torus)
 
     return parser
 
 
 def _spaced_minus_values(argv):
-    """Prefix a space to each token like -1e-3, -inf or -1,1,3: argparse
+    """Prefix a space to each token that starts with '-' and whose text up
+    to the first comma is a float, like -1e-3, -inf or -1,1,3: argparse
     alone reads only -5 and -0.5 as values, and any token that does not
-    start with '-' as one; float(), int() and _parse_grid ignore the space."""
-    return [" " + tok if re.match(r"-(\d|\.|inf|nan)", tok, re.I) else tok
-            for tok in argv]
+    start with '-' as one; float(), int() and _parse_grid ignore the space.
+    Any other token, a path like -1.csv among them, is passed as typed, and
+    ``_path`` refuses a spaced one, so no path is ever rewritten.
+    """
+    def spaced(tok):
+        try:
+            float(tok.split(",", 1)[0])
+        except ValueError:
+            return False
+        return tok.startswith("-")
+
+    return [" " + tok if spaced(tok) else tok for tok in argv]
+
+
+def _path(text):
+    """A path argument as typed; one that ``_spaced_minus_values`` spaced
+    (a path like -5 or -1e-3) is a usage error, not a file named with a
+    space."""
+    if text.startswith(" -"):
+        raise argparse.ArgumentTypeError(
+            f"path {text[1:]!r} reads as a number; write it as ./{text[1:]}")
+    return text
 
 
 def main(argv=None):

@@ -49,7 +49,8 @@ class GridMismatch(DomainError):
 
 
 class NonFiniteInput(DomainError):
-    """A parameter, action or angle is NaN or infinite."""
+    """A parameter, action or angle is NaN or infinite, or the closed form
+    of M built from them overflows."""
 
 
 # -- numerical errors -------------------------------------------------------

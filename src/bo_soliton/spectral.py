@@ -17,7 +17,8 @@ module needs numpy and scipy alone: the eigenfunctions in pole-residue form
 (``eigen_coeffs``, ``eigenfunctions``, ``mt_residues``) and the other routes
 in the partial-fraction basis 1/(x - z_r) live in :mod:`bo_soliton.oracle`.
 The LAPACK and BLAS routines come from :mod:`bo_soliton._lapack`, which
-imports scipy.linalg at the first call, not when this module is imported.
+loads scipy's compiled LAPACK and BLAS extensions at the first call, not
+when this module is imported, and never imports scipy.linalg.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .errors import (
     DegenerateSpectrum,
     EigensolveFailed,
     InvariantViolation,
+    NonFiniteInput,
     PositivityFailure,
 )
 
@@ -195,17 +197,29 @@ def m_formula(lambdas, gammas):
     gamma - 1j / (2 |lambda|): imaginary parts (1/gap) * sqrt(ratio) and
     -0.5/|lambda_j|, real parts +0 off the diagonal.  Fortran order, which
     zgeev reads without a copy.
+
+    The inputs are finite, as ActionAngles and SpectralData hold them, so
+    an entry is non-finite only through an overflow or a division by zero
+    (an eigenvalue within about 1e-308 of 0, a ratio |lambda_k/lambda_j|
+    past the float range); either raises NonFiniteInput, and no LAPACK
+    routine of :mod:`action_angle` sees a non-finite M.
     """
     lam = np.asarray(lambdas, dtype=float)
     gam = np.asarray(gammas, dtype=float)
     n = lam.size
     mag = np.abs(lam)
-    ratio = mag[:, None] / mag
-    imag = lam[:, None] - lam
-    imag.flat[::n + 1] = 1.0  # the diagonal is overwritten below
-    np.divide(1.0, imag, out=imag)
-    imag *= np.sqrt(ratio, out=ratio)
-    imag.flat[::n + 1] = -0.5 / mag
+    try:
+        with np.errstate(over="raise", divide="raise"):
+            ratio = mag[:, None] / mag
+            imag = lam[:, None] - lam
+            imag.flat[::n + 1] = 1.0  # the diagonal is overwritten below
+            np.divide(1.0, imag, out=imag)
+            imag *= np.sqrt(ratio, out=ratio)
+            imag.flat[::n + 1] = -0.5 / mag
+    except FloatingPointError:
+        raise NonFiniteInput("M has a non-finite entry: the actions lie too "
+                             "close to 0, or too far apart, for doubles"
+                             ) from None
     m = np.zeros((n, n), dtype=complex, order="F")
     m.imag = imag
     m.real.flat[::n + 1] = gam

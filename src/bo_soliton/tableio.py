@@ -15,13 +15,17 @@ def fmt(v):
 
 def _write_atomic(path, text):
     """Write the text to a temporary file, then rename; an OSError names
-    ``path``, not the temporary file."""
+    ``path``, not the temporary file.  The file gets the mode that ``open``
+    gives a new file, 0o666 less the umask, where mkstemp makes it 0o600."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = ""
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from exc

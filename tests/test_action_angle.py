@@ -92,6 +92,12 @@ class TestInverseMap:
         with pytest.raises(EigensolveFailed, match="zgeev info 1"):
             inverse_map(unit_aa())
 
+    @pytest.mark.parametrize("rs", [[-1e-320], [-3.0, -1e-320]])
+    def test_overflowing_m_is_non_finite_input(self, rs):
+        # M's diagonal -pi/r_j overflows; numpy's warnings are errors here
+        with pytest.raises(NonFiniteInput, match="M has a non-finite entry"):
+            inverse_map(ActionAngles(np.array(rs), np.zeros(len(rs))))
+
     def test_nan_root_refused(self, monkeypatch):
         solve = _lapack.zgeev
         monkeypatch.setattr(
@@ -192,6 +198,19 @@ class TestExplicitSolution:
         # M(t) is M of evolve_aa(aa0, t), whose angles are then not finite
         with pytest.raises(NonFiniteInput):
             explicit_solution(unit_aa(), t, np.linspace(-5, 5, 11))
+
+    @pytest.mark.parametrize("rs", [[-1e-320], [-3.0, -1e-320]])
+    def test_overflowing_m_is_non_finite_input(self, rs):
+        aa = ActionAngles(np.array(rs), np.zeros(len(rs)))
+        with pytest.raises(NonFiniteInput, match="M has a non-finite entry"):
+            explicit_solution(aa, 0.0, np.linspace(-1, 1, 3))
+
+    def test_schur_info(self, monkeypatch):
+        solve = _lapack.zgees
+        monkeypatch.setattr(_lapack, "zgees",
+                            lambda *a, **k: (*solve(*a, **k)[:5], 1))
+        with pytest.raises(EigensolveFailed, match="zgees info 1"):
+            explicit_solution(unit_aa(), 0.0, 0.5)
 
     def test_debug_log_line(self, caplog):
         xs = np.linspace(-5, 5, 40)

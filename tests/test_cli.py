@@ -19,6 +19,7 @@ from bo_soliton.cli import (
     _check_point_count,
     _evolve_times,
     _parse_grid,
+    _spaced_minus_values,
     main,
 )
 from bo_soliton.errors import EigensolveFailed
@@ -270,6 +271,53 @@ class TestEvolve:
         assert code == 2
         assert "not both" in capsys.readouterr().err
         assert not outdir.exists()
+
+
+@pytest.mark.parametrize("rs, alphas", [(["-1e-320"], ["0"]),
+                                        (["-3", "-1e-320"], ["0", "0"])])
+def test_overflowing_m_is_domain_error(tmp_path, capsys, rs, alphas):
+    # M's diagonal -pi/r_j overflows; numpy's warnings are errors here
+    outdir = tmp_path / "d"
+    code = main(["evolve", "--r", *rs, "--alpha", *alphas,
+                 "--grid", "-1,1,3", "--t1", "0", "--dt", "1",
+                 "--outdir", str(outdir)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation [NonFiniteInput]: M has a "
+                          "non-finite entry")
+    assert err.count("\n") == 1
+    assert not outdir.exists()
+
+
+class TestPathArguments:
+    def test_only_number_tokens_are_spaced(self):
+        argv = ["--grid", "-1,1,3", "-1e-3", "-inf", "-1,a,3", "-5", "-0.5",
+                "-1.csv", "-", "--out", "--out=-1e-3"]
+        assert _spaced_minus_values(argv) == [
+            "--grid", " -1,1,3", " -1e-3", " -inf", " -1,a,3", " -5", " -0.5",
+            "-1.csv", "-", "--out", "--out=-1e-3"]
+
+    @pytest.mark.parametrize("out, message", [
+        ("-1.csv", "expected one argument"),
+        ("-1e-3", "reads as a number"),
+        ("-5", "reads as a number"),
+    ])
+    def test_path_like_a_flag_writes_nothing(self, tmp_path, monkeypatch,
+                                             capsys, out, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p.csv").write_text("x,eta\n0,1\n")
+        assert main(["synth", "p.csv", "--grid", "-1,1,3", "--out", out]) == 2
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv"]
+
+    @pytest.mark.parametrize("argv", [["--out=-1.csv"], ["--out=-1e-3"],
+                                      ["--out", "./-5"]])
+    def test_path_is_written_as_typed(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p.csv").write_text("x,eta\n0,1\n")
+        assert main(["synth", "p.csv", "--grid", "-1,1,3", *argv]) == 0
+        name = argv[-1].split("=")[-1].removeprefix("./")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name, "p.csv"]
 
 
 class TestEvolveTimes:

@@ -1,0 +1,73 @@
+"""The LAPACK and BLAS binding: scipy's own routines, without scipy.linalg."""
+
+import sys
+from importlib.machinery import ModuleSpec
+
+import pytest
+
+from bo_soliton import _lapack
+from test_startup import run_fresh
+
+# Binds the routines first, then imports scipy.linalg: each routine must be
+# the very object scipy.linalg exposes, and give the same bits on a few
+# matrices; so must the Schur form of the resolvent pairing.
+SAME_ROUTINES = """
+import sys
+import numpy as np
+from bo_soliton import _lapack
+from bo_soliton.action_angle import _resolvent_pairing, _unsorted
+from bo_soliton.spectral import m_formula, mt_generator
+
+def outputs(lapack, blas):
+    rng = np.random.default_rng(7)
+    out = []
+    for n in (1, 3, 8):
+        a, b = (np.asfortranarray(rng.normal(size=(n, n))
+                                  + 1j * rng.normal(size=(n, n)))
+                for _ in range(2))
+        g = mt_generator(-np.arange(1, n + 1) * (0.5 + 1j))[0]
+        lwork = int(lapack.zgees(_unsorted, a, lwork=-1)[-2][0].real)
+        out += [lapack.zgees(_unsorted, a, lwork=lwork),
+                lapack.zgeev(a, compute_vl=0, compute_vr=0),
+                lapack.zheevd(a + a.conj().T, lower=1),
+                lapack.ztrsyl(g, g, 1j * np.eye(n), trana="N", tranb="C",
+                              isgn=-1),
+                blas.zgemm(1.0, a, b, trans_a=2), blas.ztrmm(1.0, g, a)]
+    return [np.asarray(x).tobytes() for call in out
+            for x in (call if isinstance(call, tuple) else (call,))]
+
+mine = outputs(_lapack, _lapack)
+lam = -np.array([3.0, 2.0, 0.5, 0.25])
+m = m_formula(lam, np.array([-1.0, 0.0, 2.0, 5.0]))
+tri, q = _resolvent_pairing(m, lam, 0.3)[1]
+assert "scipy.linalg" not in sys.modules
+
+import scipy.linalg
+from scipy.linalg import blas, lapack, schur
+
+for extension, names in _lapack.ROUTINES.items():
+    for name in names:
+        module = blas if extension == "_fblas" else lapack
+        assert getattr(module, name) is getattr(_lapack, name), name
+assert outputs(lapack, blas) == mine
+ref_tri, ref_q = schur(m, output="complex")
+assert tri.tobytes() == ref_tri.tobytes() and q.tobytes() == ref_q.tobytes()
+print("same")
+"""
+
+
+def test_routines_are_scipys_own(tmp_path):
+    assert run_fresh(SAME_ROUTINES, tmp_path).strip() == "same"
+
+
+def test_missing_extension_names_the_directories(tmp_path, monkeypatch):
+    # a scipy whose linalg directory holds no compiled extension
+    fake = ModuleSpec("scipy", None, is_package=True)
+    fake.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(_lapack, "find_spec", lambda name: fake)
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    with pytest.raises(ImportError,
+                       match="no scipy extension _flapack") as info:
+        _lapack._extension("_flapack")
+    assert str(tmp_path / "linalg") in str(info.value)
+    assert "scipy.linalg._flapack" not in sys.modules

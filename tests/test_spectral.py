@@ -8,6 +8,7 @@ from bo_soliton.errors import (
     DegenerateSpectrum,
     EigensolveFailed,
     InvariantViolation,
+    NonFiniteInput,
     PositivityFailure,
 )
 from bo_soliton.invariants import h_lambda
@@ -212,6 +213,16 @@ class TestClosedForms:
             ref = 1j / gaps * np.sqrt(mag[:, None] / mag)
             ref.flat[::n + 1] = gam - 1j / (2 * mag)
             assert self.same_bits(m_formula(lam, gam), ref)
+
+    @pytest.mark.parametrize("lam", [
+        [-1e-320],           # -0.5/|lambda| overflows
+        [-1e300, -1e-10],    # the ratio overflows
+        [-1.6e-308, -1e-308],  # 1/gap times the root of the ratio overflows
+        [-1.0, -1.0],        # a zero gap
+    ], ids=["diagonal", "ratio", "gap", "equal"])
+    def test_m_formula_refuses_non_finite_entries(self, lam):
+        with pytest.raises(NonFiniteInput, match="M has a non-finite entry"):
+            m_formula(np.array(lam), np.zeros(len(lam)))
 
     def test_mt_generator(self, rng):
         for n in range(1, 13):

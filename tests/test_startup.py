@@ -1,7 +1,9 @@
 """What each entry point loads, checked in a fresh interpreter.
 
-scipy.linalg costs 0.15-0.3 s of start-up and mpmath some more; only the
-commands that call LAPACK or the oracle may pay for them.
+scipy.linalg costs 0.15-0.2 s of start-up and mpmath some more.  No command
+imports scipy.linalg: the commands that call LAPACK load only scipy's two
+compiled extensions (``bo_soliton._lapack``), and only ``validate`` loads
+mpmath.
 """
 
 import ast
@@ -34,13 +36,34 @@ def test_benchmark_imports_leave_lapack_to_the_first_call(tmp_path):
     assert "from bo_soliton import pde, tableio" in imports
     code = "\n".join(imports + [
         "import sys",
-        "print('scipy.linalg' in sys.modules)",
+        "LINALG = {'scipy.linalg', 'scipy.linalg._flapack',"
+        " 'scipy.linalg._fblas'}",
+        "print(sorted(LINALG & set(sys.modules)))",
         "from bo_soliton.profiles import SolitonParameters",
         "from bo_soliton.spectral import spectral_decompose",
         "spectral_decompose(SolitonParameters((-1j, 1 - 2j)))",
-        "print('scipy.linalg' in sys.modules)",
+        "print(sorted(LINALG & set(sys.modules)))",
     ])
-    assert run_fresh(code, tmp_path).split() == ["False", "True"]
+    assert run_fresh(code, tmp_path).splitlines() == [
+        "[]", "['scipy.linalg._fblas', 'scipy.linalg._flapack']"]
+
+
+def test_lapack_commands_do_not_import_scipy_linalg(tmp_path):
+    (tmp_path / "p.csv").write_text("x,eta\n-3,1\n3,0.5\n")
+    code = "\n".join([
+        "import sys",
+        "from bo_soliton.cli import main",
+        "assert main(['spectrum', 'p.csv', '--out', 's.csv']) == 0",
+        "assert main(['evolve', 'p.csv', '--t1', '1', '--dt', '0.5',"
+        " '--grid', '-5,5,11', '--outdir', 'f']) == 0",
+        "assert main(['validate', '--n', '3', '--trials', '2']) == 0",
+        "print(sorted({'scipy.linalg', 'scipy.linalg._flapack'}"
+        " & set(sys.modules)))",
+    ])
+    last = run_fresh(code, tmp_path).splitlines()[-1]
+    assert last == "['scipy.linalg._flapack']"
+    assert (tmp_path / "s.csv").exists()
+    assert (tmp_path / "f" / "frame_t1.0000.csv").exists()
 
 
 def test_synth_and_torus_load_neither_lapack_nor_mpmath(tmp_path):

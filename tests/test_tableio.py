@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -45,3 +47,17 @@ def test_write_error_names_the_output(tmp_path):
         write_xy(path, ("x",), [1.0])
     assert info.value.filename == path
     assert str(info.value).endswith(f"'{path}'")
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["022", "077"])
+def test_written_file_follows_the_umask(tmp_path, umask, mode):
+    path = tmp_path / "u.csv"
+    previous = os.umask(umask)
+    try:
+        write_xy(str(path), ("x",), [1.0])
+        first = path.stat().st_mode & 0o777
+        write_xy(str(path), ("x",), [2.0])  # an overwrite, too
+    finally:
+        os.umask(previous)
+    assert first == path.stat().st_mode & 0o777 == mode
