@@ -3,8 +3,9 @@
 The names below are loaded from their submodule when first read (PEP 562),
 so that importing one module, or running a CLI command that needs only
 some, does not load the rest: scipy's compiled LAPACK and BLAS extensions
-come in with the first LAPACK call (:mod:`bo_soliton._lapack`, which never
-imports scipy.linalg) and mpmath with :mod:`rational` or :mod:`oracle`.
+come in with the first LAPACK call and its compiled pocketfft with the
+first PDE step (:mod:`bo_soliton._lapack`, which never imports scipy.linalg
+or scipy.fft), and mpmath with :mod:`rational` or :mod:`oracle`.
 """
 
 import importlib

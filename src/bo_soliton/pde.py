@@ -12,16 +12,28 @@ The field is real, so its transform is Hermitian, uhat(-k) = conj(uhat(k)),
 and both sides of the equation keep that symmetry: the propagator and the
 multiplier -i k take conjugate values at -k.  The state is therefore the
 half-spectrum ``rfft(u)``, the ``modes // 2 + 1`` entries with k >= 0, and
-each nonlinear evaluation is one ``irfft``/``rfft`` pair.  The Nyquist entry
-is the one mode whose propagator is not conjugate-symmetric; ``irfft`` keeps
-only its real part, which is what the real part of a full complex inverse
-keeps too.  The derivative, the dealiasing mask and the sign are folded into
-one multiplier g = -i k [|k| <= (2/3) max|k|], and g is folded into each RK4
-weight, so the weighted updates run only over the band where g is nonzero.
-The stepper holding these weights is built once per run; its transforms and
-products write into a fixed workspace (the ``out=`` argument of the FFTs
-needs numpy >= 2.0), so a step allocates no array.  The module is purely
-numerical: ``run`` returns its snapshots and writes no file.
+each nonlinear evaluation is one inverse/forward real FFT pair.  The Nyquist
+entry is the one mode whose propagator is not conjugate-symmetric; the
+inverse keeps only its real part, which is what the real part of a full
+complex inverse keeps too.  The derivative, the dealiasing mask and the sign
+are folded into one multiplier g = -i k [|k| <= (2/3) max|k|], and g is
+folded into each RK4 weight, so the weighted updates run only over the band
+where g is nonzero.
+
+The FFTs are scipy's compiled pocketfft, ``c2r`` and ``r2c``, bound by
+:mod:`bo_soliton._lapack` (numpy's ``np.fft`` runs the same pocketfft code
+behind a slower call layer).  Inside a step both are unnormalised, so the
+square of a stage comes out ``modes**2`` times ``rfft(irfft(v)**2)``; the
+factor ``1/modes**2`` is folded into g, and with it into every weight.
+``modes`` is a power of two, so that scaling is exact: a step gives the same
+bits as with ``np.fft.irfft``/``rfft`` and unscaled weights, wherever
+numpy's and scipy's pocketfft agree bit for bit (``tests/test_lapack.py``
+checks that they do).  The first transform of a run is ``r2c`` and each
+snapshot is ``c2r`` divided by ``modes``, as ``rfft`` and ``irfft`` are.
+Every call runs on one thread.  The stepper holding the weights is built
+once per run; its transforms and products write into a fixed workspace, so
+a step allocates no array.  The module is purely numerical: ``run`` returns
+its snapshots and writes no file.
 """
 
 from __future__ import annotations
@@ -32,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
 from .errors import (
     BlowupDetected,
     BoundaryContamination,
@@ -83,8 +96,9 @@ class PdeConfig:
 class _Stepper:
     """Integrating-factor RK4 on a fixed workspace, built once per run.
 
-    With p = rfft(irfft(v)^2), the nonlinear term of stage input v is g p, so
-    g is folded into every weight that multiplies p.  g vanishes past the
+    With p = r2c(c2r(v)^2), the nonlinear term of stage input v is g p, so
+    g, which holds the 1/modes^2 of the two unnormalised transforms, is
+    folded into every weight that multiplies p.  g vanishes past the
     2/3 cut, so the weighted updates touch only the first ``band`` entries;
     past them each stage input is the propagated state itself.  Every
     transform and product writes into the workspace, and ``advance`` never
@@ -95,9 +109,10 @@ class _Stepper:
         dt = cfg.dt
         # on the half-spectrum k >= 0: the folded nonlinear multiplier
         # g = -i k (2/3-rule mask) and the exact linear propagators
-        # exp(i |k| k t) = exp(i k^2 t) over a full step and a half step
+        # exp(i |k| k t) = exp(i k^2 t) over a full step and a half step;
+        # g also takes the 1/modes^2 of c2r and r2c, an exact power of two
         k = cfg.wavenumbers()
-        g = -1j * k * (k <= (2.0 / 3.0) * k.max())
+        g = -1j * k * (k <= (2.0 / 3.0) * k.max()) / cfg.modes ** 2
         self.e_full = np.exp(1j * k * k * dt)
         self.e_half = np.exp(1j * k * k * (dt / 2))
         band = int(np.flatnonzero(g)[-1]) + 1  # g is zero past the 2/3 cut
@@ -109,6 +124,7 @@ class _Stepper:
         self.c1 = (dt / 6) * e_full * g      # result: full + c1 p1
         self.c23 = (dt / 3) * e_half * g     #   + c23 (p2 + p3)
         self.c4 = (dt / 6) * g               #   + c4 p4
+        self.modes = cfg.modes
         size = cfg.modes // 2 + 1
         self.half = np.empty(size, dtype=complex)
         self.stage = np.empty(size, dtype=complex)
@@ -118,10 +134,10 @@ class _Stepper:
         self.w = np.empty(band, dtype=complex)
 
     def _square(self, v):
-        """p = rfft(irfft(v)^2); modes is even, so irfft's length is modes."""
-        u = np.fft.irfft(v, out=self.u)
+        """p = r2c(c2r(v)^2), unnormalised: modes^2 times rfft(irfft(v)^2)."""
+        u = _lapack.c2r(v, (0,), self.modes, False, 0, self.u, 1)
         u *= u
-        return np.fft.rfft(u, out=self.p)[:self.band]
+        return _lapack.r2c(u, (0,), True, 0, self.p, 1)[:self.band]
 
     def _weigh(self, weight, p, base):
         """stage[:band] = base[:band] + weight p."""
@@ -180,7 +196,7 @@ def run(params0, cfg):
     every = int(round(cfg.snapshot_dt / dt))
 
     def snap(i, state):
-        u = np.fft.irfft(state)
+        u = _lapack.c2r(state, (0,), cfg.modes, False, 2, None, 1)  # irfft
         if not np.all(np.isfinite(u)):
             raise BlowupDetected(f"non-finite field at t = {i * dt:.6g}")
         edge = max(abs(u[0]), abs(u[-1]))
@@ -189,7 +205,7 @@ def run(params0, cfg):
                 f"edge magnitude {edge:.3e} at t = {i * dt:.6g}")
         return (i * dt, GridField(float(x[0]), cfg.dx, u))
 
-    state = np.fft.rfft(u0)
+    state = _lapack.r2c(u0, (0,), True, 0, None, 1)  # rfft
     spare = np.empty_like(state)
     out = [snap(0, state)]
     # a blow-up overflows the squares, then turns them into NaN; the next

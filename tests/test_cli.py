@@ -632,8 +632,8 @@ def test_unwritable_output_is_usage_error(tmp_path, monkeypatch, capsys,
 
 
 class TestFailedEvolveWritesNothing:
-    """An error after the first frame is written removes what the run wrote,
-    and the output directory if the run made it; other files stay."""
+    """An error after the first frame is written leaves every file as it
+    was, and removes the output directory if the run made it."""
 
     # the second frame name, t = 1e307 at four decimals, is too long
     TOO_LONG = ["--t1", "1e308", "--dt", "1e307"]
@@ -657,6 +657,16 @@ class TestFailedEvolveWritesNothing:
         assert sorted(p.name for p in outdir.iterdir()) == [
             "frame_t1.0000.csv", "keep.txt"]
         assert (outdir / "frame_t1.0000.csv").read_text() == "old"
+
+    def test_failed_rerun_keeps_the_earlier_run(self, tmp_path):
+        outdir = tmp_path / "d"
+        assert self.run(tmp_path, outdir, "--t1", "1", "--dt", "1") == 0
+        names = ["actions.csv", "frame_t0.0000.csv", "frame_t1.0000.csv"]
+        assert sorted(p.name for p in outdir.iterdir()) == names
+        before = {name: (outdir / name).read_bytes() for name in names}
+        assert self.run(tmp_path, outdir, *self.TOO_LONG) == 2
+        assert sorted(p.name for p in outdir.iterdir()) == names
+        assert {name: (outdir / name).read_bytes() for name in names} == before
 
     def test_failed_actions_table_removes_the_frames(self, tmp_path):
         outdir = tmp_path / "d"

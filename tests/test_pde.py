@@ -206,6 +206,42 @@ def test_half_spectrum_matches_full_spectrum_oracle(modes):
     assert np.abs(field - expected).max() < 1e-13 * np.abs(expected).max()
 
 
+class _NumpyStepper(_Stepper):
+    """The stepper on np.fft: irfft and rfft with numpy's normalisation, and
+    weights without the 1/modes^2 that the unnormalised c2r/r2c need."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        for name in ("w2", "w3", "w4", "c1", "c23", "c4"):
+            setattr(self, name, getattr(self, name) * cfg.modes ** 2)
+
+    def _square(self, v):
+        u = np.fft.irfft(v, out=self.u)
+        u *= u
+        return np.fft.rfft(u, out=self.p)[:self.band]
+
+
+@pytest.mark.parametrize("modes", [256, 2 ** 14])
+def test_pocketfft_stepper_matches_numpy_fft(modes):
+    # the same arithmetic up to the exact power-of-two scaling; a tolerance,
+    # not bitwise equality, as numpy's and scipy's pocketfft builds may differ
+    params = SolitonParameters((-10.0 - 3j, 10.0 - 2j))
+    cfg = PdeConfig(domain_half_width=800.0, modes=modes, dt=1e-3,
+                    t_end=0.02, snapshot_dt=0.01)
+    state = np.fft.rfft(profile_values(params, cfg.grid()))
+    reference = _NumpyStepper(cfg)
+
+    def sup_rel(a, b):
+        return np.abs(a - b).max() / np.abs(b).max()
+
+    expected = reference.advance(state, np.empty_like(state))
+    assert sup_rel(step(state, cfg), expected) <= 1e-14
+    for _ in range(19):
+        expected = reference.advance(expected, np.empty_like(expected))
+    _, field = run(params, cfg)[-1]
+    assert sup_rel(field.values, np.fft.irfft(expected, modes)) <= 1e-14
+
+
 class TestCompare:
     def test_identical(self):
         f = GridField(0.0, 0.1, np.linspace(1, 2, 64))

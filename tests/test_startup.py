@@ -1,9 +1,9 @@
 """What each entry point loads, checked in a fresh interpreter.
 
 scipy.linalg costs 0.15-0.2 s of start-up and mpmath some more.  No command
-imports scipy.linalg: the commands that call LAPACK load only scipy's two
-compiled extensions (``bo_soliton._lapack``), and only ``validate`` loads
-mpmath.
+imports scipy.linalg or scipy.fft: the commands that call LAPACK load only
+scipy's two compiled LAPACK and BLAS extensions, ``pde`` only its compiled
+pocketfft (``bo_soliton._lapack``), and only ``validate`` loads mpmath.
 """
 
 import ast
@@ -37,7 +37,7 @@ def test_benchmark_imports_leave_lapack_to_the_first_call(tmp_path):
     code = "\n".join(imports + [
         "import sys",
         "LINALG = {'scipy.linalg', 'scipy.linalg._flapack',"
-        " 'scipy.linalg._fblas'}",
+        " 'scipy.linalg._fblas', 'scipy.fft._pocketfft.pypocketfft'}",
         "print(sorted(LINALG & set(sys.modules)))",
         "from bo_soliton.profiles import SolitonParameters",
         "from bo_soliton.spectral import spectral_decompose",
@@ -74,7 +74,24 @@ def test_synth_and_torus_load_neither_lapack_nor_mpmath(tmp_path):
         "assert main(['synth', 'p.csv', '--grid', '-5,5,11',"
         " '--out', 'u.csv']) == 0",
         "assert main(['torus', 'p.csv', '--m', '16', '--out', 'v.csv']) == 0",
-        "print(sorted({'scipy.linalg', 'mpmath'} & set(sys.modules)))",
+        "print(sorted({'scipy.linalg', 'scipy.linalg._flapack',"
+        " 'scipy.linalg._fblas', 'scipy.fft._pocketfft.pypocketfft',"
+        " 'mpmath'} & set(sys.modules)))",
     ])
     assert run_fresh(code, tmp_path).strip() == "[]"
     assert (tmp_path / "u.csv").exists() and (tmp_path / "v.csv").exists()
+
+
+def test_pde_loads_pocketfft_alone(tmp_path):
+    code = "\n".join([
+        "import sys",
+        "from bo_soliton.pde import PdeConfig, run",
+        "from bo_soliton.profiles import SolitonParameters",
+        "run(SolitonParameters((-1j,)), PdeConfig(domain_half_width=200.0,"
+        " modes=256, dt=1e-3, t_end=2e-3, snapshot_dt=1e-3))",
+        "print(sorted({'scipy.fft', 'scipy.fft._pocketfft.pypocketfft',"
+        " 'scipy.linalg', 'scipy.linalg._flapack', 'scipy.linalg._fblas'}"
+        " & set(sys.modules)))",
+    ])
+    assert run_fresh(code, tmp_path).strip() == (
+        "['scipy.fft._pocketfft.pypocketfft']")

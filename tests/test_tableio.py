@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from bo_soliton.tableio import fmt, write_csv, write_xy
+from bo_soliton.tableio import all_or_none, fmt, write_csv, write_xy
 
 EDGE = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308,
                  0.1, 1 / 3, 2.0 ** 60 + 2.0 ** 8, 3.0, -7.0])
@@ -61,3 +61,28 @@ def test_written_file_follows_the_umask(tmp_path, umask, mode):
     finally:
         os.umask(previous)
     assert first == path.stat().st_mode & 0o777 == mode
+
+
+def test_all_or_none_replaces_when_the_block_ends(tmp_path):
+    path = tmp_path / "u.csv"
+    path.write_text("old")
+    with all_or_none(str(tmp_path)):
+        write_xy(str(path), ("x",), [1.0])
+        write_xy(str(tmp_path / "v.csv"), ("x",), [2.0])
+        assert path.read_text() == "old"
+        assert not (tmp_path / "v.csv").exists()
+    assert path.read_text() == "x\n1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["u.csv", "v.csv"]
+
+
+def test_all_or_none_failure_touches_no_path(tmp_path):
+    path = tmp_path / "u.csv"
+    path.write_text("old")
+    with pytest.raises(ZeroDivisionError):
+        with all_or_none(str(tmp_path / "new")):
+            write_xy(str(path), ("x",), [1.0])
+            os.mkdir(tmp_path / "new")
+            write_xy(str(tmp_path / "new" / "v.csv"), ("x",), [2.0])
+            1 / 0
+    assert [p.name for p in tmp_path.iterdir()] == ["u.csv"]
+    assert path.read_text() == "old"
