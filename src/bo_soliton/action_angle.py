@@ -26,6 +26,7 @@ import numpy as np
 
 from . import _lapack
 from .errors import (
+    DomainError,
     EigensolveFailed,
     NonFiniteInput,
     OrderingViolation,
@@ -108,6 +109,13 @@ def _unsorted(eigenvalue):
     """zgees's selection callback, which it does not call without sorting."""
 
 
+def _block_points(n):
+    """Points per block of the back substitution at N = n: near 32768 / N,
+    so that each N x B complex work array stays near 512 KB, inside the
+    cache; at least 256, and a multiple of 64 (``_resolvent_pairing``)."""
+    return max(256, 32768 // n // 64 * 64)
+
+
 def _resolvent_pairing(m, lambdas, shift):
     """<(m - s)^{-1} X, Y> for every entry s of ``shift``, in its shape,
     with X_j = sqrt|lambda_j| and Y_j = 1/X_j; returns it with the complex
@@ -115,12 +123,21 @@ def _resolvent_pairing(m, lambdas, shift):
 
     m = Q T Q* with T upper triangular, so the pairing is c (T - s)^{-1} b
     with b = Q* X and c = Y^T Q, both formed once.  (T - s) w = b is solved
-    by back substitution over the N rows, each row for every shift at once;
-    no matrix is factored per shift.  A shift within SINGULAR_RTOL * max|T|
-    of a diagonal entry of T, an eigenvalue of m, raises SingularResolvent,
-    and so does a non-finite result (overflow, or a NaN shift).  The Schur
-    form is LAPACK zgees after its workspace query, as scipy.linalg.schur
-    calls it; a nonzero info raises EigensolveFailed.  m must be finite, as
+    by back substitution over the N rows, each row for a block of B shifts
+    at once (B = ``_block_points(N)``); no matrix is factored per shift.
+    The two N x B work arrays serve every block, so the memory is O(N B),
+    not O(N P) for P shifts.  The result is bitwise that of one block of
+    all P shifts when BLAS runs one thread: every block but the last is a
+    multiple of 4 wide, as OpenBLAS's zgemv unrolls rows, and the last is
+    never one point wide, which numpy would send to zdotu.  (With more
+    threads zgemv splits its rows where the row count decides, so the bits
+    depend on the thread count with or without blocks.)
+
+    A shift within SINGULAR_RTOL * max|T| of a diagonal entry of T, an
+    eigenvalue of m, raises SingularResolvent before its block divides, and
+    so does a non-finite result (overflow, or a NaN shift).  The Schur form
+    is LAPACK zgees after its workspace query, as scipy.linalg.schur calls
+    it; a nonzero info raises EigensolveFailed.  m must be finite, as
     ``m_formula`` guarantees.
     """
     work = _lapack.zgees(_unsorted, m, lwork=-1)[-2]
@@ -130,17 +147,29 @@ def _resolvent_pairing(m, lambdas, shift):
         raise EigensolveFailed(f"Schur form of M failed: zgees info {info}")
     x = np.sqrt(np.abs(lambdas))
     s = np.asarray(shift).ravel()
-    gaps = np.diagonal(tri)[:, None] - s
-    closest, scale = np.abs(gaps).min(initial=np.inf), np.abs(tri).max()
-    if closest <= SINGULAR_RTOL * scale:
-        raise SingularResolvent(f"shift within {closest:.3e} of an "
-                                f"eigenvalue (max|T| = {scale:.3e})")
-    b = q.conj().T @ x
-    w = np.empty(gaps.shape, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(lambdas.size - 1, -1, -1):
-            w[k] = (b[k] - tri[k, k + 1:] @ w[k + 1:]) / gaps[k]
-        vals = ((1.0 / x) @ q) @ w
+    n, size, block = lambdas.size, s.size, _block_points(lambdas.size)
+    diag, scale = np.diagonal(tri)[:, None], np.abs(tri).max()
+    b, c = q.conj().T @ x, (1.0 / x) @ q
+    starts = list(range(0, size, block))
+    if size > block and size % block == 1:
+        starts[-1] -= 4  # five points in the last block, not one
+    # flat, so that each block's (N, width) view is C-contiguous
+    gaps_buf = np.empty(n * min(block, size), dtype=complex)
+    w_buf = np.empty_like(gaps_buf)
+    vals = np.empty(size, dtype=complex)
+    for lo, hi in zip(starts, starts[1:] + [size]):
+        gaps = np.subtract(diag, s[lo:hi],
+                           out=gaps_buf[:n * (hi - lo)].reshape(n, -1))
+        closest = np.abs(gaps).min()
+        if closest <= SINGULAR_RTOL * scale:
+            raise SingularResolvent(f"shift within {closest:.3e} of an "
+                                    f"eigenvalue (max|T| = {scale:.3e})")
+        w = w_buf[:n * (hi - lo)].reshape(n, -1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(n - 1, -1, -1):
+                np.divide(b[k] - tri[k, k + 1:] @ w[k + 1:], gaps[k],
+                          out=w[k])
+            np.matmul(c, w, out=vals[lo:hi])
     if not np.all(np.isfinite(vals)):
         raise SingularResolvent("resolvent pairing produced non-finite values")
     return vals.reshape(np.shape(shift)), (tri, q)
@@ -150,13 +179,20 @@ def explicit_solution(aa0, t, x):
     """u(t, x) = 2 Im <(M(t) - x)^{-1} X, Y>, where M(t) is M of the flowed
     coordinates ``evolve_aa(aa0, t)``, i.e. M0 - (t/pi) diag(I_j).
 
-    Vectorized over x (a scalar gives a float, an array keeps its shape):
-    one complex Schur form of M(t), then back substitution over all points
-    at once (``_resolvent_pairing``).  A non-finite t raises NonFiniteInput.
-    At debug level the ``bo_soliton.action_angle`` logger gets N, the point
-    count, the Schur residual max|Q T Q* - M| and the seconds spent.
+    Vectorized over real x (a scalar gives a float, an array keeps its
+    shape): one complex Schur form of M(t), then back substitution over the
+    points in cache-sized blocks (``_resolvent_pairing``), in O(N B)
+    memory for B points a block, not O(N P) for P points; at one BLAS
+    thread every bit is that of one block of all points.  A complex x
+    raises DomainError (``pi_u_resolvent`` pairs complex points), and a
+    non-finite t NonFiniteInput.  At debug level the
+    ``bo_soliton.action_angle`` logger gets N, the point count, the Schur
+    residual max|Q T Q* - M| and the seconds spent.
     """
     start = time.perf_counter()
+    if np.iscomplexobj(x):
+        raise DomainError("explicit_solution takes real points x; "
+                          "pi_u_resolvent pairs complex ones")
     m = m_from_aa(evolve_aa(aa0, t))
     xs = np.asarray(x, dtype=float)
     vals, (tri, q) = _resolvent_pairing(m, aa0.lambdas, xs)

@@ -16,10 +16,18 @@ import numpy as np
 
 # the (temporary, path) pairs staged inside the innermost all_or_none block
 _pending = ContextVar("pending", default=None)
+# looked up once: fmt runs once per value of a frame
+_float_format = float.__format__
 
 
 def fmt(v):
-    return f"{float(v):.17g}"
+    """17 significant digits: ``f"{float(v):.17g}"``.  A float, np.float64
+    among them, is formatted as it is; anything else (int, bool,
+    np.float32) is converted by ``float`` first."""
+    try:
+        return _float_format(v, ".17g")
+    except TypeError:
+        return f"{float(v):.17g}"
 
 
 @contextmanager
@@ -89,8 +97,7 @@ def _write_atomic(path, text):
 
 def write_csv(path, header, rows):
     """Atomic CSV write: header plus rows of already-formatted strings."""
-    _write_atomic(path, "".join(",".join(row) + "\n"
-                                for row in (header, *rows)))
+    _write_atomic(path, "\n".join(map(",".join, (header, *rows))) + "\n")
 
 
 def write_xy(path, header, *columns):

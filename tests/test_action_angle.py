@@ -1,5 +1,9 @@
 import logging
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ import pytest
 from bo_soliton import _lapack
 from bo_soliton.action_angle import (
     ActionAngles,
+    _block_points,
     aa_from_spectral,
     evolve_aa,
     explicit_solution,
@@ -16,6 +21,7 @@ from bo_soliton.action_angle import (
     pi_u_resolvent,
 )
 from bo_soliton.errors import (
+    DomainError,
     EigensolveFailed,
     NonFiniteInput,
     OrderingViolation,
@@ -30,6 +36,9 @@ from bo_soliton.validation import im_m_top
 from conftest import random_params
 
 
+TESTS = Path(__file__).resolve().parent
+
+
 def unit_aa(alpha=0.0):
     return ActionAngles(np.array([-np.pi]), np.array([alpha]))
 
@@ -39,6 +48,66 @@ def random_aa(rng, n):
     while n > 1 and np.min(np.diff(lam)) < 0.1:
         lam = -np.sort(rng.uniform(0.1, 3.0, n))[::-1]
     return ActionAngles(2 * np.pi * lam, rng.uniform(-5, 5, n))
+
+
+def whole_pairing(m, lambdas, shift):
+    """The resolvent pairing with one block of all shifts: the back
+    substitution as it ran before it was cut into blocks of points."""
+    work = _lapack.zgees(lambda e: None, m, lwork=-1)[-2]
+    tri, _, _, q, _, _ = _lapack.zgees(lambda e: None, m,
+                                       lwork=int(work[0].real))
+    x = np.sqrt(np.abs(lambdas))
+    s = np.asarray(shift).ravel()
+    gaps = np.diagonal(tri)[:, None] - s
+    b = q.conj().T @ x
+    w = np.empty(gaps.shape, dtype=complex)
+    for k in range(lambdas.size - 1, -1, -1):
+        w[k] = (b[k] - tri[k, k + 1:] @ w[k + 1:]) / gaps[k]
+    return (((1.0 / x) @ q) @ w).reshape(np.shape(shift))
+
+
+def blocking_mismatches():
+    """The cases in which explicit_solution or pi_u_resolvent differ in any
+    bit from ``whole_pairing``: N in {1, 2, 8, 33}, 0 points, a scalar,
+    B - 1, B, B + 1 and 3 B + 7 points for B = _block_points(N), and a
+    (2, 3) complex input."""
+    rng = np.random.default_rng(23)
+    bad = []
+    for n in (1, 2, 8, 33):
+        sd = spectral_decompose(SolitonParameters(tuple(
+            6.0 * np.arange(n) - 1j * rng.uniform(0.5, 1.5, n))))
+        aa, block = aa_from_spectral(sd), _block_points(n)
+        m_t = m_from_aa(evolve_aa(aa, 1.0))
+        grids = [np.linspace(-20, 6 * n + 20, count)
+                 for count in (0, block - 1, block, block + 1, 3 * block + 7)]
+        for xs in [grids[0], 0.5, *grids[1:]]:
+            u = explicit_solution(aa, 1.0, xs)
+            if not np.array_equal(u, 2 * whole_pairing(m_t, aa.lambdas,
+                                                       xs).imag):
+                bad.append(f"explicit_solution N={n} shape={np.shape(xs)}")
+        for zs in [*grids, 0.5 + 0.5j, rng.normal(size=(2, 3)) * (1 + 1j)]:
+            zs = np.add(zs, 0.5j)
+            p = pi_u_resolvent(sd, zs)
+            if not np.array_equal(p, -1j * whole_pairing(sd.m_matrix,
+                                                         sd.lambdas, zs)):
+                bad.append(f"pi_u_resolvent N={n} shape={np.shape(zs)}")
+    return bad
+
+
+def test_blocking_is_invisible():
+    # In a fresh interpreter at one BLAS thread, as CI and the benchmark run.
+    # With more threads OpenBLAS splits each zgemv's rows at a point that
+    # their count decides, so the bits of the whole-array reference itself
+    # depend on the thread count.
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(TESTS.parent / "src"),
+                                           str(TESTS)]))
+    code = "import test_action_angle as t; print(t.blocking_mismatches())"
+    done = subprocess.run([sys.executable, "-c", code], cwd=TESTS, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestMFromAA:
@@ -205,6 +274,22 @@ class TestExplicitSolution:
         with pytest.raises(NonFiniteInput, match="M has a non-finite entry"):
             explicit_solution(aa, 0.0, np.linspace(-1, 1, 3))
 
+    @pytest.mark.parametrize("x", [0.5 + 1j, np.array([0.0, 1.0 + 0j])])
+    def test_complex_points_refused(self, x):
+        # the imaginary part was dropped with only a ComplexWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="pi_u_resolvent"):
+                explicit_solution(unit_aa(), 0.0, x)
+
+    def test_nan_point_in_a_later_block_refused(self):
+        xs = np.linspace(-50, 50, 3 * _block_points(1))
+        xs[2 * _block_points(1) + 3] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularResolvent, match="non-finite"):
+                explicit_solution(unit_aa(), 0.0, xs)
+
     def test_schur_info(self, monkeypatch):
         solve = _lapack.zgees
         monkeypatch.setattr(_lapack, "zgees",
@@ -270,6 +355,12 @@ class TestPiUResolvent:
     def test_pole_of_unit_soliton_refused(self):
         self._assert_refused(spectral_decompose(SolitonParameters((-1j,))),
                              -1j)
+
+    def test_eigenvalue_in_the_last_block_refused(self, rng):
+        sd = spectral_decompose(random_params(rng, 2))
+        z = np.linalg.eigvals(sd.m_matrix)[0]
+        grid = np.linspace(-50, 50, 2 * _block_points(2) + 5) + 0j
+        self._assert_refused(sd, np.append(grid, z))
 
     def test_computed_eigenvalues_refused(self, rng):
         sd = spectral_decompose(random_params(rng, 2))

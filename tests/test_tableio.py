@@ -41,6 +41,40 @@ def test_write_csv_rows(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
 
 
+def as_kind(kind):
+    """EDGE, nan and +-inf as ``kind``: np.float32 rounds (1e308 to inf),
+    an integer kind keeps the values it can hold."""
+    out = []
+    for v in [*EDGE.tolist(), np.nan, np.inf, -np.inf]:
+        with np.errstate(over="ignore"):
+            try:
+                out.append(kind(v))
+            except (ValueError, OverflowError):
+                pass
+    return out
+
+
+@pytest.mark.parametrize("kind", [float, np.float64, np.float32, np.int64,
+                                  int, bool])
+def test_fmt_is_float_then_17_digits(kind):
+    values = as_kind(kind)
+    assert values and all(type(v) is kind for v in values)
+    for v in values:
+        assert fmt(v) == f"{float(v):.17g}"
+
+
+@pytest.mark.parametrize("rows", [
+    lambda: [(str(j), fmt(v)) for j, v in enumerate(EDGE)],
+    lambda: ((str(j), fmt(v)) for j, v in enumerate(EDGE)),
+    lambda: [],
+], ids=["list", "generator", "header-only"])
+def test_write_csv_bytes(tmp_path, rows):
+    path = tmp_path / "rows.csv"
+    write_csv(str(path), ("j", "v"), rows())
+    body = "".join(f"{j},{v}\n" for j, v in rows())
+    assert path.read_bytes() == ("j,v\n" + body).encode()
+
+
 def test_write_error_names_the_output(tmp_path):
     path = str(tmp_path / "missing" / "u.csv")
     with pytest.raises(FileNotFoundError) as info:
