@@ -94,9 +94,11 @@ def inverse_map(aa):
     if info != 0:
         raise EigensolveFailed(f"eigenvalues of M failed: zgeev info {info}")
     # argmax picks a NaN first
-    if not roots.imag[roots.imag.argmax()] < 0:
-        raise RootsNotInLowerHalfPlane(
-            f"spectrum of M left the lower half-plane: {roots}")
+    high = roots.imag.argmax()
+    if not roots.imag[high] < 0:
+        raise RootsNotInLowerHalfPlane("spectrum of M left the lower "
+                                       f"half-plane: root {high} is "
+                                       f"{roots[high]}")
     return SolitonParameters(roots)
 
 
@@ -136,13 +138,11 @@ def _resolvent_pairing(m, lambdas, shift):
     A shift within SINGULAR_RTOL * max|T| of a diagonal entry of T, an
     eigenvalue of m, raises SingularResolvent before its block divides, and
     so does a non-finite result (overflow, or a NaN shift).  The Schur form
-    is LAPACK zgees after its workspace query, as scipy.linalg.schur calls
-    it; a nonzero info raises EigensolveFailed.  m must be finite, as
+    is one call of LAPACK zgees, with the wrapper's default workspace
+    (no query); a nonzero info raises EigensolveFailed.  m must be finite, as
     ``m_formula`` guarantees.
     """
-    work = _lapack.zgees(_unsorted, m, lwork=-1)[-2]
-    tri, _, _, q, _, info = _lapack.zgees(_unsorted, m,
-                                          lwork=int(work[0].real))
+    tri, _, _, q, _, info = _lapack.zgees(_unsorted, m)
     if info != 0:
         raise EigensolveFailed(f"Schur form of M failed: zgees info {info}")
     x = np.sqrt(np.abs(lambdas))

@@ -43,9 +43,11 @@ class SolitonParameters:
             raise DomainError("at least one soliton is required")
         # argmax picks a NaN first, so the top modulus is finite iff all are
         mag = np.abs(z)
-        top = mag[mag.argmax()]
+        k = mag.argmax()
+        top = mag[k]
         if not top < np.inf:
-            raise NonFiniteInput(f"parameters must be finite: {z}")
+            raise NonFiniteInput(f"parameters must be finite: entry {k} is "
+                                 f"{z[k]}")
         high = z.imag.argmax()
         if not z.imag[high] < 0:
             raise DomainError(f"parameter {z[high]} must lie in the lower "
@@ -119,11 +121,12 @@ def profile_values(params, x):
     """u at the points x; a DomainError where it is not finite."""
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
-    # a soliton far from x overflows its squares and adds its limit 0; one
-    # whose eta**2 underflows divides by 0, which the check below refuses
+    # a soliton far from x overflows its squares and adds its limit 0 (a
+    # Python float's ** would raise OverflowError for eta**2); one whose
+    # eta**2 underflows divides by 0, which the check below refuses
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for z in params.zs:
-            out += 2 * (-z.imag) / ((x - z.real) ** 2 + z.imag ** 2)
+            out += 2 * (-z.imag) / ((x - z.real) ** 2 + np.square(z.imag))
     if not np.all(np.isfinite(out)):
         raise DomainError("grid values must be finite")
     return out

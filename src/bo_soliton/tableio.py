@@ -3,14 +3,14 @@
 and ``all_or_none`` live here; which files to write is the caller's choice.
 
 Every writer takes one path: it stages its file as a temporary file beside
-the output, then renames that onto the output, at once or, inside
-``all_or_none``, when the block ends.  A writer formats and writes
-``ROWS_PER_CHUNK`` rows at a time, so its memory is O(chunk), not O(file);
-it writes its whole file before it returns."""
+the output, and the ``all_or_none`` block around it renames that onto the
+output when the block ends; a write outside any block is a block of one.
+A writer formats and writes ``ROWS_PER_CHUNK`` rows at a time, so its
+memory is O(chunk), not O(file); it writes its whole file before it
+returns."""
 
 import errno
 import os
-import tempfile
 from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 from itertools import islice
@@ -51,22 +51,20 @@ def _stage(path, chunks):
     """Write the chunks, an iterable of strings, to a new temporary file
     beside ``path``; return its name.
 
-    The temporary name is the base name of ``path`` plus a suffix, so a base
-    name too long for the file system fails here, and so does a directory
-    at ``path``: what is left is a rename.  The file gets the mode that
-    ``open`` gives a new file, 0o666 less the umask, where mkstemp makes it
-    0o600.  If anything raises, the temporary file is removed; an OSError of
-    the file system names ``path``, and an error raised while a chunk is
-    made (say, by a caller's rows) propagates as it is.
+    The temporary name is ``path`` plus a random 13-character suffix, so a
+    base name too long for the file system fails here, and so does a
+    directory at ``path``: what is left is a rename.  The file is created
+    exclusively with mode 0o666, less the umask as for ``open``, and a name
+    taken already raises FileExistsError.  If anything raises, the temporary
+    file is removed; an OSError of the file system names ``path``, and an
+    error raised while a chunk is made (say, by a caller's rows) propagates
+    as it is.
     """
-    umask = os.umask(0)
-    os.umask(umask)
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
     with _naming(path):
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                   prefix=os.path.basename(path) + ".",
-                                   suffix=".tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         fh = os.fdopen(fd, "w", newline="")
         try:
@@ -78,41 +76,24 @@ def _stage(path, chunks):
         finally:
             with _naming(path):
                 fh.close()
-        with _naming(path):
-            os.chmod(tmp, 0o666 & ~umask)
     except BaseException:
         os.unlink(tmp)
         raise
     return tmp
 
 
-def _discard(staged):
-    for tmp, _ in staged:
-        with suppress(OSError):
-            os.unlink(tmp)
-
-
-def _commit(staged):
-    """Rename each staged temporary onto its path, in order; if a rename
-    fails, the temporaries left are removed and its error names its path."""
-    try:
-        for tmp, path in staged:
-            with _naming(path):
-                os.replace(tmp, path)
-    except BaseException:
-        _discard(staged)
-        raise
-
-
 def _write_atomic(path, chunks):
-    """Stage the chunks for ``path``, then rename the file there: at once,
-    or when the enclosing ``all_or_none`` block ends."""
-    staged = (_stage(path, chunks), path)
+    """Stage the chunks for ``path``; the enclosing ``all_or_none`` block
+    renames the file there when it ends.  A write outside any block is a
+    block of its own, on the root directory: it always exists, so the block
+    never removes a directory (and, unlike ``os.curdir``, it needs no
+    working directory)."""
     pending = _pending.get()
     if pending is None:
-        _commit([staged])
+        with all_or_none(os.sep):
+            _write_atomic(path, chunks)
     else:
-        pending.append(staged)
+        pending.append((_stage(path, chunks), path))
 
 
 def write_csv(path, header, rows):
@@ -167,7 +148,8 @@ def all_or_none(outdir):
     of the path of ``outdir`` that was missing on entry, innermost first and
     only if empty; then the error propagates, and no output path was
     touched.  Only a rename failing after the staging (say, another process
-    making a directory at a path) leaves the files renamed before it.
+    making a directory at a path) leaves the files renamed before it; its
+    error names its path.  Every write of the module commits here.
     """
     missing = []
     path = os.path.abspath(outdir)
@@ -181,9 +163,13 @@ def all_or_none(outdir):
             yield
         finally:
             _pending.reset(token)
-        _commit(staged)
+        for tmp, target in staged:
+            with _naming(target):
+                os.replace(tmp, target)
     except BaseException:
-        _discard(staged)
+        for tmp, _ in staged:
+            with suppress(OSError):
+                os.unlink(tmp)
         for path in missing:
             with suppress(OSError):
                 os.rmdir(path)

@@ -175,6 +175,23 @@ class TestInverseMap:
         with pytest.raises(RootsNotInLowerHalfPlane):
             inverse_map(unit_aa())
 
+    def test_roots_message_is_one_line(self, monkeypatch):
+        # twelve roots, one above the axis: the message names that root
+        # alone, where numpy would wrap the whole array onto a second line
+        aa = ActionAngles(-np.pi * np.arange(12, 0, -1.0), np.zeros(12))
+        solve = _lapack.zgeev
+
+        def lifted(*args, **kwargs):
+            roots, *rest = solve(*args, **kwargs)
+            roots[5] = 3 + 0.5j
+            return (roots, *rest)
+
+        monkeypatch.setattr(_lapack, "zgeev", lifted)
+        with pytest.raises(RootsNotInLowerHalfPlane) as info:
+            inverse_map(aa)
+        assert str(info.value) == ("spectrum of M left the lower half-plane: "
+                                   "root 5 is (3+0.5j)")
+
     def test_scaled_shifted(self):
         for x0, c in ((0.0, 1.0), (3.0, 0.5), (-2.0, 4.0)):
             aa = ActionAngles(np.array([-c * np.pi]), np.array([x0]))

@@ -147,6 +147,16 @@ class TestSpectrum:
         assert code == 3
         assert "NonFiniteInput" in capsys.readouterr().err
 
+    def test_nan_among_twelve_rows_is_one_line(self, tmp_path, capsys):
+        # numpy would wrap an array of twelve parameters onto a second line
+        path = tmp_path / "nan.csv"
+        write_params(path, [("nan" if j == 7 else j, 1.0) for j in range(12)])
+        code = main(["spectrum", str(path), "--out", str(tmp_path / "s.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "invariant violation [NonFiniteInput]: parameters must be "
+            "finite: entry 7 is (nan-1j)\n")
+
 
 class TestEvolve:
     def test_nan_action_is_domain_error(self, tmp_path, capsys):
@@ -482,7 +492,8 @@ class TestTorus:
     (["torus", "--m", "8"], "0,1000", 0),
     (["torus", "--m", "8"], "0,1e-300", 3),
     (["synth", "--grid=-1,1,3"], "1e300,1", 0),
-], ids=["torus-overflow", "torus-on-circle", "synth-far"])
+    (["synth", "--grid=-1,1,3"], "1,1e300", 0),
+], ids=["torus-overflow", "torus-on-circle", "synth-far", "synth-huge-eta"])
 def test_extreme_parameters_report_only_typed_errors(tmp_path, capsys,
                                                      command, row, code):
     # numpy's RuntimeWarnings are errors in this suite

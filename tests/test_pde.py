@@ -161,6 +161,14 @@ class TestRun:
         with pytest.raises(DomainError, match="grid values must be finite"):
             run(SolitonParameters((-1e-200j,)), cfg)
 
+    def test_huge_eta_runs_on_its_zero_profile(self):
+        # eta**2 overflows: the soliton's profile is 0 to the last bit, and
+        # so is every snapshot
+        cfg = small_cfg()
+        snaps = run(SolitonParameters((1 - 1e300j,)), cfg)
+        assert all(np.array_equal(f.values, np.zeros(cfg.modes))
+                   for _, f in snaps)
+
 
 # Oracle: the full complex-spectrum integrator the half-spectrum state
 # replaced, kept verbatim (two complex FFTs per nonlinear evaluation, the

@@ -135,6 +135,12 @@ class TestFloatLimits:
         with pytest.raises(DomainError, match="grid values must be finite"):
             profile_values(SolitonParameters((-1e-200j,)), [-1.0, 0.0, 1.0])
 
+    def test_huge_eta_adds_zero(self):
+        # eta**2 overflows to inf, so that soliton's term is 0
+        xs = [-1.0, 0.0, 1.0]
+        u = profile_values(SolitonParameters((1 - 1e300j, -1j)), xs)
+        assert np.array_equal(u, profile_values(SolitonParameters((-1j,)), xs))
+
     def test_huge_torus_soliton_gives_zeros(self):
         field = torus_potential(SolitonParameters((-1000j,)), 8)
         assert np.array_equal(field.values, np.zeros(8))

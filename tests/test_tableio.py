@@ -169,7 +169,7 @@ def test_write_xy_refuses_unequal_columns_before_staging(tmp_path,
     def no_staging(*args, **kwargs):
         raise AssertionError("a temporary file was made")
 
-    monkeypatch.setattr(tableio.tempfile, "mkstemp", no_staging)
+    monkeypatch.setattr(tableio, "_stage", no_staging)
     with pytest.raises(ValueError):
         write_xy(str(tmp_path / "u.csv"), ("x", "u")[:len(columns)], *columns)
     assert list(tmp_path.iterdir()) == []
@@ -253,3 +253,95 @@ def test_write_memory_is_bounded_by_the_chunk(tmp_path):
     assert traced_peak(lambda: write_xy(path, ("x", "u"), xs, us)) < 2e6
     rows = [(fmt(x), fmt(u)) for x, u in zip(xs[:20_000], us[:20_000])]
     assert traced_peak(lambda: write_csv(path, ("x", "u"), rows)) < 1e6
+
+
+def fail_rename_onto(monkeypatch, target):
+    """``os.replace`` fails once, for the first rename onto ``target``, with
+    an error that names the temporary file, as the system's would."""
+    replace, failed = os.replace, []
+
+    def flaky(src, dst):
+        if dst == target and not failed:
+            failed.append(dst)
+            raise OSError(errno.EIO, os.strerror(errno.EIO), src)
+        replace(src, dst)
+
+    monkeypatch.setattr(tableio.os, "replace", flaky)
+
+
+def test_a_failed_rename_names_the_output(tmp_path, monkeypatch):
+    path = tmp_path / "u.csv"
+    path.write_bytes(b"old")
+    fail_rename_onto(monkeypatch, str(path))
+    with pytest.raises(OSError) as info:
+        write_xy(str(path), ("x",), [1.0])
+    assert info.value.errno == errno.EIO and info.value.filename == str(path)
+    assert [p.name for p in tmp_path.iterdir()] == ["u.csv"]
+    assert path.read_bytes() == b"old"
+
+
+def test_a_failed_rename_keeps_the_renames_before_it(tmp_path, monkeypatch):
+    paths = [tmp_path / name for name in ("u.csv", "v.csv", "w.csv")]
+    paths[1].write_bytes(b"old")
+    fail_rename_onto(monkeypatch, str(paths[1]))
+    with pytest.raises(OSError) as info:
+        with all_or_none(str(tmp_path)):
+            for k, path in enumerate(paths):
+                write_xy(str(path), ("x",), [k])
+    assert info.value.errno == errno.EIO
+    assert info.value.filename == str(paths[1])
+    # the first file was renamed before the failure, as all_or_none says;
+    # the failed one and the one after it keep their paths as they were
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["u.csv", "v.csv"]
+    assert paths[0].read_bytes() == b"x\n0\n"
+    assert paths[1].read_bytes() == b"old"
+
+
+def test_a_lone_write_removes_no_directory(tmp_path, monkeypatch):
+    removed = []
+    monkeypatch.setattr(tableio.os, "rmdir", removed.append)
+    with pytest.raises(FileNotFoundError):
+        write_xy(str(tmp_path / "missing" / "u.csv"), ("x",), [1.0])
+    assert removed == []
+
+
+def test_a_lone_write_needs_no_working_directory(tmp_path, monkeypatch):
+    # os.getcwd() fails once the working directory is removed
+    gone = tmp_path / "gone"
+    gone.mkdir()
+    monkeypatch.chdir(gone)
+    gone.rmdir()
+    write_xy(str(tmp_path / "u.csv"), ("x",), [1.0])
+    assert (tmp_path / "u.csv").read_bytes() == b"x\n1\n"
+
+
+def test_a_taken_temporary_name_is_refused(tmp_path, monkeypatch):
+    path = tmp_path / "u.csv"
+    taken = tmp_path / "u.csv.00000000.tmp"
+    taken.write_bytes(b"another writer's")
+    monkeypatch.setattr(tableio.os, "urandom", lambda n: bytes(n))
+    with pytest.raises(FileExistsError) as info:
+        write_xy(str(path), ("x",), [1.0])
+    assert info.value.filename == str(path)
+    # the file that holds the name is not the writer's to remove
+    assert [p.name for p in tmp_path.iterdir()] == [taken.name]
+    assert taken.read_bytes() == b"another writer's"
+
+
+def test_writes_leave_the_process_umask_alone(tmp_path, monkeypatch):
+    # the umask is the process's: a writer that set it, even for a moment,
+    # would change the mode of a file another thread creates meanwhile
+    def no_umask(mask):
+        raise AssertionError("the process umask was set")
+
+    previous = os.umask(0o027)
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(tableio.os, "umask", no_umask)
+            write_xy(str(tmp_path / "u.csv"), ("x",), [1.0])
+            with all_or_none(str(tmp_path)):
+                write_xy(str(tmp_path / "v.csv"), ("x",), [2.0])
+    finally:
+        os.umask(previous)
+    assert [(tmp_path / name).stat().st_mode & 0o777
+            for name in ("u.csv", "v.csv")] == [0o640, 0o640]
