@@ -3,11 +3,10 @@
 Subcommands: synth, spectrum, evolve, validate, torus.  All tables are CSV
 with a header row, floats printed with 17 significant digits, LF line
 endings; every file, plot scripts included, is written atomically (temp
-file + rename) by :mod:`bo_soliton.tableio`.  ``evolve`` fixes its whole
-frame set in ``_evolve_times`` before it writes anything, and a failed
-``evolve`` leaves its output paths as they were.  A value may be any float
-spelling, -1e-3 and -inf included; the library, not this module, owns float
-limits.
+file + rename) by :mod:`bo_soliton.tableio`, and ``main`` commits every
+file of a run together: a failed command leaves every output path as it
+was.  A value may be any float spelling, -1e-3 and -inf included; the
+library, not this module, owns float limits.
 
 Exit codes: 0 success, 2 usage or parse error or an unwritable output,
 3 domain invariant violation, 4 numerical failure.  Verbosity via
@@ -178,21 +177,18 @@ def cmd_evolve(args):
     xs = np.linspace(*_parse_grid(args.grid))  # the grid of synth
     times = _evolve_times(args.t0, args.t1, args.dt)
     frames = [os.path.join(args.outdir, FRAME_NAME.format(t)) for t in times]
-    # the files replace their paths only once all are written: a failed
-    # run leaves the output directory as it was
-    with all_or_none(args.outdir):
-        os.makedirs(args.outdir, exist_ok=True)
-        for path, t in zip(frames, times):
-            write_xy(path, ("x", "u"), xs, explicit_solution(aa0, t, xs))
-        flows = [evolve_aa(aa0, t) for t in times]
-        actions = os.path.join(args.outdir, "actions.csv")
-        write_xy(actions, ("t", "j", "r", "alpha"),
-                 np.repeat(times, aa0.n),
-                 np.tile(np.arange(1, aa0.n + 1), len(flows)),
-                 np.concatenate([aa.rs for aa in flows]),
-                 np.concatenate([aa.alphas for aa in flows]))
-        if args.plot_script:
-            write_plot_script(args.plot_script, frames, "u")
+    os.makedirs(args.outdir, exist_ok=True)
+    for path, t in zip(frames, times):
+        write_xy(path, ("x", "u"), xs, explicit_solution(aa0, t, xs))
+    flows = [evolve_aa(aa0, t) for t in times]
+    actions = os.path.join(args.outdir, "actions.csv")
+    write_xy(actions, ("t", "j", "r", "alpha"),
+             np.repeat(times, aa0.n),
+             np.tile(np.arange(1, aa0.n + 1), len(flows)),
+             np.concatenate([aa.rs for aa in flows]),
+             np.concatenate([aa.alphas for aa in flows]))
+    if args.plot_script:
+        write_plot_script(args.plot_script, frames, "u")
     return 0
 
 
@@ -317,7 +313,9 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
-        return args.func(args)
+        # one block per run: a failed command leaves every output as it was
+        with all_or_none(getattr(args, "outdir", None)):
+            return args.func(args)
     except CliParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -103,12 +103,17 @@ def mt_lax(gmat):
 
     G is upper triangular, so this is one LAPACK ztrsyl call.  The spectra
     of G (lower half-plane) and G* (upper) are disjoint, so the solution is
-    unique and Hermitian.
+    unique and Hermitian; in floats they nearly meet (ztrsyl info 1) when
+    some eta is tiny next to max|z|.
     """
     lmat, scale_, info = _lapack.ztrsyl(gmat, gmat, _fixed(len(gmat))[1],
                                         trana="N", tranb="C", isgn=-1)
     if info != 0:
-        raise InvariantViolation(f"Sylvester solve failed: ztrsyl info {info}")
+        z = gmat.diagonal()
+        raise InvariantViolation(
+            f"Sylvester solve failed: ztrsyl info {info}: the spectra of G and "
+            f"G* nearly meet (min eta {-z.imag.max():.3g}, max|z| "
+            f"{abs(z).max():.3g})")
     if scale_ != 1:
         lmat /= scale_
     return lmat

@@ -83,14 +83,11 @@ def _stage(path, chunks):
 
 
 def _write_atomic(path, chunks):
-    """Stage the chunks for ``path``; the enclosing ``all_or_none`` block
-    renames the file there when it ends.  A write outside any block is a
-    block of its own, on the root directory: it always exists, so the block
-    never removes a directory (and, unlike ``os.curdir``, it needs no
-    working directory)."""
+    """Stage the chunks for ``path``; the enclosing ``all_or_none`` block,
+    or else a block of its own, renames the file there when it ends."""
     pending = _pending.get()
     if pending is None:
-        with all_or_none(os.sep):
+        with all_or_none():
             _write_atomic(path, chunks)
     else:
         pending.append((_stage(path, chunks), path))
@@ -139,21 +136,21 @@ def write_xy(path, header, *columns):
 
 
 @contextmanager
-def all_or_none(outdir):
+def all_or_none(outdir=None):
     """Write every file of a block, into ``outdir`` or elsewhere, or none.
 
     Each file a writer of this module writes in the block is staged; when
-    the block ends, each is renamed onto its path, in the order written.
-    If the block raises, the staged files are removed, then each directory
-    of the path of ``outdir`` that was missing on entry, innermost first and
-    only if empty; then the error propagates, and no output path was
-    touched.  Only a rename failing after the staging (say, another process
-    making a directory at a path) leaves the files renamed before it; its
-    error names its path.  Every write of the module commits here.
+    the block ends, each is renamed onto its path, in the order written.  If
+    the block raises, the staged files are removed, then each directory of
+    the path of ``outdir``, if given, that was missing on entry, innermost
+    first and only if empty; then the error propagates, and no output path
+    was touched.  Only a rename failing after the staging (say, another
+    process making a directory at a path) leaves the files renamed before
+    it; its error names its path.  Every write of the module commits here.
     """
     missing = []
-    path = os.path.abspath(outdir)
-    while not os.path.lexists(path):
+    path = outdir and os.path.abspath(outdir)
+    while path and not os.path.lexists(path):
         missing.append(path)
         path = os.path.dirname(path)
     staged = []

@@ -642,6 +642,46 @@ def test_unwritable_output_is_usage_error(tmp_path, monkeypatch, capsys,
     assert not list(tmp_path.rglob("*.tmp"))
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "--grid", "-5,5,11"],
+    ["torus", "--m", "8"],
+], ids=["synth", "torus"])
+def test_failed_plot_script_keeps_the_earlier_output(tmp_path, capsys, argv):
+    # the table is written before the plot script fails, and must not land
+    write_params(tmp_path / "p.csv", [(0.0, 1.0)])
+    out = tmp_path / "u.csv"
+    out.write_bytes(b"old")
+    code = main([argv[0], str(tmp_path / "p.csv"), *argv[1:], "--out",
+                 str(out), "--plot-script", str(tmp_path / "nodir" / "p.py")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: cannot write")
+    assert out.read_bytes() == b"old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv", "u.csv"]
+
+
+def test_spectrum_into_a_missing_directory_writes_nothing(unit_params,
+                                                          tmp_path):
+    out = tmp_path / "nodir" / "s.csv"
+    assert main(["spectrum", unit_params, "--out", str(out)]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["params.csv"]
+
+
+@pytest.mark.parametrize("rows, eta, size", [
+    ([(1, 1e-300)], "1e-300", "1"),
+    ([(1, 1e20), (0, 1)], "1", "1e+20"),
+], ids=["tiny-eta", "far-soliton"])
+def test_sylvester_failure_names_its_cause(tmp_path, capsys, rows, eta, size):
+    write_params(tmp_path / "p.csv", rows)
+    code = main(["spectrum", str(tmp_path / "p.csv"), "--out",
+                 str(tmp_path / "s.csv")])
+    assert code == 4
+    assert capsys.readouterr().err == (
+        "numerical failure [InvariantViolation]: Sylvester solve failed: "
+        "ztrsyl info 1: the spectra of G and G* nearly meet "
+        f"(min eta {eta}, max|z| {size})\n")
+    assert not (tmp_path / "s.csv").exists()
+
+
 class TestFailedEvolveWritesNothing:
     """An error after the first frame is written leaves every file as it
     was, and removes the output directory if the run made it."""

@@ -315,6 +315,15 @@ def test_a_lone_write_needs_no_working_directory(tmp_path, monkeypatch):
     assert (tmp_path / "u.csv").read_bytes() == b"x\n1\n"
 
 
+def test_a_lone_write_commits_at_once(tmp_path):
+    path = tmp_path / "u.csv"
+    path.write_bytes(b"old")
+    write_xy(str(path), ("x",), [1.0])
+    assert [p.name for p in tmp_path.iterdir()] == ["u.csv"]
+    assert path.read_bytes() == b"x\n1\n"
+    assert tableio._pending.get() is None  # no block is left open
+
+
 def test_a_taken_temporary_name_is_refused(tmp_path, monkeypatch):
     path = tmp_path / "u.csv"
     taken = tmp_path / "u.csv.00000000.tmp"
