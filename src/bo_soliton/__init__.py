@@ -21,7 +21,7 @@ _EXPORTS = {
     "pde": "PdeConfig compare run step",
     "profiles": "GridField SolitonParameters profile torus_potential",
     "rational": """PoleResidueForm derivative evaluate inner_product multiply
-        multiply_by_x pf_decompose szego_project""",
+        multiply_by_x szego_project""",
     "spectral": "SpectralData spectral_decompose verify_m_matrix",
 }
 _SUBMODULES = ("action_angle", "errors", "invariants", "oracle", "pde",

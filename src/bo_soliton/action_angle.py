@@ -103,8 +103,10 @@ def inverse_map(aa):
 
 
 def evolve_aa(aa, t):
-    """Affine flow: r constant (bitwise), alpha_j -> alpha_j - r_j t / pi."""
-    return ActionAngles(aa.rs, aa.alphas - aa.rs * (t / np.pi))
+    """Affine flow: r constant (bitwise), alpha_j -> alpha_j - r_j t / pi;
+    an angle that overflows, or a NaN t, raises NonFiniteInput."""
+    with np.errstate(over="ignore"):
+        return ActionAngles(aa.rs, aa.alphas - aa.rs * (t / np.pi))
 
 
 def _unsorted(eigenvalue):

@@ -49,8 +49,8 @@ class GridMismatch(DomainError):
 
 
 class NonFiniteInput(DomainError):
-    """A parameter, action or angle is NaN or infinite, or the closed form
-    of M built from them overflows."""
+    """A parameter, action, angle or shift is NaN or infinite, or a closed
+    form built from them (M, E_n, H_lambda, Omega) overflows."""
 
 
 # -- numerical errors -------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BoundaryNotDecayed, PoleProximity
+from .errors import BoundaryNotDecayed, NonFiniteInput, PoleProximity
 from .profiles import SolitonParameters
 from .spectral import spectral_decompose
 
@@ -33,10 +33,16 @@ EDGE_TOL = 1e-6
 
 def omega_matrix(params):
     """2N x 2N pairing matrix in coordinates (x_1, eta_1, ..., x_N, eta_N)."""
-    xs = params.positions
-    etas = params.etas
-    w = (etas[:, None] + etas[None, :]) + 1j * (xs[:, None] - xs[None, :])
-    inv_w2 = 1.0 / w ** 2
+    xs, etas = params.positions, params.etas
+    with np.errstate(all="ignore"):
+        w = (etas[:, None] + etas[None, :]) + 1j * (xs[:, None] - xs[None, :])
+        w2 = w ** 2
+        # where w**2 overflows, 1/w**2 is below 1e-308: its limit 0
+        inv_w2 = np.divide(1.0, w2, out=np.zeros_like(w2),
+                           where=np.isfinite(w2))
+    # w**2 underflowed, or 1/(2 eta_j)**2 did, which leaves Omega singular
+    if not (np.isfinite(inv_w2).all() and inv_w2.diagonal().all()):
+        raise NonFiniteInput("the symplectic pairing leaves the float range")
     # the f-f and g-g blocks are equal (module docstring)
     ff = -4 * np.pi * inv_w2.imag
     fg = 4 * np.pi * inv_w2.real
@@ -101,9 +107,14 @@ def poisson_bracket_table(params, fd_step=FD_STEP_DEFAULT):
 
 def e_n_from_spectrum(sd, n):
     """E_n = sum over j of 2 pi |lambda_j| lambda_j^n; ``sd`` is any record
-    with ``.lambdas`` (a SpectralData or an ActionAngles)."""
+    with ``.lambdas`` (a SpectralData or an ActionAngles); NonFiniteInput
+    past the float range."""
     lam = np.asarray(sd.lambdas, dtype=float)
-    return float(np.sum(2 * np.pi * np.abs(lam) * lam ** n))
+    with np.errstate(all="ignore"):
+        e_n = float(np.sum(2 * np.pi * np.abs(lam) * lam ** n))
+    if not np.isfinite(e_n):
+        raise NonFiniteInput(f"E_{n} is not finite in doubles")
+    return e_n
 
 
 def e1_quadrature(field, periodic=False):
@@ -136,8 +147,15 @@ def e1_quadrature(field, periodic=False):
 
 def h_lambda(sd, lam):
     """Generating function H_lambda = -sum 2 pi lambda_j / (lambda + lambda_j);
-    ``sd`` is any record with ``.lambdas``, like :func:`e_n_from_spectrum`."""
+    ``sd`` is any record with ``.lambdas``, like :func:`e_n_from_spectrum`.
+    Infinite lambda gives the limit 0; NaN or an overflow NonFiniteInput."""
     lj = np.asarray(sd.lambdas, dtype=float)
-    if np.any(np.abs(lam + lj) <= 1e-8):
+    with np.errstate(all="ignore"):
+        den = lam + lj
+        h = float(-np.sum(2 * np.pi * lj / den))
+    if np.any(np.abs(den) <= 1e-8):
         raise PoleProximity(f"lambda = {lam} too close to a pole of H")
-    return float(-np.sum(2 * np.pi * lj / (lam + lj)))
+    # a finite lambda whose lambda + lambda_j overflows would read 0
+    if not np.isfinite(h) or np.isfinite(lam) and not np.isfinite(den).all():
+        raise NonFiniteInput(f"H_lambda at {lam} is not finite in doubles")
+    return h

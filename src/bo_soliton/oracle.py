@@ -1,4 +1,5 @@
-"""Independent reference routes in the partial-fraction basis 1/(x - z_r).
+"""Independent reference routes in the partial-fraction basis 1/(x - z_r),
+which spans the invariant subspace span{x^k / Q_u} for distinct z_r.
 
 This module is the oracle the production path is checked against, not part
 of that path: ``spectral``, ``action_angle``, ``profiles``, ``invariants``,
@@ -6,19 +7,18 @@ of that path: ``spectral``, ``action_angle``, ``profiles``, ``invariants``,
 mpmath.  It holds every route that needs the pole-residue calculus or
 extended precision: ``pi_u`` and ``u_rational``; the eigenfunctions
 ``eigen_coeffs(sd)`` and ``eigenfunctions(sd)``, with ``mt_residues``; the
-Lax matrix in that basis (plain scalar arithmetic, so the same code runs in
-doubles and in mpmath) and its Cauchy Gram ``cauchy_gram``; the operators
-``lax_apply`` and ``g_apply``; and the independent checks behind
-``validate``, ``h_lambda_resolvent`` and ``wu_defect``, which pair over
-:func:`bo_soliton.rational.cauchy_kernel` in MP_DPS digits.
+Lax matrix ``lax_entries`` (plain scalars, so doubles or mpmath) and its
+Cauchy Gram ``cauchy_gram``; the operators ``lax_apply`` and ``g_apply``;
+and the independent checks behind ``validate``, ``h_lambda_resolvent`` and
+``wu_defect``, which pair over :func:`bo_soliton.rational.cauchy_kernel`
+in MP_DPS digits.
 """
-
 from __future__ import annotations
 
 import mpmath
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, NonFiniteInput, SingularResolvent
 from .rational import (
     MP_DPS,
     PoleResidueForm,
@@ -30,7 +30,6 @@ from .rational import (
     mp_pairing,
     multiply,
     multiply_by_x,
-    pf_decompose,
     scale,
     szego_project,
 )
@@ -46,15 +45,6 @@ def pi_u(params):
 def u_rational(params):
     """The real profile as a rational function: Pi u plus its reflection."""
     return add(pi_u(params), conj_reflect(pi_u(params)))
-
-
-def hpp_basis(params):
-    """Basis e_k = x^k / Q_u, k = 0..N-1, expanded in partial fractions."""
-    basis = []
-    for k in range(params.n):
-        num = [1.0] + [0.0] * k  # x^k, highest degree first
-        basis.append(pf_decompose(num, params.zs))
-    return basis
 
 
 def one_minus_theta(params):
@@ -130,11 +120,6 @@ def lax_entries(z, shift=0):
     return t
 
 
-def lax_matrix(params):
-    """L_u in the basis c_r, in doubles; agrees with :func:`lax_apply`."""
-    return np.array(lax_entries(params.zs))
-
-
 def cauchy_gram(zs):
     """K with <f, g> = f @ K @ conj(g) for coefficients in the basis
     1/(x - z_r), 2 pi i times the :func:`cauchy_kernel` of the poles ``zs``,
@@ -193,11 +178,16 @@ def h_lambda_resolvent(params, lam):
     pairing run in MP_DPS digits, since the Gram matrix of that basis is
     ill-conditioned for clustered poles.
     """
+    if not np.isfinite(lam):
+        raise NonFiniteInput(f"resolvent shift lambda = {lam} is not finite")
     rhs = [1j] * params.n
     with mpmath.workdps(MP_DPS):
         z = [mpmath.mpc(v) for v in params.zs]
-        sol = mpmath.lu_solve(mpmath.matrix(lax_entries(z, lam)),
-                              mpmath.matrix(rhs))
+        try:
+            sol = mpmath.lu_solve(mpmath.matrix(lax_entries(z, lam)),
+                                  mpmath.matrix(rhs))
+        except ZeroDivisionError:  # mpmath's singular matrix
+            raise SingularResolvent(f"L_u + {lam} is singular") from None
         return float(mpmath.re(
             2j * mpmath.pi * mp_pairing(sol, rhs, cauchy_kernel(z, z))))
 

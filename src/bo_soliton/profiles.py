@@ -92,7 +92,7 @@ class SolitonParameters:
 
 @dataclass(frozen=True)
 class GridField:
-    """Uniform real-valued samples: values[k] at x0 + k*dx."""
+    """Uniform real-valued samples: values[k] at x0 + k*dx, all finite."""
 
     x0: float
     dx: float
@@ -104,6 +104,9 @@ class GridField:
             raise DomainError("grid needs at least two samples")
         if not (self.dx > 0):
             raise DomainError("dx must be positive")
+        # in Python floats, which overflow to inf without a numpy warning
+        if not np.isfinite(float(self.x0) + float(self.dx) * (vals.size - 1)):
+            raise DomainError("grid points must be finite")
         if not np.all(np.isfinite(vals)):
             raise DomainError("grid values must be finite")
         object.__setattr__(self, "values", vals)
@@ -133,7 +136,9 @@ def profile_values(params, x):
 
 
 def profile(params, x0, dx, n):
-    x = x0 + dx * np.arange(n)
+    # a non-finite point gives a NaN value or a refused GridField
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = x0 + dx * np.arange(n)
     return GridField(x0, dx, profile_values(params, x))
 
 

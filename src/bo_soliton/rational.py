@@ -14,7 +14,6 @@ production module imports it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from math import comb
 
@@ -97,42 +96,6 @@ class PoleResidueForm:
 ZERO = PoleResidueForm()
 
 
-def pf_decompose(numerator_coeffs, den_roots):
-    """Partial fractions of P(x) / prod(x - r) with simple denominator roots.
-
-    ``numerator_coeffs`` are highest-degree-first.  Requires
-    deg P <= len(den_roots); when equality holds the leading coefficient
-    becomes the constant part.  Simple-pole coefficients are P(r)/Q'(r).
-    """
-    roots = [complex(r) for r in den_roots]
-    n = len(roots)
-    if n == 0:
-        raise DegreeError("empty denominator root list")
-    coeffs = np.trim_zeros(np.asarray(numerator_coeffs, dtype=complex), "f")
-    if coeffs.size == 0:
-        return ZERO
-    deg_p = coeffs.size - 1
-    if deg_p > n:
-        raise DegreeError(f"deg P = {deg_p} exceeds deg Q = {n}")
-    for p, q in itertools.combinations(roots, 2):
-        _check_separated(p, q)
-
-    constant = coeffs[0] if deg_p == n else 0j
-    terms = []
-    for k, r in enumerate(roots):
-        qprime = np.prod([r - roots[j] for j in range(n) if j != k])
-        terms.append((r, 1, complex(np.polyval(coeffs, r) / qprime)))
-    return PoleResidueForm(tuple(terms), constant)
-
-
-def _check_separated(p, q):
-    """Refuse poles closer than DEGENERACY_TOL * max(1, |p|, |q|), equal
-    ones included: a repeated root would divide by Q'(r) = 0."""
-    tol = DEGENERACY_TOL * max(1.0, abs(p), abs(q))
-    if abs(p - q) < tol:
-        raise DegenerateParameters(f"poles {p} and {q} closer than {tol:g}")
-
-
 def add(f, g):
     return PoleResidueForm(f.terms + g.terms, f.constant + g.constant)
 
@@ -176,7 +139,11 @@ def multiply(f, g):
             if p == q:
                 terms.append((p, m + n, c))
                 continue
-            _check_separated(p, q)
+            # _split_pair divides by p - q: refuse nearly equal poles
+            tol = DEGENERACY_TOL * max(1.0, abs(p), abs(q))
+            if abs(p - q) < tol:
+                raise DegenerateParameters(
+                    f"poles {p} and {q} closer than {tol:g}")
             terms += [(r, k, c * w) for r, k, w in _split_pair(p, m, q, n)]
 
     return PoleResidueForm(tuple(terms), const)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import sqrt
+from math import frexp, ldexp, sqrt
 
 import numpy as np
 
@@ -43,6 +43,8 @@ IM_M_TOL = 1e-9
 # max|2 |lambda_j| p_j^2 - 1|, p = U* s: the Wu identity <u, phi_j>^2 =
 # 2 pi |lambda_j| in the MT basis, at criterion 3's tolerance
 WU_TOL = 1e-9
+# above this max eta (4^5) the gates run on z / a, a = 4^floor(log4 max eta)
+UNIT_SCALE_ETA = 1024.0
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,7 @@ class SpectralData:
     ``lambdas`` (float64) are strictly negative and strictly increasing with
     gaps above GAP_TOL * |lambda_1|, ``gammas`` (float64) is the real
     diagonal of ``m_matrix`` (complex128), and the Wu and Im M identities
-    hold within WU_TOL and IM_M_TOL.
+    hold within WU_TOL and IM_M_TOL (times the scale a of M, below).
     """
 
     lambdas: np.ndarray
@@ -98,13 +100,13 @@ def mt_generator(zs):
     return gmat, s
 
 
-def mt_lax(gmat):
+def mt_lax(gmat, scale=1.0):
     """L_u in the Malmquist-Takenaka basis: the solution of G L - L G* = iI.
 
     G is upper triangular, so this is one LAPACK ztrsyl call.  The spectra
     of G (lower half-plane) and G* (upper) are disjoint, so the solution is
     unique and Hermitian; in floats they nearly meet (ztrsyl info 1) when
-    some eta is tiny next to max|z|.
+    some eta is tiny next to max|z|; the error names both times ``scale``.
     """
     lmat, scale_, info = _lapack.ztrsyl(gmat, gmat, _fixed(len(gmat))[1],
                                         trana="N", tranb="C", isgn=-1)
@@ -112,8 +114,8 @@ def mt_lax(gmat):
         z = gmat.diagonal()
         raise InvariantViolation(
             f"Sylvester solve failed: ztrsyl info {info}: the spectra of G and "
-            f"G* nearly meet (min eta {-z.imag.max():.3g}, max|z| "
-            f"{abs(z).max():.3g})")
+            f"G* nearly meet (min eta {-z.imag.max() * scale:.3g}, max|z| "
+            f"{abs(z).max() * scale:.3g})")
     if scale_ != 1:
         lmat /= scale_
     return lmat
@@ -151,9 +153,20 @@ def spectral_decompose(params):
     by the same IM_M_TOL, without an eigensolve.  ``params`` must be a
     :class:`SolitonParameters`, which holds finite, pairwise distinct
     parameters in the lower half-plane, read here as ``zs_array``.
+
+    The rounding of M grows with z, and IM_M_TOL is absolute: if max eta >
+    UNIT_SCALE_ETA = 4^5, all the above runs on z / a, a = 4^floor(log4 max
+    eta), and the result is lambda / a, gamma * a, M * a and the same
+    vectors, exactly, as a is a power of 2.
     """
     gmat, s = mt_generator(params.zs_array)
-    lam, vecs, info = _lapack.zheevd(mt_lax(gmat), lower=1, overwrite_a=1)
+    top = s[s.argmax()]  # sqrt(max eta); argmax reads faster than max
+    a = 1.0
+    if top > sqrt(UNIT_SCALE_ETA):
+        a = ldexp(1.0, 2 * (frexp(top)[1] - 1))
+        gmat, s = mt_generator(params.zs_array / a)
+    lam, vecs, info = _lapack.zheevd(mt_lax(gmat, a), lower=1,
+                                     overwrite_a=1)
     if info != 0:
         raise EigensolveFailed(f"eigensolve of L failed: zheevd info {info}")
     # zheevd returns lambda in ascending order; argmin and argmax pick a NaN
@@ -163,7 +176,8 @@ def spectral_decompose(params):
         gaps = lam[1:] - lam[:-1]
         gap = gaps[gaps.argmin()]
         if not gap > GAP_TOL * abs(lam[0]):
-            raise DegenerateSpectrum(f"eigenvalue gap {gap:.3e} below tolerance")
+            raise DegenerateSpectrum(
+                f"eigenvalue gap {gap / a:.3e} below tolerance")
 
     p = s @ vecs  # (U* s)^*, s real
     pmag = np.abs(p)
@@ -189,6 +203,9 @@ def spectral_decompose(params):
         raise InvariantViolation(
             f"Im M misses -p p^T by {im_defect:.3e} (Frobenius norm)")
 
+    if a != 1.0:
+        lam /= a
+        mmat *= a
     return SpectralData(lam, mmat.diagonal().real.copy(), mmat, params.zs,
                         vecs)
 
@@ -214,7 +231,7 @@ def m_formula(lambdas, gammas):
     n = lam.size
     mag = np.abs(lam)
     try:
-        with np.errstate(over="raise", divide="raise"):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
             ratio = mag[:, None] / mag
             imag = lam[:, None] - lam
             imag.flat[::n + 1] = 1.0  # the diagonal is overwritten below

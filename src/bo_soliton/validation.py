@@ -40,6 +40,8 @@ CHECKS = {
     "poisson_table": 1e-4,
     "pde_compare": 1e-3,
 }
+# random_params: |x| <= XBOX, eta in ETA_RANGE, pairwise distances >= GAP
+XBOX, ETA_RANGE, GAP = 5.0, (0.2, 5.0), 0.1
 
 
 @dataclass(frozen=True)
@@ -61,15 +63,12 @@ class CheckResult:
         return self.worst <= self.tol
 
 
-def random_params(rng, n, xbox=5.0, eta_range=(0.2, 5.0), gap=0.1):
-    """Draw N parameters with |x| <= xbox, eta in range, pairwise gaps >= gap."""
+def random_params(rng, n):
+    """Draw N parameters as XBOX, ETA_RANGE and GAP say, all N anew until
+    GAP holds."""
     while True:
-        xs = rng.uniform(-xbox, xbox, n)
-        etas = rng.uniform(eta_range[0], eta_range[1], n)
-        zs = xs - 1j * etas
-        ok = all(abs(zs[i] - zs[j]) >= gap
-                 for i in range(n) for j in range(i + 1, n))
-        if ok:
+        zs = rng.uniform(-XBOX, XBOX, n) - 1j * rng.uniform(*ETA_RANGE, n)
+        if not np.triu(np.abs(zs[:, None] - zs) < GAP, 1).any():
             return SolitonParameters(tuple(zs))
 
 

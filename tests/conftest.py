@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -7,6 +9,14 @@ from bo_soliton.rational import PoleResidueForm, evaluate
 from bo_soliton.validation import random_params  # noqa: F401  (reused by tests)
 
 SQRT_PI = np.sqrt(np.pi)
+
+# float spellings the property tests draw from: the CLI reads them as
+# written, the API tests as float(s)
+SPELLINGS = ["0", "-0", "1", "-1", "0.5", "-2.5", "7", "1e-3", "-1e-3",
+             "1e300", "-1e300", "1e-300", "-1e-300", "1e15", "-1e15", "nan",
+             "inf", "-inf", "5e-324", "1e-17", "3.0000000000000004"]
+FINITE = [s for s in SPELLINGS if math.isfinite(float(s))]
+POSITIVE = [s for s in FINITE if float(s) > 0]
 
 
 def one_soliton():

@@ -55,7 +55,7 @@ def sweep():
     records = []
     for trial in range(100):
         n = 2 + trial % 7
-        params = random_params(rng, n, xbox=5.0, eta_range=(0.2, 5.0), gap=0.1)
+        params = random_params(rng, n)
         sd = spectral_decompose(params)
         records.append((params, sd,
                         roundtrip_defect(params, aa_from_spectral(sd))))

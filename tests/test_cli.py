@@ -512,6 +512,20 @@ def test_extreme_parameters_report_only_typed_errors(tmp_path, capsys,
         assert not out.exists()
 
 
+def test_spectrum_of_a_huge_eta(tmp_path, capsys):
+    # an eta whose square overflows: the forward map runs at unit scale
+    (tmp_path / "p.csv").write_text("x,eta\n1,1e300\n")
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", str(tmp_path / "p.csv"), "--out",
+                 str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    header, rows = read_csv(out)
+    assert header == ["j", "lambda", "gamma", "I"]
+    assert np.all(np.isfinite(rows))
+    assert rows[0, 1] == pytest.approx(-5e-301, rel=1e-15)
+    assert rows[0, 2] == 1
+
+
 @pytest.mark.parametrize("command, out_flag", [("synth", "--out"),
                                                ("evolve", "--outdir")])
 @pytest.mark.parametrize("grid", ["-inf,5,11", "-5,inf,11", "nan,5,11",

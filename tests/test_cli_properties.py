@@ -5,7 +5,8 @@ failed run leaves nothing behind.
 The draws are params-CSV rows and flag values from a fixed list of float
 spellings, each path absolute in a fresh temporary directory.  Out of
 scope: argparse's own usage errors, which print a usage line first;
-``validate``, whose FAIL report goes to stdout; and the public API.
+``validate``, whose FAIL report goes to stdout; and the public API, which
+``test_api_properties`` covers.
 """
 
 import contextlib
@@ -20,12 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bo_soliton.cli import main
-
-SPELLINGS = ["0", "-0", "1", "-1", "0.5", "-2.5", "7", "1e-3", "-1e-3",
-             "1e300", "-1e300", "1e-300", "-1e-300", "1e15", "-1e15", "nan",
-             "inf", "-inf", "5e-324", "1e-17", "3.0000000000000004"]
-FINITE = [s for s in SPELLINGS if math.isfinite(float(s))]
-POSITIVE = [s for s in FINITE if float(s) > 0]
+from conftest import FINITE, POSITIVE, SPELLINGS
 # the most seconds one example may take
 TIME_CAP = 10.0
 

@@ -11,11 +11,10 @@ import bo_soliton
 from bo_soliton.oracle import (
     eigenfunctions,
     g_apply,
-    hpp_basis,
     lax_apply,
     lax_entries,
-    lax_matrix,
     one_minus_theta,
+    pi_u,
 )
 from bo_soliton.profiles import SolitonParameters
 from bo_soliton.rational import (
@@ -47,11 +46,22 @@ PACKAGE_NAMES = """
     e1_quadrature e_n_from_spectrum errors evaluate evolve_aa
     explicit_solution forward_map h_lambda h_lambda_resolvent inner_product
     invariants inverse_map m_from_aa multiply multiply_by_x omega_matrix
-    oracle pde pf_decompose pi_u pi_u_resolvent poisson_bracket_table profile
+    oracle pde pi_u pi_u_resolvent poisson_bracket_table profile
     profiles rational run spectral spectral_decompose step
     symplectomorphism_check szego_project tableio torus_potential u_rational
     verify_m_matrix __version__
 """.split()
+
+
+def pf_basis(params):
+    """The partial-fraction basis 1/(x - z_r) of the invariant subspace."""
+    return [PoleResidueForm(((z, 1, 1.0),)) for z in params.zs]
+
+
+def random_element(rng, params):
+    """A random sum_r c_r / (x - z_r), an element of the invariant subspace."""
+    coeffs = rng.normal(size=params.n) + 1j * rng.normal(size=params.n)
+    return PoleResidueForm(tuple(zip(params.zs, [1] * params.n, coeffs)))
 
 
 def imported_names(path):
@@ -97,26 +107,21 @@ def test_package_names_resolve():
     assert not missing, f"names gone from the package namespace: {missing}"
 
 
-class TestHppBasis:
-    def test_one_soliton(self):
-        (e0,) = hpp_basis(one_soliton())
-        assert e0.terms == ((-1j, 1, 1.0),)
+def test_every_exported_name_resolves():
+    # __all__ is built from the export table, whose stale entries
+    # PACKAGE_NAMES, a fixed list, would not notice
+    missing = [name for name in bo_soliton.__all__
+               if not hasattr(bo_soliton, name)]
+    assert not missing, f"exported names that do not resolve: {missing}"
 
-    def test_two_soliton_residues(self, rng):
-        params = SolitonParameters((-1j, 1 - 2j))
-        z1, z2 = params.zs
-        e0, e1 = hpp_basis(params)
-        # e1 = x/Q has residues z_j / Q'(z_j)
-        lookup = {p: c for p, _, c in e1.terms}
-        assert abs(lookup[z1] - z1 / (z1 - z2)) < 1e-14
-        assert abs(lookup[z2] - z2 / (z2 - z1)) < 1e-14
-        for x in rng.uniform(-5, 5, 10):
-            q = (x - z1) * (x - z2)
-            assert abs(evaluate(e1, x) - x / q) < 1e-13
+
+class TestHppBasis:
+    """The pure-point subspace span{x^k / Q_u} in its partial-fraction
+    basis 1/(x - z_r)."""
 
     def test_gram_positive_definite(self, rng):
         for n in (2, 4, 8):
-            basis = hpp_basis(random_params(rng, n))
+            basis = pf_basis(random_params(rng, n))
             gram = np.array([[inner_product(basis[k], basis[j])
                               for k in range(n)] for j in range(n)])
             assert np.linalg.eigvalsh(0.5 * (gram + gram.conj().T)).min() > 0
@@ -132,7 +137,7 @@ class TestLaxApply:
 
     def test_linearity(self, rng):
         params = random_params(rng, 3)
-        e0, e1, e2 = hpp_basis(params)
+        e0, e1 = random_element(rng, params), random_element(rng, params)
         f = add(e0, scale(e1, 2.0 - 1j))
         lhs = lax_apply(params, f)
         rhs = add(lax_apply(params, e0), scale(lax_apply(params, e1), 2.0 - 1j))
@@ -141,16 +146,16 @@ class TestLaxApply:
 
     def test_self_adjoint_on_subspace(self, rng):
         params = random_params(rng, 4)
-        basis = hpp_basis(params)
-        f = add(basis[0], scale(basis[2], 1j))
-        g = add(basis[1], scale(basis[3], 0.5 - 0.25j))
+        basis = pf_basis(params)
+        f = add(random_element(rng, params), scale(basis[2], 1j))
+        g = add(basis[1], scale(random_element(rng, params), 0.5 - 0.25j))
         lhs = inner_product(lax_apply(params, f), g)
         rhs = inner_product(f, lax_apply(params, g))
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
     def test_stays_in_subspace(self, rng):
         params = random_params(rng, 5)
-        for e in hpp_basis(params):
+        for e in pf_basis(params) + [random_element(rng, params)]:
             out = lax_apply(params, e)
             assert set(out.poles()) <= set(params.zs)
             assert out.max_order() == 1
@@ -178,8 +183,10 @@ class TestGApply:
             assert abs(val - target) < 1e-9 * target
 
     def test_preserves_subspace(self, rng):
+        # x/(x - z_r) = 1 + z_r/(x - z_r): the constant of each basis
+        # element, and of their sums, cancels against the boundary term
         params = random_params(rng, 4)
-        for e in hpp_basis(params):
+        for e in pf_basis(params) + [random_element(rng, params)]:
             out = g_apply(params, e)
             assert set(out.poles()) <= set(params.zs)
             assert out.constant == 0
@@ -192,12 +199,12 @@ def test_lax_entries_in_mpmath_match_lax_matrix(rng):
             entries = lax_entries([mpmath.mpc(z) for z in params.zs], shift)
             tmat = np.array([[complex(v) for v in row] for row in entries])
         tmat -= shift * np.eye(5)
-        assert np.abs(tmat - lax_matrix(params)).max() < 1e-12
+        assert np.abs(tmat - np.array(lax_entries(params.zs))).max() < 1e-12
 
 
 def test_lax_matrix_matches_lax_apply(rng):
     params = random_params(rng, 5)
-    tmat = lax_matrix(params)
+    tmat = np.array(lax_entries(params.zs))
     pole_index = {z: i for i, z in enumerate(params.zs)}
     for s, z in enumerate(params.zs):
         image = lax_apply(params, PoleResidueForm(((z, 1, 1.0),)))
@@ -215,6 +222,23 @@ def test_m_matrix_matches_g_apply_route(rng):
         for k, phi_k in enumerate(eigenfunctions(sd)):
             direct = inner_product(gphi, phi_k)
             assert abs(direct - sd.m_matrix[k, j]) < 1e-10
+
+
+class TestPiU:
+    def test_iqprime_over_q(self, rng):
+        # the polynomial characterization Pi u = i Q'/Q: residues i at each z_j
+        zs = [complex(rng.uniform(-3, 3), -rng.uniform(0.3, 2)) for _ in range(4)]
+        f = pi_u(SolitonParameters(tuple(zs)))
+        assert {p for p, _, _ in f.terms} == set(zs)
+        for _, m, c in f.terms:
+            assert m == 1 and abs(c - 1j) < 1e-12
+        q = np.array([1.0 + 0j])
+        for z in zs:
+            q = np.convolve(q, [1.0, -z])
+        qprime = np.polyder(q)
+        for x in rng.uniform(-10, 10, 10):
+            direct = 1j * np.polyval(qprime, x) / np.polyval(q, x)
+            assert abs(evaluate(f, x) - direct) < 1e-12
 
 
 class TestOneMinusTheta:

@@ -277,6 +277,60 @@ def test_scaling_covariance(rng):
         assert np.abs(sdc.gammas - sd.gammas / c).max() < 1e-9
 
 
+class TestUnitScale:
+    """Above max eta = 4^5 the gates run on z / 4^floor(log4 max eta)."""
+
+    @pytest.mark.parametrize("eta", [1e15, 1e154, 1e300])
+    def test_single_soliton(self, eta):
+        sd = spectral_decompose(SolitonParameters((-1j * eta,)))
+        assert sd.lambdas[0] == pytest.approx(-1 / (2 * eta), rel=1e-15)
+        assert sd.gammas[0] == 0
+        assert sd.zs == (-1j * eta,)
+
+    def test_draws_at_4_to_the_10(self):
+        rng = np.random.default_rng(5)
+        draws = [random_params(rng, n) for n in (2, 4, 8, 16)
+                 for _ in range(25)]
+        unscaled = max(roundtrip_defect(p, aa_from_spectral(
+            spectral_decompose(p))) for p in draws)
+        a = 4.0 ** 10
+        for p in draws:
+            big = SolitonParameters(tuple(p.zs_array * a))
+            err = roundtrip_defect(big, aa_from_spectral(
+                spectral_decompose(big)))
+            assert err / a <= unscaled
+
+    def test_rescale_is_exact(self):
+        # max eta in [1, 4): z * 4^k runs on z itself, so its results are
+        # those of z, scaled by a power of 2
+        params = SolitonParameters((-1 - 0.5j, 0.5 - 2j, 2 - 1j))
+        sd = spectral_decompose(params)
+        for k in (6, 40):
+            a = 4.0 ** k
+            big = spectral_decompose(SolitonParameters(
+                tuple(params.zs_array * a)))
+            assert np.array_equal(big.lambdas, sd.lambdas / a)
+            assert np.array_equal(big.m_matrix, sd.m_matrix * a)
+            assert np.array_equal(big.gammas, sd.gammas * a)
+            assert np.array_equal(big.vectors, sd.vectors)
+
+    @pytest.mark.parametrize("eta, calls", [(1024.0, 1), (1025.0, 2)])
+    def test_threshold(self, monkeypatch, eta, calls):
+        seen = []
+
+        def spy(zs):
+            seen.append(zs)
+            return mt_generator(zs)
+
+        monkeypatch.setattr(spectral, "mt_generator", spy)
+        params = SolitonParameters((-1j * eta, 1 - 1j))
+        spectral_decompose(params)
+        assert len(seen) == calls
+        assert seen[0] is params.zs_array
+        if calls == 2:
+            assert np.array_equal(seen[1], params.zs_array / 1024)
+
+
 def mpmath_eig_reference(params):
     """lambda_j and gamma_j from ``mpmath.eig`` of the Lax matrix at MP_DPS.
 
