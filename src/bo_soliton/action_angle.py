@@ -8,7 +8,7 @@ negative) and angles alpha_j = gamma_j.  The matrix
 
 has the translation-scaling parameters as its spectrum, which inverts the
 coordinate map.  The flow is affine: actions frozen, angles drift at -I_j/pi.
-Profiles at any time, and Pi u, come from one resolvent pairing of M with
+``explicit_solution`` and Pi u come from one resolvent pairing of M with
 the rank-one vectors X_j = sqrt(|lambda_j|), Y_j = 1/sqrt(|lambda_j|)
 (``_resolvent_pairing``, which takes M itself).  The eigenvalues of M
 (zgeev) and its Schur form (zgees) come from :mod:`bo_soliton._lapack`,

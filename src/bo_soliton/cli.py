@@ -22,15 +22,11 @@ import logging
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
-from .action_angle import (
-    ActionAngles,
-    aa_from_spectral,
-    evolve_aa,
-    explicit_solution,
-)
+from .action_angle import ActionAngles, aa_from_spectral, evolve_aa, inverse_map
 from .errors import DomainError, NumericalError
 from .profiles import SolitonParameters, profile_values, torus_potential
 from .spectral import spectral_decompose
@@ -50,6 +46,7 @@ MAX_FRAMES = 10 ** 4
 MAX_VALIDATE_N = 32
 # the file of each evolve frame, by its time at four decimals
 FRAME_NAME = "frame_t{:.4f}.csv"
+log = logging.getLogger("bo_soliton.cli")
 
 
 class CliParseError(Exception):
@@ -177,13 +174,17 @@ def cmd_evolve(args):
     xs = np.linspace(*_parse_grid(args.grid))  # the grid of synth
     times = _evolve_times(args.t0, args.t1, args.dt)
     frames = [os.path.join(args.outdir, FRAME_NAME.format(t)) for t in times]
-    os.makedirs(args.outdir, exist_ok=True)
-    for path, t in zip(frames, times):
-        write_xy(path, ("x", "u"), xs, explicit_solution(aa0, t, xs))
     flows = [evolve_aa(aa0, t) for t in times]
-    actions = os.path.join(args.outdir, "actions.csv")
-    write_xy(actions, ("t", "j", "r", "alpha"),
-             np.repeat(times, aa0.n),
+    os.makedirs(args.outdir, exist_ok=True)
+    for path, t, aa in zip(frames, times, flows):
+        start = time.perf_counter()
+        poles = inverse_map(aa)  # the z_j(t), eigenvalues of M(t)
+        write_xy(path, ("x", "u"), xs, profile_values(poles, xs))
+        log.debug("evolve: frame t=%g from the poles of M(t): N=%d, "
+                  "%d points, min eta(t) %.3e, written in %.4f s", t, aa.n,
+                  xs.size, poles.etas.min(), time.perf_counter() - start)
+    write_xy(os.path.join(args.outdir, "actions.csv"),
+             ("t", "j", "r", "alpha"), np.repeat(times, aa0.n),
              np.tile(np.arange(1, aa0.n + 1), len(flows)),
              np.concatenate([aa.rs for aa in flows]),
              np.concatenate([aa.alphas for aa in flows]))

@@ -7,11 +7,11 @@ of that path: ``spectral``, ``action_angle``, ``profiles``, ``invariants``,
 mpmath.  It holds every route that needs the pole-residue calculus or
 extended precision: ``pi_u`` and ``u_rational``; the eigenfunctions
 ``eigen_coeffs(sd)`` and ``eigenfunctions(sd)``, with ``mt_residues``; the
-Lax matrix ``lax_entries`` (plain scalars, so doubles or mpmath) and its
-Cauchy Gram ``cauchy_gram``; the operators ``lax_apply`` and ``g_apply``;
-and the independent checks behind ``validate``, ``h_lambda_resolvent`` and
-``wu_defect``, which pair over :func:`bo_soliton.rational.cauchy_kernel`
-in MP_DPS digits.
+Lax matrix ``lax_entries`` (plain scalars, so doubles or mpmath) and the
+condition number of its Cauchy Gram, ``cauchy_gram``; the operators
+``lax_apply`` and ``g_apply``; and the independent checks behind
+``validate``, ``h_lambda_resolvent`` and ``wu_defect``, which pair over
+:func:`bo_soliton.rational.cauchy_kernel` in MP_DPS digits.
 """
 from __future__ import annotations
 
@@ -121,11 +121,10 @@ def lax_entries(z, shift=0):
 
 
 def cauchy_gram(zs):
-    """K with <f, g> = f @ K @ conj(g) for coefficients in the basis
-    1/(x - z_r), 2 pi i times the :func:`cauchy_kernel` of the poles ``zs``,
-    and the condition number of its Gram matrix."""
+    """Condition number of the Gram matrix of the basis 1/(x - z_r), which is
+    2 pi i times the :func:`cauchy_kernel` of the poles ``zs``."""
     kern = 2j * np.pi * np.array(cauchy_kernel(zs, zs))
-    return kern, float(np.linalg.cond(0.5 * (kern.T + kern.conj())))
+    return float(np.linalg.cond(0.5 * (kern.T + kern.conj())))
 
 
 def mt_residues(z):
@@ -176,36 +175,36 @@ def h_lambda_resolvent(params, lam):
     (i, ..., i) exactly; independent of the Malmquist-Takenaka eigen-route
     behind :func:`bo_soliton.invariants.h_lambda`.  The solve and the
     pairing run in MP_DPS digits, since the Gram matrix of that basis is
-    ill-conditioned for clustered poles.
+    ill-conditioned for clustered poles; the pairing is O(N) (``wu_defect``).
     """
     if not np.isfinite(lam):
         raise NonFiniteInput(f"resolvent shift lambda = {lam} is not finite")
-    rhs = [1j] * params.n
     with mpmath.workdps(MP_DPS):
         z = [mpmath.mpc(v) for v in params.zs]
         try:
             sol = mpmath.lu_solve(mpmath.matrix(lax_entries(z, lam)),
-                                  mpmath.matrix(rhs))
+                                  mpmath.matrix([1j] * params.n))
         except ZeroDivisionError:  # mpmath's singular matrix
             raise SingularResolvent(f"L_u + {lam} is singular") from None
-        return float(mpmath.re(
-            2j * mpmath.pi * mp_pairing(sol, rhs, cauchy_kernel(z, z))))
+        k = [mpmath.fsum(row) for row in cauchy_kernel(z, z)]
+        return float(mpmath.re(2 * mpmath.pi * mpmath.fdot(sol, k)))
 
 
 def wu_defect(params, sd):
     """Max relative defect of |<u, phi_j>|^2 = 2 pi |lambda_j| <phi_j, phi_j>.
 
     Pairs the MP_DPS-digit eigenfunction coefficients by residues in the
-    Cauchy kernel; <u, phi_j> = <Pi u, phi_j>, and Pi u has coefficients
-    (i, ..., i) in the basis 1/(x - z_r).
+    Cauchy kernel K.  Pi u has every coefficient i in the basis 1/(x - z_r),
+    so |<u, phi_j>| = |<phi_j, Pi u>| = |2 pi i sum_rs phi_jr K_rs conj(i)|
+    = 2 pi |phi_j . k| in O(N), k the row sums of K.
     """
     worst = 0.0
     with mpmath.workdps(MP_DPS):
         z = [mpmath.mpc(v) for v in params.zs]
         kern = cauchy_kernel(z, z)
-        pi_coeffs = [1j] * params.n
+        k = [mpmath.fsum(row) for row in kern]
         for lam, col in zip(sd.lambdas, eigen_coeffs(sd)):
-            pairing = 2j * mpmath.pi * mp_pairing(pi_coeffs, col, kern)
+            pairing = 2 * mpmath.pi * mpmath.fdot(col, k)
             norm2 = mpmath.re(2j * mpmath.pi * mp_pairing(col, col, kern))
             scale_ = 2 * mpmath.pi * abs(lam) * norm2
             worst = max(worst, float(abs(abs(pairing) ** 2 - scale_) / scale_))

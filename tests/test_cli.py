@@ -617,8 +617,29 @@ def test_debug_log_level_prints_debug_lines(tmp_path):
          "--alpha", "0", "--grid", "-1,1,3", "--outdir", "d"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert "DEBUG bo_soliton.action_angle: explicit_solution: N=1" in (
-        done.stderr)
+    assert ("DEBUG bo_soliton.cli: evolve: frame t=0 from the poles of M(t): "
+            "N=1, 3 points, min eta(t) ") in done.stderr
+
+
+def test_frames_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the README's first evolve example on a finer grid, in a fresh
+    # interpreter per count, since BLAS reads it when it loads
+    (tmp_path / "params.csv").write_text("x,eta\n-3,1\n0,0.7\n4,1.5\n")
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(cli.__file__).parent.parent))
+        done = subprocess.run(
+            [sys.executable, "-m", "bo_soliton.cli", "evolve", "params.csv",
+             "--t0", "0", "--t1", "5", "--dt", "0.5",
+             "--grid", "-50,50,40001", "--outdir", threads],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        runs.append({p.name: p.read_bytes()
+                     for p in (tmp_path / threads).iterdir()})
+    assert len(runs[0]) == 12  # 11 frames and actions.csv
+    assert runs[0] == runs[1]
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -2,6 +2,7 @@
 production path."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import mpmath
@@ -15,6 +16,7 @@ from bo_soliton.oracle import (
     lax_entries,
     one_minus_theta,
     pi_u,
+    wu_defect,
 )
 from bo_soliton.profiles import SolitonParameters
 from bo_soliton.rational import (
@@ -26,6 +28,7 @@ from bo_soliton.rational import (
     scale,
 )
 from bo_soliton.spectral import spectral_decompose
+from bo_soliton.validation import CHECKS
 from conftest import SQRT_PI, one_soliton, phi_one, random_params
 
 # the modules of the forward map, the inverse map, the explicit solution, the
@@ -222,6 +225,17 @@ def test_m_matrix_matches_g_apply_route(rng):
         for k, phi_k in enumerate(eigenfunctions(sd)):
             direct = inner_product(gphi, phi_k)
             assert abs(direct - sd.m_matrix[k, j]) < 1e-10
+
+
+def test_wu_defect_reads_the_wu_identity(rng):
+    tol = CHECKS["wu_identity"]
+    for n in range(1, 9):
+        params = random_params(rng, n)
+        sd = spectral_decompose(params)
+        assert wu_defect(params, sd) <= tol
+        # a 1e-7 relative error in the eigenvalues breaks the identity
+        off = dataclasses.replace(sd, lambdas=sd.lambdas * (1 + 1e-7))
+        assert wu_defect(params, off) > tol
 
 
 class TestPiU:
