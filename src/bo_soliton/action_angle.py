@@ -114,10 +114,10 @@ def _unsorted(eigenvalue):
 
 
 def _block_points(n):
-    """Points per block of the back substitution at N = n: near 32768 / N,
-    so that each N x B complex work array stays near 512 KB, inside the
-    cache; at least 256, and a multiple of 64 (``_resolvent_pairing``)."""
-    return max(256, 32768 // n // 64 * 64)
+    """Points per block of the back substitution at N = n: 32768 // N, so
+    that each N x B complex work array stays near 512 KB, inside the cache;
+    at least 256 (``_resolvent_pairing``)."""
+    return max(256, 32768 // n)
 
 
 def _resolvent_pairing(m, lambdas, shift):
@@ -130,12 +130,7 @@ def _resolvent_pairing(m, lambdas, shift):
     by back substitution over the N rows, each row for a block of B shifts
     at once (B = ``_block_points(N)``); no matrix is factored per shift.
     The two N x B work arrays serve every block, so the memory is O(N B),
-    not O(N P) for P shifts.  The result is bitwise that of one block of
-    all P shifts when BLAS runs one thread: every block but the last is a
-    multiple of 4 wide, as OpenBLAS's zgemv unrolls rows, and the last is
-    never one point wide, which numpy would send to zdotu.  (With more
-    threads zgemv splits its rows where the row count decides, so the bits
-    depend on the thread count with or without blocks.)
+    not O(N P) for P shifts.
 
     A shift within SINGULAR_RTOL * max|T| of a diagonal entry of T, an
     eigenvalue of m, raises SingularResolvent before its block divides, and
@@ -152,14 +147,12 @@ def _resolvent_pairing(m, lambdas, shift):
     n, size, block = lambdas.size, s.size, _block_points(lambdas.size)
     diag, scale = np.diagonal(tri)[:, None], np.abs(tri).max()
     b, c = q.conj().T @ x, (1.0 / x) @ q
-    starts = list(range(0, size, block))
-    if size > block and size % block == 1:
-        starts[-1] -= 4  # five points in the last block, not one
     # flat, so that each block's (N, width) view is C-contiguous
     gaps_buf = np.empty(n * min(block, size), dtype=complex)
     w_buf = np.empty_like(gaps_buf)
     vals = np.empty(size, dtype=complex)
-    for lo, hi in zip(starts, starts[1:] + [size]):
+    for lo in range(0, size, block):
+        hi = min(lo + block, size)
         gaps = np.subtract(diag, s[lo:hi],
                            out=gaps_buf[:n * (hi - lo)].reshape(n, -1))
         closest = np.abs(gaps).min()
@@ -184,8 +177,7 @@ def explicit_solution(aa0, t, x):
     Vectorized over real x (a scalar gives a float, an array keeps its
     shape): one complex Schur form of M(t), then back substitution over the
     points in cache-sized blocks (``_resolvent_pairing``), in O(N B)
-    memory for B points a block, not O(N P) for P points; at one BLAS
-    thread every bit is that of one block of all points.  A complex x
+    memory for B points a block, not O(N P) for P points.  A complex x
     raises DomainError (``pi_u_resolvent`` pairs complex points), and a
     non-finite t NonFiniteInput.  At debug level the
     ``bo_soliton.action_angle`` logger gets N, the point count, the Schur

@@ -189,7 +189,6 @@ def run(params0, cfg):
     t0 = time.perf_counter()
     x = cfg.grid()
     u0 = profile_values(params0, x)
-    stepper = _Stepper(cfg)
     dt = cfg.dt
 
     n_steps = int(round(cfg.t_end / dt))
@@ -208,6 +207,9 @@ def run(params0, cfg):
     state = _lapack.r2c(u0, (0,), True, 0, None, 1)  # rfft
     spare = np.empty_like(state)
     out = [snap(0, state)]
+    # after the first transforms: pocketfft's cached plan, allocated amid
+    # the stepper's workspace, kept about 1.5 MB of heap resident
+    stepper = _Stepper(cfg)
     # a blow-up overflows the squares, then turns them into NaN; the next
     # snapshot raises BlowupDetected for it, which numpy's warnings would
     # precede, or replace where warnings are errors

@@ -16,7 +16,11 @@ from bo_soliton.oracle import h_lambda_resolvent, pi_u
 from bo_soliton.profiles import GridField, SolitonParameters, profile
 from bo_soliton.rational import inner_product
 from bo_soliton.spectral import spectral_decompose
-from bo_soliton.validation import bracket_defect, energy_defect
+from bo_soliton.validation import (
+    bracket_defect,
+    energy_defect,
+    h_lambda_defect,
+)
 from conftest import random_params
 
 
@@ -189,6 +193,12 @@ class TestHLambda:
     def test_pole_proximity(self):
         with pytest.raises(PoleProximity):
             h_lambda(spectral_decompose(SolitonParameters((-1j,))), 0.5 + 1e-10)
+
+    def test_defect_skips_a_probe_on_a_pole(self, rng):
+        # h_lambda raises PoleProximity at -lambda_j; the defect skips it
+        params = random_params(rng, 3)
+        sd = spectral_decompose(params)
+        assert h_lambda_defect(params, sd, [-sd.lambdas[0]]) == 0.0
 
     def test_invariant_under_flow(self):
         aa = ActionAngles(np.array([-4.0, -1.0]), np.array([0.3, -0.2]))

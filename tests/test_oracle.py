@@ -7,8 +7,10 @@ from pathlib import Path
 
 import mpmath
 import numpy as np
+import pytest
 
 import bo_soliton
+from bo_soliton.errors import InvariantViolation
 from bo_soliton.oracle import (
     eigenfunctions,
     g_apply,
@@ -156,6 +158,13 @@ class TestLaxApply:
         rhs = inner_product(f, lax_apply(params, g))
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
+    def test_refuses_a_function_outside_the_subspace(self):
+        params = SolitonParameters((-1j, 2 - 0.5j))
+        f = PoleResidueForm(((3 - 0.7j, 1, 1.0),))
+        with pytest.raises(InvariantViolation,
+                           match=r"residual pole mass 1\.000e\+00 at order"):
+            lax_apply(params, f)
+
     def test_stays_in_subspace(self, rng):
         params = random_params(rng, 5)
         for e in pf_basis(params) + [random_element(rng, params)]:
@@ -184,6 +193,13 @@ class TestGApply:
             val = inner_product(omt, phi)
             target = np.sqrt(2 * np.pi / abs(lam))
             assert abs(val - target) < 1e-9 * target
+
+    def test_refuses_a_function_outside_the_subspace(self):
+        params = SolitonParameters((-1j, 2 - 0.5j))
+        f = PoleResidueForm(((3 - 0.7j, 1, 1.0),))
+        with pytest.raises(InvariantViolation,
+                           match=r"residual constant 5\.708e-01 did not"):
+            g_apply(params, f)
 
     def test_preserves_subspace(self, rng):
         # x/(x - z_r) = 1 + z_r/(x - z_r): the constant of each basis

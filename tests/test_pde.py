@@ -68,6 +68,12 @@ class TestStep:
             with pytest.raises(DomainError):
                 PdeConfig(**bad)
 
+    @pytest.mark.parametrize("half_width", [0.0, -1.0])
+    def test_domain_half_width_must_be_positive(self, half_width):
+        with pytest.raises(DomainError,
+                           match="domain half-width must be positive"):
+            PdeConfig(domain_half_width=half_width)
+
     def test_no_aliasing(self, rng):
         cfg = small_cfg()
         size = cfg.modes // 2 + 1

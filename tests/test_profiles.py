@@ -34,6 +34,11 @@ class TestParameters:
         with pytest.raises(NonFiniteInput):
             SolitonParameters((z,))
 
+    def test_empty_rejected(self):
+        with pytest.raises(DomainError,
+                           match="at least one soliton is required"):
+            SolitonParameters(())
+
     def test_canonical_order(self):
         p = SolitonParameters((2 - 1j, -1 - 2j))
         assert p.zs == (-1 - 2j, 2 - 1j)
@@ -92,6 +97,10 @@ class TestProfile:
 
 
 class TestTorusPotential:
+    def test_needs_two_samples(self):
+        with pytest.raises(DomainError, match="need at least two samples"):
+            torus_potential(SolitonParameters((-1j,)), 1)
+
     def test_one_soliton_value(self):
         v = torus_potential(SolitonParameters((-1j,)), 256)
         assert v.values[0] == pytest.approx(-2.0 / (1.0 - np.e), abs=1e-12)
@@ -154,6 +163,11 @@ class TestGridField:
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
             GridField(0.0, 1.0, np.array([0.0, np.nan]))
+
+    def test_needs_two_samples(self):
+        with pytest.raises(DomainError,
+                           match="grid needs at least two samples"):
+            GridField(0.0, 1.0, [1.0])
 
 
 def test_u_rational_is_real_on_axis(rng):
