@@ -43,7 +43,6 @@ IM_M_TOL = 1e-9
 # max|2 |lambda_j| p_j^2 - 1|, p = U* s: the Wu identity <u, phi_j>^2 =
 # 2 pi |lambda_j| in the MT basis, at criterion 3's tolerance
 WU_TOL = 1e-9
-# above this max eta (4^5) the gates run on z / a, a = 4^floor(log4 max eta)
 UNIT_SCALE_ETA = 1024.0
 
 
@@ -154,17 +153,17 @@ def spectral_decompose(params):
     :class:`SolitonParameters`, which holds finite, pairwise distinct
     parameters in the lower half-plane, read here as ``zs_array``.
 
-    The rounding of M grows with z, and IM_M_TOL is absolute: if max eta >
-    UNIT_SCALE_ETA = 4^5, all the above runs on z / a, a = 4^floor(log4 max
-    eta), and the result is lambda / a, gamma * a, M * a and the same
-    vectors, exactly, as a is a power of 2.
+    As IM_M_TOL is absolute, a is read off the poles and G built from z / a:
+    a = 4^floor(log4 max eta) if max eta > UNIT_SCALE_ETA = 4^5, else 1; the
+    result is lambda / a, gamma * a, M * a and U, exact as a is a power of 2.
     """
-    gmat, s = mt_generator(params.zs_array)
-    top = s[s.argmax()]  # sqrt(max eta); argmax reads faster than max
+    z = params.zs_array
+    top = sqrt(-z.imag[z.imag.argmin()])  # sqrt(max eta); argmin beats min
     a = 1.0
     if top > sqrt(UNIT_SCALE_ETA):
         a = ldexp(1.0, 2 * (frexp(top)[1] - 1))
-        gmat, s = mt_generator(params.zs_array / a)
+        z = z / a
+    gmat, s = mt_generator(z)
     lam, vecs, info = _lapack.zheevd(mt_lax(gmat, a), lower=1,
                                      overwrite_a=1)
     if info != 0:

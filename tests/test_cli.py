@@ -6,11 +6,12 @@ import sys
 import time
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 from bo_soliton import cli, validation
-from bo_soliton.action_angle import ActionAngles
+from bo_soliton.action_angle import ActionAngles, m_from_aa
 from bo_soliton.cli import (
     MAX_FRAMES,
     MAX_GRID_POINTS,
@@ -270,6 +271,33 @@ class TestEvolve:
         _, actions = read_csv(outdir / "actions.csv")
         at_zero = actions[actions[:, 0] == 0.0][:, 1:]
         assert at_zero.tolist() == [[1.0, -3.14, -0.2], [2.0, -1.0, 0.0]]
+
+    def test_close_actions_give_no_degraded_frame(self, tmp_path):
+        # three actions within 6.8e-5 of 0, two of them 5.7e-10 apart: max|M|
+        # is 1.1e10, and a frame from its poles can be 7e-7 off.  The run
+        # may refuse the input; a frame it writes must match the field of
+        # the 60-digit eigenvalues of the same M(0)
+        rs = [-3.8629381963650893, -1.6974575336296105,
+              -6.814358830953988e-05, -6.389774920480972e-05,
+              -6.389717918001645e-05]
+        alphas = [-1.803277674994237, -3.444596697051987,
+                  -2.0723058058716948, -3.673216874983268,
+                  -2.4143091515693724]
+        outdir = tmp_path / "frames"
+        code = main(["evolve", "--r", *map(repr, rs),
+                     "--alpha", *map(repr, alphas), "--grid", "-50,50,11",
+                     "--outdir", str(outdir)])
+        if code in (3, 4):
+            return
+        assert code == 0
+        _, frame = read_csv(outdir / "frame_t0.0000.csv")
+        m = m_from_aa(ActionAngles(np.array(rs), np.array(alphas)))
+        with mpmath.workdps(60):
+            zs = mpmath.eig(mpmath.matrix(m.tolist()), left=False,
+                            right=False)
+            ref = np.array([float(sum(2 * mpmath.im(1 / (z - x)) for z in zs))
+                            for x in frame[:, 0]])
+        assert np.abs(frame[:, 1] - ref).max() <= 1e-9 * np.abs(ref).max()
 
     @pytest.mark.parametrize("flags", [["--r", "-3.14"], ["--alpha", "0"],
                                        ["--r", "-3.14", "--alpha", "0"]])
