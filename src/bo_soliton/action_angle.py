@@ -33,7 +33,7 @@ from .errors import (
     RootsNotInLowerHalfPlane,
     SingularResolvent,
 )
-from .profiles import SolitonParameters
+from .profiles import SolitonParameters, real_array
 from .spectral import m_formula, spectral_decompose
 
 log = logging.getLogger("bo_soliton.action_angle")
@@ -50,8 +50,8 @@ class ActionAngles:
     alphas: np.ndarray
 
     def __post_init__(self):
-        rs = np.asarray(self.rs, dtype=float)
-        al = np.asarray(self.alphas, dtype=float)
+        rs = real_array(self.rs, "actions")
+        al = real_array(self.alphas, "angles")
         object.__setattr__(self, "rs", rs)
         object.__setattr__(self, "alphas", al)
         if rs.ndim != 1 or rs.shape != al.shape or rs.size < 1:
@@ -104,7 +104,9 @@ def inverse_map(aa):
 
 def evolve_aa(aa, t):
     """Affine flow: r constant (bitwise), alpha_j -> alpha_j - r_j t / pi;
-    an angle that overflows, or a NaN t, raises NonFiniteInput."""
+    an angle that overflows, or a NaN t, raises NonFiniteInput, and a
+    complex t DomainError."""
+    t = real_array(t, "t")
     with np.errstate(over="ignore"):
         return ActionAngles(aa.rs, aa.alphas - aa.rs * (t / np.pi))
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BoundaryNotDecayed, NonFiniteInput, PoleProximity
-from .profiles import SolitonParameters
+from .profiles import SolitonParameters, real_array
 from .spectral import spectral_decompose
 
 FD_STEP_DEFAULT = 1e-5
@@ -148,7 +148,9 @@ def e1_quadrature(field, periodic=False):
 def h_lambda(sd, lam):
     """Generating function H_lambda = -sum 2 pi lambda_j / (lambda + lambda_j);
     ``sd`` is any record with ``.lambdas``, like :func:`e_n_from_spectrum`.
-    Infinite lambda gives the limit 0; NaN or an overflow NonFiniteInput."""
+    Infinite lambda gives the limit 0; NaN or an overflow NonFiniteInput,
+    and a complex lambda DomainError."""
+    lam = real_array(lam, "lambda")
     lj = np.asarray(sd.lambdas, dtype=float)
     with np.errstate(all="ignore"):
         den = lam + lj

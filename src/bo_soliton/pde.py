@@ -98,12 +98,13 @@ class _Stepper:
 
     With p = r2c(c2r(v)^2), the nonlinear term of stage input v is g p, so
     g, which holds the 1/modes^2 of the two unnormalised transforms, is
-    folded into every weight that multiplies p.  g vanishes past the
-    2/3 cut, so the weighted updates touch only the first ``band`` entries;
-    past them each stage input is the propagated state itself.  Every
-    transform and product writes into the workspace, and ``advance`` never
-    writes to its input.
-    """
+    folded into every weight that multiplies p.  Stage 1 starts the sum
+    with c1 p; stages 2-4 run (weight, base, after) over (w2, half, c23),
+    (w3, half, c23), (w4, full, c4): stage = base + weight p, p =
+    square(stage), sum += after p.  g vanishes past the 2/3 cut, so the
+    weights touch only the first ``band`` entries, past which each stage is
+    its base.  Every transform and product writes into the workspace;
+    ``advance`` never writes to its input."""
 
     def __init__(self, cfg):
         dt = cfg.dt
@@ -139,32 +140,20 @@ class _Stepper:
         u *= u
         return _lapack.r2c(u, (0,), True, 0, self.p, 1)[:self.band]
 
-    def _weigh(self, weight, p, base):
-        """stage[:band] = base[:band] + weight p."""
-        w = np.multiply(weight, p, out=self.w)
-        np.add(base[:self.band], w, out=self.stage[:self.band])
-
-    def _accumulate(self, weight, p):
-        self.acc += np.multiply(weight, p, out=self.w)
-
     def advance(self, state, out):
         """Write one step from ``state`` into ``out`` (distinct arrays)."""
-        b, half, stage = self.band, self.half, self.stage
+        b, half, stage, w = self.band, self.half, self.stage, self.w
         np.multiply(self.e_half, state, out=half)
         np.multiply(self.e_full, state, out=out)  # out holds full until the end
         p = self._square(state)
         np.multiply(self.c1, p, out=self.acc)
-        self._weigh(self.w2, p, half)
-        stage[b:] = half[b:]
-        p = self._square(stage)
-        self._accumulate(self.c23, p)
-        self._weigh(self.w3, p, half)
-        p = self._square(stage)
-        self._accumulate(self.c23, p)
-        self._weigh(self.w4, p, out)
-        stage[b:] = out[b:]
-        p = self._square(stage)
-        self._accumulate(self.c4, p)
+        for weight, base, after in ((self.w2, half, self.c23),
+                                    (self.w3, half, self.c23),
+                                    (self.w4, out, self.c4)):
+            np.add(base[:b], np.multiply(weight, p, out=w), out=stage[:b])
+            stage[b:] = base[b:]
+            p = self._square(stage)
+            self.acc += np.multiply(after, p, out=w)
         out[:b] += self.acc
         return out
 

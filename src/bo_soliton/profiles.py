@@ -14,6 +14,7 @@ and ``torus_potential`` raise DomainError; an overflowed term adds 0.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,20 @@ from .errors import DegenerateParameters, DomainError, NonFiniteInput
 
 # relative distance below which two parameters (or poles) count as one
 DEGENERACY_TOL = 1e-9
+
+
+def real_array(values, what):
+    """``values`` as floats; DomainError, not a dropped imaginary part."""
+    if np.iscomplexobj(values):
+        raise DomainError(f"{what} must be real, not complex")
+    return np.asarray(values, dtype=float)
+
+
+def sample_count(n):
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise DomainError(f"sample count {n!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -99,7 +114,7 @@ class GridField:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = real_array(self.values, "grid values")
         if vals.ndim != 1 or vals.size < 2:
             raise DomainError("grid needs at least two samples")
         if not (self.dx > 0):
@@ -121,8 +136,8 @@ class GridField:
 
 
 def profile_values(params, x):
-    """u at the points x; a DomainError where it is not finite."""
-    x = np.asarray(x, dtype=float)
+    """u at the real points x; DomainError for complex x or a non-finite u."""
+    x = real_array(x, "points x")
     out = np.zeros_like(x)
     # a soliton far from x overflows its squares and adds its limit 0 (a
     # Python float's ** would raise OverflowError for eta**2); one whose
@@ -138,7 +153,7 @@ def profile_values(params, x):
 def profile(params, x0, dx, n):
     # a non-finite point gives a NaN value or a refused GridField
     with np.errstate(over="ignore", invalid="ignore"):
-        x = x0 + dx * np.arange(n)
+        x = x0 + dx * np.arange(sample_count(n))
     return GridField(x0, dx, profile_values(params, x))
 
 
@@ -152,6 +167,7 @@ def torus_potential(params, m):
     2*pi-periodization of the line profile u; the same form built from the
     reflected roots exp(i conj z_j), 2*Re[w Qt'(w)/Qt(w)], equals v + 2N.
     """
+    m = sample_count(m)
     if m < 2:
         raise DomainError("need at least two samples")
     dx = 2 * np.pi / m

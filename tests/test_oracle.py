@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import bo_soliton
-from bo_soliton.errors import InvariantViolation
+from bo_soliton.errors import InvariantViolation, SingularResolvent
 from bo_soliton.oracle import (
     eigenfunctions,
     g_apply,
+    h_lambda_resolvent,
     lax_apply,
     lax_entries,
     one_minus_theta,
@@ -252,6 +253,16 @@ def test_wu_defect_reads_the_wu_identity(rng):
         # a 1e-7 relative error in the eigenvalues breaks the identity
         off = dataclasses.replace(sd, lambdas=sd.lambdas * (1 + 1e-7))
         assert wu_defect(params, off) > tol
+
+
+def test_singular_resolvent_solve_is_typed(monkeypatch):
+    # mpmath's LU raises ZeroDivisionError on a singular matrix
+    def singular(*args, **kwargs):
+        raise ZeroDivisionError("matrix is numerically singular")
+
+    monkeypatch.setattr(mpmath, "lu_solve", singular)
+    with pytest.raises(SingularResolvent, match="is singular"):
+        h_lambda_resolvent(SolitonParameters((-1j,)), 0.5)
 
 
 class TestPiU:

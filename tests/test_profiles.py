@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from bo_soliton.action_angle import ActionAngles, evolve_aa, explicit_solution
 from bo_soliton.errors import DegenerateParameters, DomainError, NonFiniteInput
+from bo_soliton.invariants import h_lambda
 from bo_soliton.oracle import pi_u, u_rational
 from bo_soliton.profiles import (
     GridField,
@@ -168,6 +170,43 @@ class TestGridField:
         with pytest.raises(DomainError,
                            match="grid needs at least two samples"):
             GridField(0.0, 1.0, [1.0])
+
+
+class TestInputTypes:
+    """A complex value where a real is required, or a sample count that is
+    not an integer, is a DomainError: no imaginary part is dropped, and no
+    bare TypeError escapes."""
+
+    aa = ActionAngles([-2 * np.pi], [0.0])
+    params = SolitonParameters((-1j,))
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda aa, p: ActionAngles([-1 + 0.5j], [0.0]), id="rs"),
+        pytest.param(lambda aa, p: ActionAngles([-1.0], np.array([0j])),
+                     id="alphas"),
+        pytest.param(lambda aa, p: evolve_aa(aa, 1j), id="evolve_aa"),
+        pytest.param(lambda aa, p: explicit_solution(aa, 1j, [0.0]),
+                     id="explicit_solution"),
+        pytest.param(lambda aa, p: h_lambda(aa, 1j), id="h_lambda"),
+        pytest.param(lambda aa, p: profile_values(p, np.array([1j])),
+                     id="profile_values"),
+        pytest.param(lambda aa, p: GridField(0.0, 1.0, np.array([1j, 2.0])),
+                     id="GridField"),
+    ])
+    def test_complex_values_refused(self, call):
+        with pytest.raises(DomainError, match="must be real, not complex"):
+            call(self.aa, self.params)
+
+    @pytest.mark.parametrize("count", [256.0, 3.5, "256", None])
+    def test_non_integer_sample_count_refused(self, count):
+        with pytest.raises(DomainError, match="is not an integer"):
+            torus_potential(self.params, count)
+        with pytest.raises(DomainError, match="is not an integer"):
+            profile(self.params, 0.0, 1.0, count)
+
+    def test_numpy_integer_sample_count(self):
+        assert torus_potential(self.params, np.int64(4)).values.size == 4
+        assert profile(self.params, 0.0, 1.0, np.int32(3)).values.size == 3
 
 
 def test_u_rational_is_real_on_axis(rng):

@@ -128,6 +128,16 @@ class TestGates:
         with pytest.raises(InvariantViolation, match="ztrsyl info 1"):
             spectral_decompose(self.params)
 
+    def test_sylvester_scale_is_divided_out(self, monkeypatch):
+        # ztrsyl solves G X - X G* = scale C, with scale <= 1 against
+        # overflow; mt_lax returns X / scale, here exactly the unscaled X
+        gmat, _ = mt_generator(self.params.zs)
+        expected = mt_lax(gmat)
+        solve = _lapack.ztrsyl
+        monkeypatch.setattr(_lapack, "ztrsyl",
+                            lambda *a, **k: (solve(*a, **k)[0] * 0.5, 0.5, 0))
+        assert np.array_equal(mt_lax(gmat), expected)
+
     def test_hermitian_eigensolve_info(self, monkeypatch):
         solve = _lapack.zheevd
         monkeypatch.setattr(_lapack, "zheevd",
