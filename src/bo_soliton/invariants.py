@@ -4,13 +4,18 @@ The symplectic pairing of two tangent fields h1, h2 to the soliton manifold
 is (i/2pi) * integral of h1hat(xi) * conj(h2hat(xi)) / xi.  For the
 coordinate tangent vectors f_j = du/deta_j and g_j = du/dx_j the Fourier
 transforms are explicit on xi > 0, which collapses the pairing to closed
-forms in w = (eta_j + eta_k) + i(x_j - x_k):
+forms in w = (eta_j + eta_k) + i(x_j - x_k), that is in the Cauchy kernel
+K_jk = 1/(conj z_k - z_j) = -i/w_jk of ``profiles.cauchy_kernel``, where
+1/w**2 = -K**2:
 
-    omega(f_j, f_k) = -4 pi Im(1/w**2)
-    omega(f_j, g_k) = +4 pi Re(1/w**2)
-    omega(g_j, g_k) = -4 pi Im(1/w**2)
+    omega(f_j, f_k) = -4 pi Im(1/w**2) = 4 pi Im(K_jk**2)
+    omega(f_j, g_k) = +4 pi Re(1/w**2) = -4 pi Re(K_jk**2)
+    omega(g_j, g_k) = -4 pi Im(1/w**2) = 4 pi Im(K_jk**2)
 
 (The test suite re-derives these against direct numerical xi-integration.)
+Where w overflows, K**2 goes to its limit 0; ``omega_matrix`` refuses an
+Omega with an entry past the float range, or with a diagonal 1/(4 eta_j^2)
+below the normal range, by one check on the matrix it returns.
 Central differences of the coordinate map at one fixed step, each side one
 ``spectral_decompose`` (``fd_jacobian``), then verify the pullback identity
 J^T nu J = Omega and the canonical bracket relations {I_j, gamma_k} = delta_jk.
@@ -23,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BoundaryNotDecayed, NonFiniteInput, PoleProximity
-from .profiles import SolitonParameters, real_array
+from .profiles import SolitonParameters, cauchy_kernel, real_array
 from .spectral import spectral_decompose
 
 FD_STEP_DEFAULT = 1e-5
@@ -33,24 +38,19 @@ EDGE_TOL = 1e-6
 
 def omega_matrix(params):
     """2N x 2N pairing matrix in coordinates (x_1, eta_1, ..., x_N, eta_N)."""
-    xs, etas = params.positions, params.etas
     with np.errstate(all="ignore"):
-        w = (etas[:, None] + etas[None, :]) + 1j * (xs[:, None] - xs[None, :])
-        w2 = w ** 2
-        # where w**2 overflows, 1/w**2 is below 1e-308: its limit 0
-        inv_w2 = np.divide(1.0, w2, out=np.zeros_like(w2),
-                           where=np.isfinite(w2))
-    # w**2 underflowed, or 1/(2 eta_j)**2 did, which leaves Omega singular
-    if not (np.isfinite(inv_w2).all() and inv_w2.diagonal().all()):
-        raise NonFiniteInput("the symplectic pairing leaves the float range")
-    # the f-f and g-g blocks are equal (module docstring)
-    ff = -4 * np.pi * inv_w2.imag
-    fg = 4 * np.pi * inv_w2.real
+        # 1/w**2 = -K**2 (module docstring), which is 0 where w overflows
+        inv_w2 = -np.square(cauchy_kernel(params.zs, params.zs))
+        ff, fg = -4 * np.pi * inv_w2.imag, 4 * np.pi * inv_w2.real
     omega = np.empty((2 * params.n, 2 * params.n))
-    omega[0::2, 0::2] = ff     # omega(g_j, g_k)
+    omega[0::2, 0::2] = omega[1::2, 1::2] = ff  # g-g and f-f are equal
     omega[0::2, 1::2] = -fg.T  # omega(g_j, f_k)
     omega[1::2, 0::2] = fg     # omega(f_j, g_k)
-    omega[1::2, 1::2] = ff
+    # an entry past the float range, or a subnormal 1/(2 eta_j)**2, which
+    # leaves Omega singular to working precision
+    if not (np.isfinite(omega).all()
+            and (inv_w2.real.diagonal() >= np.finfo(float).tiny).all()):
+        raise NonFiniteInput("the symplectic pairing leaves the float range")
     return omega
 
 

@@ -11,7 +11,9 @@ Lax matrix ``lax_entries`` (plain scalars, so doubles or mpmath) and the
 condition number of its Cauchy Gram, ``cauchy_gram``; the operators
 ``lax_apply`` and ``g_apply``; and the independent checks behind
 ``validate``, ``h_lambda_resolvent`` and ``wu_defect``, which pair over
-:func:`bo_soliton.rational.cauchy_kernel` in MP_DPS digits.
+:func:`bo_soliton.profiles.cauchy_kernel` in MP_DPS digits.  That kernel,
+K_rs = 1/(conj z_s - z_r) on the poles, also gives the Lax diagonal and
+the Gram matrix 2 pi i K.
 """
 from __future__ import annotations
 
@@ -19,11 +21,11 @@ import mpmath
 import numpy as np
 
 from .errors import InvariantViolation, NonFiniteInput, SingularResolvent
+from .profiles import cauchy_kernel
 from .rational import (
     MP_DPS,
     PoleResidueForm,
     add,
-    cauchy_kernel,
     conj_reflect,
     derivative,
     inner_product,
@@ -101,12 +103,14 @@ def g_apply(params, f):
 def lax_entries(z, shift=0):
     """Entries of L_u + shift in the partial-fraction basis c_r = 1/(x - z_r).
 
-    Closed form: off-diagonal -i/(z_r - z_s); the diagonal collects the
-    remaining projected interaction terms.  Plain scalar arithmetic on nested
-    lists, so the same code serves complex doubles and mpmath numbers.
+    Closed form: off-diagonal t_rs = -i/(z_r - z_s); the diagonal collects
+    the remaining projected interaction terms, shift - sum_{r != s} t_rs
+    - i sum_r K_sr, with K the :func:`cauchy_kernel` of the poles.  Plain
+    scalar arithmetic on nested lists, so the same code serves complex
+    doubles and mpmath numbers.
     """
     n = len(z)
-    zb = [v.conjugate() for v in z]
+    kern = cauchy_kernel(z, z)
     t = [[None] * n for _ in range(n)]
     for s in range(n):
         acc = shift
@@ -114,8 +118,8 @@ def lax_entries(z, shift=0):
             if r != s:
                 t[r][s] = -1j / (z[r] - z[s])
                 acc -= t[r][s]
-        for r in range(n):
-            acc -= 1j / (zb[r] - z[s])
+        for k_sr in kern[s]:
+            acc -= 1j * k_sr
         t[s][s] = acc
     return t
 

@@ -51,7 +51,7 @@ from .errors import (
     DomainError,
     GridMismatch,
 )
-from .profiles import GridField, profile_values
+from .profiles import GridField, profile_values, real_array
 
 log = logging.getLogger("bo_soliton.pde")
 
@@ -68,6 +68,9 @@ class PdeConfig:
         m = self.modes
         if not isinstance(m, (int, np.integer)) or m < 256 or m & (m - 1):
             raise DomainError("modes must be an integer power of two >= 256")
+        for f in ("domain_half_width", "dt", "t_end", "snapshot_dt"):
+            value = float(real_array(getattr(self, f), f))
+            object.__setattr__(self, f, value)
         lengths = (self.domain_half_width, self.dt, self.t_end, self.snapshot_dt)
         if not np.all(np.isfinite(lengths)):
             raise DomainError(

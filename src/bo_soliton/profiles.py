@@ -10,6 +10,10 @@ periodic gap potential obtained through z -> exp(i z).  The pole-residue
 forms of Pi u and u (``pi_u``, ``u_rational``) live in
 :mod:`bo_soliton.oracle`.  Where a sample is not finite, ``profile_values``
 and ``torus_potential`` raise DomainError; an overflowed term adds 0.
+
+``cauchy_kernel`` is the one Cauchy kernel of the package, which ``rational``,
+``oracle`` and ``invariants.omega_matrix`` read; on the parameters it is
+K_jk = 1/(conj z_k - z_j) = -i/w_jk, w_jk = (eta_j + eta_k) + i(x_j - x_k).
 """
 
 from __future__ import annotations
@@ -26,10 +30,14 @@ DEGENERACY_TOL = 1e-9
 
 
 def real_array(values, what):
-    """``values`` as floats; DomainError, not a dropped imaginary part."""
+    """``values`` as floats; DomainError, not a dropped imaginary part, and
+    NonFiniteInput, not OverflowError, for an int past the float range."""
     if np.iscomplexobj(values):
         raise DomainError(f"{what} must be real, not complex")
-    return np.asarray(values, dtype=float)
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        raise NonFiniteInput(f"{what} must lie in the float range") from None
 
 
 def sample_count(n):
@@ -37,6 +45,28 @@ def sample_count(n):
         return operator.index(n)
     except TypeError:
         raise DomainError(f"sample count {n!r} is not an integer") from None
+
+
+def cauchy_kernel(ps, qs):
+    """K with <f, g> = 2 pi i sum_rs a_r K_rs conj(b_s) for f = sum_r
+    a_r / (x - p_r) and g = sum_s b_s / (x - q_s), all poles off the axis.
+
+    K_rs = w_rs / (conj(q_s) - p_r): closing the contour in the upper
+    half-plane picks the residue at p_r when Im p_r > 0 and at conj(q_s)
+    when Im q_s < 0, so w_rs = [Im q_s < 0] - [Im p_r > 0].  Entries with
+    w_rs = 0 are 0 without a division; a coincident pair conj(q_s) = p_r
+    always has w_rs = 0.  Nested lists of plain scalars, so the same code
+    serves complex doubles and mpmath numbers; a double entry that
+    overflows is inf, and nothing is raised.
+    """
+    kern = []
+    for p in ps:
+        row = []
+        for q in qs:
+            w = int(q.imag < 0) - int(p.imag > 0)
+            row.append(w / (q.conjugate() - p) if w else 0)
+        kern.append(row)
+    return kern
 
 
 @dataclass(frozen=True)
@@ -53,7 +83,10 @@ class SolitonParameters:
     zs_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        z = np.array(self.zs, dtype=complex)
+        try:
+            z = np.array(self.zs, dtype=complex)
+        except OverflowError:  # an int past the float range
+            raise NonFiniteInput("parameters past the float range") from None
         if z.ndim != 1 or z.size < 1:
             raise DomainError("at least one soliton is required")
         # argmax picks a NaN first, so the top modulus is finite iff all are
@@ -95,6 +128,7 @@ class SolitonParameters:
 
     @classmethod
     def from_x_eta(cls, xs, etas):
+        xs, etas = real_array(xs, "positions"), real_array(etas, "etas")
         return cls(tuple(complex(x, -e) for x, e in zip(xs, etas)))
 
     def shifted(self, dx):
@@ -107,23 +141,28 @@ class SolitonParameters:
 
 @dataclass(frozen=True)
 class GridField:
-    """Uniform real-valued samples: values[k] at x0 + k*dx, all finite."""
+    """Uniform real-valued samples: values[k] at x0 + k*dx, all finite;
+    x0 and dx are stored as floats, refused as the values are."""
 
     x0: float
     dx: float
     values: np.ndarray
 
     def __post_init__(self):
+        x0 = float(real_array(self.x0, "x0"))
+        dx = float(real_array(self.dx, "dx"))
         vals = real_array(self.values, "grid values")
         if vals.ndim != 1 or vals.size < 2:
             raise DomainError("grid needs at least two samples")
-        if not (self.dx > 0):
+        if not (dx > 0):
             raise DomainError("dx must be positive")
         # in Python floats, which overflow to inf without a numpy warning
-        if not np.isfinite(float(self.x0) + float(self.dx) * (vals.size - 1)):
+        if not np.isfinite(x0 + dx * (vals.size - 1)):
             raise DomainError("grid points must be finite")
         if not np.all(np.isfinite(vals)):
             raise DomainError("grid values must be finite")
+        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "dx", dx)
         object.__setattr__(self, "values", vals)
 
     def xs(self):

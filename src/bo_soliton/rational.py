@@ -9,7 +9,8 @@ filters and integrals are finite residue sums.  Membership tests:
 * Hardy space L2+: additionally every pole in the lower half-plane.
 
 The calculus serves the reference routes of :mod:`bo_soliton.oracle`; no
-production module imports it.
+production module imports it.  Its residue sums run over
+:func:`bo_soliton.profiles.cauchy_kernel`, which this module re-exports.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
     NotSquareIntegrable,
     PoleProximity,
 )
-from .profiles import DEGENERACY_TOL
+from .profiles import DEGENERACY_TOL, cauchy_kernel
 
 DROP_TOL = 1e-14
 POLE_REAL_TOL = 1e-12
@@ -186,27 +187,6 @@ def conj_reflect(f):
     return PoleResidueForm(
         tuple((p.conjugate(), m, c.conjugate()) for p, m, c in f.terms),
         f.constant.conjugate())
-
-
-def cauchy_kernel(ps, qs):
-    """K with <f, g> = 2 pi i sum_rs a_r K_rs conj(b_s) for f = sum_r
-    a_r / (x - p_r) and g = sum_s b_s / (x - q_s), all poles off the axis.
-
-    K_rs = w_rs / (conj(q_s) - p_r): closing the contour in the upper
-    half-plane picks the residue at p_r when Im p_r > 0 and at conj(q_s)
-    when Im q_s < 0, so w_rs = [Im q_s < 0] - [Im p_r > 0].  Entries with
-    w_rs = 0 are 0 without a division; a coincident pair conj(q_s) = p_r
-    always has w_rs = 0.  Nested lists of plain scalars, so the same code
-    serves complex doubles and mpmath numbers.
-    """
-    kern = []
-    for p in ps:
-        row = []
-        for q in qs:
-            w = int(q.imag < 0) - int(p.imag > 0)
-            row.append(w / (q.conjugate() - p) if w else 0)
-        kern.append(row)
-    return kern
 
 
 def mp_pairing(f, g, kern):

@@ -108,6 +108,9 @@ UNIT = dict(rows=[(0.0, 1.0)], aa=([-1.0], [0.0]), s=(0.0, 0.0, 0.0), k=0)
 @example(name="explicit_solution", **{**UNIT, "s": (1e308, 0.0, 0.0)})
 @example(name="omega_matrix", **{**UNIT, "rows": [(0.0, 1.0), (0.0, 1e300)]})
 @example(name="poisson_bracket_table", **{**UNIT, "rows": [(0.0, 1e300)]})
+@example(name="omega_matrix", **{**UNIT, "rows": [(0.0, 1e-154)]})
+@example(name="evolve_aa", **{**UNIT, "s": (10 ** 400, 0.0, 0.0)})
+@example(name="h_lambda", **{**UNIT, "s": (10 ** 400, 0.0, 0.0)})
 @example(name="h_lambda_resolvent", **{**UNIT, "s": (NAN, 0.0, 0.0)})
 def test_a_public_call_returns_finite_values_or_a_typed_error(name, rows, aa,
                                                              s, k):

@@ -1,9 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.integrate
 
 from bo_soliton.action_angle import ActionAngles, evolve_aa
-from bo_soliton.errors import BoundaryNotDecayed, PoleProximity
+from bo_soliton.errors import (
+    BoundaryNotDecayed,
+    DegenerateParameters,
+    NonFiniteInput,
+    PoleProximity,
+)
 from bo_soliton.invariants import (
     e1_quadrature,
     e_n_from_spectrum,
@@ -44,7 +51,66 @@ def omega_pair_quadrature(k1, z1, k2, z2):
     return -val / np.pi
 
 
+def omega_w_form(params):
+    """Omega from the closed forms in 1/w**2, w = (eta_j + eta_k)
+    + i(x_j - x_k), built here apart from the Cauchy kernel."""
+    xs, etas = params.positions, params.etas
+    inv_w2 = 1 / ((etas[:, None] + etas) + 1j * (xs[:, None] - xs)) ** 2
+    ff, fg = -4 * np.pi * inv_w2.imag, 4 * np.pi * inv_w2.real
+    omega = np.empty((2 * params.n, 2 * params.n))
+    omega[0::2, 0::2] = omega[1::2, 1::2] = ff
+    omega[0::2, 1::2] = -fg.T
+    omega[1::2, 0::2] = fg
+    return omega
+
+
+# second position and the two etas of a two-soliton grid, the first at x = 0:
+# 6 * 12 * 12 = 864 inputs at and past the edges of the float range
+X2_GRID = [0.0, 1.0, 1e100, 1e154, 1e200, 1e300]
+ETA_GRID = [1e-320, 1e-200, 1e-160, 1e-154, 1e-150, 1e-5, 1.0, 1e150, 1e154,
+            1e155, 1e200, 1e300]
+
+
 class TestOmegaMatrix:
+    def test_matches_w_form(self):
+        rng = np.random.default_rng(42)
+        for _ in range(50):
+            params = random_params(rng, int(rng.integers(1, 9)))
+            omega = omega_matrix(params)
+            assert (np.abs(omega - omega_w_form(params)).max()
+                    <= 1e-15 * np.abs(omega).max())
+
+    def test_extreme_grid_is_finite_or_refused(self):
+        # a RuntimeWarning fails this test, as everywhere in the suite
+        returned = 0
+        for x2, eta1, eta2 in itertools.product(X2_GRID, ETA_GRID, ETA_GRID):
+            try:
+                params = SolitonParameters.from_x_eta([0.0, x2], [eta1, eta2])
+            except DegenerateParameters:
+                continue
+            try:
+                omega = omega_matrix(params)
+            except NonFiniteInput:
+                continue
+            assert np.isfinite(omega).all(), (x2, eta1, eta2)
+            with np.errstate(all="ignore"):
+                ref = omega_w_form(params)
+            # where w**2 overflows, the w-form is NaN and its limit 0
+            ref[~np.isfinite(ref)] = 0.0
+            assert np.abs(omega - ref).max() <= 1e-15 * np.abs(omega).max()
+            returned += 1
+        assert returned > 0
+
+    @pytest.mark.parametrize("zs", [
+        pytest.param((-1e-154j,), id="4pi-overflow"),  # once +-inf
+        pytest.param((-1e154j,), id="subnormal-diagonal"),
+        pytest.param((-1e-320j,), id="kernel-overflow"),
+        pytest.param((-1j, 1e300 - 1e-154j), id="two-solitons"),
+    ])
+    def test_past_the_float_range_refused(self, zs):
+        with pytest.raises(NonFiniteInput):
+            omega_matrix(SolitonParameters(zs))
+
     def test_closed_forms_match_quadrature(self, rng):
         # the closed forms in w = (eta_j + eta_k) + i(x_j - x_k) must agree
         # with numerical xi-integration before anything downstream trusts them

@@ -222,6 +222,20 @@ def test_lax_entries_in_mpmath_match_lax_matrix(rng):
         assert np.abs(tmat - np.array(lax_entries(params.zs))).max() < 1e-12
 
 
+def test_lax_diagonal_matches_inline_sum(rng):
+    # the diagonal shift - sum_{r != s} t_rs - sum_r i/(conj z_r - z_s),
+    # summed here without the Cauchy kernel
+    params = random_params(rng, 6)
+    for shift in (0, 2.5):
+        for z in (list(params.zs), [mpmath.mpc(v) for v in params.zs]):
+            with mpmath.workdps(MP_DPS):
+                t = lax_entries(z, shift)
+                for s, zs in enumerate(z):
+                    diag = shift - sum(t[r][s] for r in range(6) if r != s)
+                    diag -= sum(1j / (zr.conjugate() - zs) for zr in z)
+                    assert abs(t[s][s] - diag) <= 1e-14 * max(1, abs(diag))
+
+
 def test_lax_matrix_matches_lax_apply(rng):
     params = random_params(rng, 5)
     tmat = np.array(lax_entries(params.zs))

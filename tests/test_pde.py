@@ -9,6 +9,7 @@ from bo_soliton.errors import (
     BoundaryContamination,
     DomainError,
     GridMismatch,
+    NonFiniteInput,
 )
 from bo_soliton.pde import (
     PdeConfig,
@@ -67,6 +68,15 @@ class TestStep:
                     dict(dt=1e-3, t_end=0.0104, snapshot_dt=0.0034)):
             with pytest.raises(DomainError):
                 PdeConfig(**bad)
+
+    @pytest.mark.parametrize("field", ["domain_half_width", "dt", "t_end",
+                                       "snapshot_dt"])
+    def test_lengths_are_real_scalars(self, field):
+        with pytest.raises(DomainError, match="must be real, not complex"):
+            PdeConfig(**{field: 1j})
+        with pytest.raises(NonFiniteInput, match="float range"):
+            PdeConfig(**{field: 10 ** 400})
+        assert type(getattr(PdeConfig(t_end=1, snapshot_dt=1), field)) is float
 
     @pytest.mark.parametrize("half_width", [0.0, -1.0])
     def test_domain_half_width_must_be_positive(self, half_width):

@@ -192,10 +192,42 @@ class TestInputTypes:
                      id="profile_values"),
         pytest.param(lambda aa, p: GridField(0.0, 1.0, np.array([1j, 2.0])),
                      id="GridField"),
+        pytest.param(lambda aa, p: GridField(1j, 1.0, [0.0, 1.0]),
+                     id="GridField-x0"),
+        pytest.param(lambda aa, p: GridField(0.0, 1j, [0.0, 1.0]),
+                     id="GridField-dx"),
     ])
     def test_complex_values_refused(self, call):
         with pytest.raises(DomainError, match="must be real, not complex"):
             call(self.aa, self.params)
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda aa, p: h_lambda(aa, 10 ** 400), id="h_lambda"),
+        pytest.param(lambda aa, p: evolve_aa(aa, 10 ** 400), id="evolve_aa"),
+        pytest.param(lambda aa, p: ActionAngles([-10 ** 400], [0.0]),
+                     id="ActionAngles"),
+        pytest.param(lambda aa, p: profile_values(p, [10 ** 400]),
+                     id="profile_values"),
+        pytest.param(lambda aa, p: SolitonParameters((10 ** 400,)),
+                     id="SolitonParameters"),
+        pytest.param(lambda aa, p: SolitonParameters((-1j, 10 ** 400)),
+                     id="SolitonParameters-second"),
+        pytest.param(lambda aa, p: SolitonParameters.from_x_eta(
+            [10 ** 400], [1.0]), id="from_x_eta"),
+        pytest.param(lambda aa, p: GridField(10 ** 400, 1.0, [0.0, 1.0]),
+                     id="GridField-x0"),
+        pytest.param(lambda aa, p: GridField(0.0, 10 ** 400, [0.0, 1.0]),
+                     id="GridField-dx"),
+    ])
+    def test_int_past_float_range_refused(self, call):
+        # not a bare OverflowError from the float conversion
+        with pytest.raises(NonFiniteInput, match="float range"):
+            call(self.aa, self.params)
+
+    def test_grid_spacing_stored_as_floats(self):
+        field = GridField(-3, np.float32(0.5), [0.0, 1.0])
+        assert type(field.x0) is float and type(field.dx) is float
+        assert field.xs().tolist() == [-3.0, -2.5]
 
     @pytest.mark.parametrize("count", [256.0, 3.5, "256", None])
     def test_non_integer_sample_count_refused(self, count):
