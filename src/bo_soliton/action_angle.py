@@ -134,9 +134,12 @@ def _resolvent_pairing(m, lambdas, shift):
     The two N x B work arrays serve every block, so the memory is O(N B),
     not O(N P) for P shifts.
 
-    A shift within SINGULAR_RTOL * max|T| of a diagonal entry of T, an
-    eigenvalue of m, raises SingularResolvent before its block divides, and
-    so does a non-finite result (overflow, or a NaN shift).  The Schur form
+    A shift within tol = SINGULAR_RTOL * max|T| of a diagonal entry of T,
+    an eigenvalue of m, raises SingularResolvent before its block divides, and
+    so does a non-finite result (overflow, or a NaN shift).  That test is an
+    N x B modulus pass per block, skipped when every shift lies in the
+    closed upper half-plane (every real one does) and every Im T_kk < -tol:
+    then |T_kk - s| >= Im s - Im T_kk > tol for every pair.  The Schur form
     is one call of LAPACK zgees, with the wrapper's default workspace
     (no query); a nonzero info raises EigensolveFailed.  m must be finite, as
     ``m_formula`` guarantees.
@@ -148,6 +151,10 @@ def _resolvent_pairing(m, lambdas, shift):
     s = np.asarray(shift).ravel()
     n, size, block = lambdas.size, s.size, _block_points(lambdas.size)
     diag, scale = np.diagonal(tri)[:, None], np.abs(tri).max()
+    tol = SINGULAR_RTOL * scale
+    # not min|Im T_kk| > tol: zgees does not promise Im T_kk < 0
+    regular = ((np.isrealobj(s) or (s.imag >= 0).all())
+               and diag.imag.max() < -tol)
     b, c = q.conj().T @ x, (1.0 / x) @ q
     # flat, so that each block's (N, width) view is C-contiguous
     gaps_buf = np.empty(n * min(block, size), dtype=complex)
@@ -157,10 +164,11 @@ def _resolvent_pairing(m, lambdas, shift):
         hi = min(lo + block, size)
         gaps = np.subtract(diag, s[lo:hi],
                            out=gaps_buf[:n * (hi - lo)].reshape(n, -1))
-        closest = np.abs(gaps).min()
-        if closest <= SINGULAR_RTOL * scale:
-            raise SingularResolvent(f"shift within {closest:.3e} of an "
-                                    f"eigenvalue (max|T| = {scale:.3e})")
+        if not regular:
+            closest = np.abs(gaps).min()
+            if closest <= tol:
+                raise SingularResolvent(f"shift within {closest:.3e} of an "
+                                        f"eigenvalue (max|T| = {scale:.3e})")
         w = w_buf[:n * (hi - lo)].reshape(n, -1)
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(n - 1, -1, -1):
@@ -179,11 +187,13 @@ def explicit_solution(aa0, t, x):
     Vectorized over real x (a scalar gives a float, an array keeps its
     shape): one complex Schur form of M(t), then back substitution over the
     points in cache-sized blocks (``_resolvent_pairing``), in O(N B)
-    memory for B points a block, not O(N P) for P points.  A complex x
-    raises DomainError (``pi_u_resolvent`` pairs complex points), and a
-    non-finite t NonFiniteInput.  At debug level the
-    ``bo_soliton.action_angle`` logger gets N, the point count, the Schur
-    residual max|Q T Q* - M| and the seconds spent.
+    memory for B points a block, not O(N P) for P points.  The per-block
+    singular-point test runs only when an eigenvalue of M(t) lies within
+    SINGULAR_RTOL * max|T| of the real axis.  A complex x raises DomainError
+    (``pi_u_resolvent`` pairs complex points), and a non-finite t
+    NonFiniteInput.  At debug level the ``bo_soliton.action_angle`` logger
+    gets N, the point count, the Schur residual max|Q T Q* - M| and the
+    seconds spent.
     """
     start = time.perf_counter()
     if np.iscomplexobj(x):
@@ -203,7 +213,9 @@ def explicit_solution(aa0, t, x):
 
 
 def pi_u_resolvent(sd, x):
-    """Pi u(x) = -i <(M - x)^{-1} X, Y> from spectral data alone."""
+    """Pi u(x) = -i <(M - x)^{-1} X, Y> from spectral data alone; the
+    per-block singular-point test runs when some x lies below the real
+    axis, or an eigenvalue of M within SINGULAR_RTOL * max|T| of it."""
     xs = np.asarray(x, dtype=complex)
     vals = -1j * _resolvent_pairing(sd.m_matrix, sd.lambdas, xs)[0]
     if np.asarray(x).shape == ():

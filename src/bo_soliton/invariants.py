@@ -31,7 +31,7 @@ from .errors import BoundaryNotDecayed, NonFiniteInput, PoleProximity
 from .profiles import SolitonParameters, cauchy_kernel, real_array
 from .spectral import spectral_decompose
 
-FD_STEP_DEFAULT = 1e-5
+FD_STEP = 1e-5
 # the largest edge value |u| that e1_quadrature accepts on a line grid
 EDGE_TOL = 1e-6
 
@@ -54,15 +54,16 @@ def omega_matrix(params):
     return omega
 
 
-def fd_jacobian(params, fd_step):
+def fd_jacobian(params):
     """Central-difference Jacobian of (I_1..I_N, gamma_1..gamma_N) in
-    theta = (x_1, eta_1, ..., x_N, eta_N)."""
+    theta = (x_1, eta_1, ..., x_N, eta_N), each column at the step
+    FD_STEP * (1 + |theta_b|)."""
     theta = np.empty(2 * params.n)
     theta[0::2] = params.positions
     theta[1::2] = params.etas
     jac = np.empty((theta.size, theta.size))
     for b in range(theta.size):
-        h = fd_step * (1.0 + abs(theta[b]))
+        h = FD_STEP * (1.0 + abs(theta[b]))
         phi = []
         for step in (h, -h):  # theta[b] + (-h) is bitwise theta[b] - h
             tp = theta.copy()
@@ -82,25 +83,25 @@ def canonical_form_matrix(n):
     return nu
 
 
-def symplectomorphism_check(params, fd_step=FD_STEP_DEFAULT):
+def symplectomorphism_check(params):
     """Max entry of |J^T nu J - Omega|; the pullback identity in coordinates.
 
-    J is the central-difference Jacobian of :func:`fd_jacobian` at
-    ``fd_step``, so the defect carries an O(fd_step^2) truncation error.
+    J is the central-difference Jacobian of :func:`fd_jacobian`, so the
+    defect carries an O(FD_STEP^2) truncation error.
     """
-    jac = fd_jacobian(params, fd_step)
+    jac = fd_jacobian(params)
     nu = canonical_form_matrix(params.n)
     return float(np.abs(jac.T @ nu @ jac - omega_matrix(params)).max())
 
 
-def poisson_bracket_table(params, fd_step=FD_STEP_DEFAULT):
+def poisson_bracket_table(params):
     """Brackets of all pairs among (I_1..I_N, gamma_1..gamma_N).
 
     Gradients come from the same finite-difference Jacobian; the Poisson
     matrix is -Omega^{-1}, the orientation that makes {I_1, gamma_1} = +1 in
     the one-soliton closed form.  Expected pattern: [[0, I], [-I, 0]].
     """
-    jac = fd_jacobian(params, fd_step)
+    jac = fd_jacobian(params)
     pmat = -np.linalg.inv(omega_matrix(params))
     return jac @ pmat @ jac.T
 

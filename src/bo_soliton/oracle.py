@@ -136,18 +136,22 @@ def mt_residues(z):
     :mod:`bo_soliton.spectral` in the partial-fraction basis.
 
     R_qk = i sqrt(eta_k/pi) prod_{m<k} (z_q - conj z_m)
-    / prod_{m<=k, m!=q} (z_q - z_m) for q <= k, else 0.  ``z`` holds mpmath
-    numbers; call inside ``mpmath.workdps``.  Nested lists, like
-    :func:`lax_entries`.
+    / prod_{m<=k, m!=q} (z_q - z_m) for q <= k, else 0; each row q keeps
+    both products running over k, O(N^2) multiplications in all.  ``z``
+    holds mpmath numbers; call inside ``mpmath.workdps``.  Nested lists,
+    like :func:`lax_entries`.
     """
     n = len(z)
     r = [[mpmath.mpc(0)] * n for _ in range(n)]
-    for k in range(n):
-        lead = 1j * mpmath.sqrt(-z[k].imag / mpmath.pi)
-        for q in range(k + 1):
-            num = mpmath.fprod(z[q] - z[m].conjugate() for m in range(k))
-            den = mpmath.fprod(z[q] - z[m] for m in range(k + 1) if m != q)
-            r[q][k] = lead * num / den
+    leads = [1j * mpmath.sqrt(-zk.imag / mpmath.pi) for zk in z]
+    for q in range(n):
+        num = den = mpmath.mpf(1)
+        for k in range(n):
+            if k != q:
+                den *= z[q] - z[k]
+            if k >= q:
+                r[q][k] = leads[k] * num / den
+            num *= z[q] - z[k].conjugate()
     return r
 
 

@@ -32,7 +32,11 @@ DEGENERACY_TOL = 1e-9
 def real_array(values, what):
     """``values`` as floats; DomainError, not a dropped imaginary part, and
     NonFiniteInput, not OverflowError, for an int past the float range."""
-    if np.iscomplexobj(values):
+    arr = np.asarray(values)
+    # an int past the int64 range makes an object array, which hides a
+    # complex entry from iscomplexobj
+    if np.iscomplexobj(arr) or (arr.dtype == object
+                                and any(map(np.iscomplexobj, arr.flat))):
         raise DomainError(f"{what} must be real, not complex")
     try:
         return np.asarray(values, dtype=float)

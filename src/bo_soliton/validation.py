@@ -15,7 +15,6 @@ import numpy as np
 from .action_angle import aa_from_spectral, explicit_solution, inverse_map
 from .invariants import (
     EDGE_TOL,
-    FD_STEP_DEFAULT,
     canonical_form_matrix,
     e1_quadrature,
     e_n_from_spectrum,
@@ -117,9 +116,9 @@ def h_lambda_defect(params, sd, probes):
     return worst
 
 
-def bracket_defect(params, fd_step=FD_STEP_DEFAULT):
+def bracket_defect(params):
     """Max entry of the Poisson table of (I, gamma) minus [[0, I], [-I, 0]]."""
-    table = poisson_bracket_table(params, fd_step)
+    table = poisson_bracket_table(params)
     return float(np.abs(table - canonical_form_matrix(params.n)).max())
 
 

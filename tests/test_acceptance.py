@@ -199,9 +199,8 @@ def test_criterion_8_symplectic_structure():
     for n in (1, 2, 3):
         for _ in range(10):
             params = random_params(rng, n)
-            worst_defect = max(worst_defect,
-                               symplectomorphism_check(params, 1e-5))
-            worst_table = max(worst_table, bracket_defect(params, 1e-5))
+            worst_defect = max(worst_defect, symplectomorphism_check(params))
+            worst_table = max(worst_table, bracket_defect(params))
     ok = worst_defect < 1e-4 and worst_table < 1e-4
     assert report(8, ok, f"pullback defect {worst_defect:.2e}, "
                          f"bracket table {worst_table:.2e}")

@@ -309,6 +309,20 @@ class TestExplicitSolution:
             with pytest.raises(SingularResolvent, match="non-finite"):
                 explicit_solution(unit_aa(), 0.0, xs)
 
+    def test_eigenvalue_near_the_axis_takes_the_per_block_test(self):
+        # one eigenvalue of M lies 1e-10 below the real axis, inside the
+        # tolerance SINGULAR_RTOL * max|T| = 1e-9, so the half-plane bound
+        # fails and the per-block modulus test decides every point
+        aa = ActionAngles([-2 * np.pi * 5e9, -np.pi], [0.0, 1000.0])
+        xs = np.array([500.0, 999.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularResolvent, match="shift within"):
+                explicit_solution(aa, 0.0, [0.0])
+            u = explicit_solution(aa, 0.0, xs)
+        ref = profile_values(inverse_map(aa), xs)
+        assert np.abs(u - ref).max() <= 1e-9 * np.abs(ref).max()
+
     def test_schur_info(self, monkeypatch):
         solve = _lapack.zgees
         monkeypatch.setattr(_lapack, "zgees",

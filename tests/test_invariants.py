@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from bo_soliton import invariants
 from bo_soliton.action_angle import ActionAngles, evolve_aa
 from bo_soliton.errors import (
     BoundaryNotDecayed,
@@ -146,27 +147,29 @@ class TestOmegaMatrix:
 
 class TestSymplectomorphism:
     def test_unit_soliton(self):
-        defect = symplectomorphism_check(SolitonParameters((-1j,)), 1e-5)
+        defect = symplectomorphism_check(SolitonParameters((-1j,)))
         assert defect < 1e-6
 
     def test_random_three(self, rng):
-        defect = symplectomorphism_check(random_params(rng, 3), 1e-5)
+        defect = symplectomorphism_check(random_params(rng, 3))
         assert defect < 1e-4
 
-    def test_second_order_in_step(self, rng):
+    def test_second_order_in_step(self, rng, monkeypatch):
         params = random_params(rng, 2)
-        d1 = symplectomorphism_check(params, 2e-3)
-        d2 = symplectomorphism_check(params, 1e-3)
+        monkeypatch.setattr(invariants, "FD_STEP", 2e-3)
+        d1 = symplectomorphism_check(params)
+        monkeypatch.setattr(invariants, "FD_STEP", 1e-3)
+        d2 = symplectomorphism_check(params)
         assert 2.0 < d1 / d2 < 8.0
 
 
 class TestPoissonTable:
     def test_unit_soliton_bracket(self):
-        table = poisson_bracket_table(SolitonParameters((-1j,)), 1e-5)
+        table = poisson_bracket_table(SolitonParameters((-1j,)))
         assert table[0, 1] == pytest.approx(1.0, abs=1e-6)
 
     def test_canonical_pattern(self, rng):
-        assert bracket_defect(random_params(rng, 3), 1e-5) < 1e-4
+        assert bracket_defect(random_params(rng, 3)) < 1e-4
 
 
 class TestConservedQuantities:

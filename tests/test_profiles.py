@@ -10,6 +10,7 @@ from bo_soliton.profiles import (
     SolitonParameters,
     profile,
     profile_values,
+    real_array,
     torus_potential,
 )
 from bo_soliton.rational import evaluate
@@ -196,6 +197,17 @@ class TestInputTypes:
                      id="GridField-x0"),
         pytest.param(lambda aa, p: GridField(0.0, 1j, [0.0, 1.0]),
                      id="GridField-dx"),
+        # an int past the int64 range makes an object array, which
+        # iscomplexobj reads as real: no bare TypeError, no NonFiniteInput
+        # and no dropped imaginary part
+        pytest.param(lambda aa, p: real_array([1j, 10 ** 400], "x"),
+                     id="huge-int-after-complex"),
+        pytest.param(lambda aa, p: real_array([10 ** 400, 1j], "x"),
+                     id="huge-int-before-complex"),
+        pytest.param(lambda aa, p: real_array([np.complex128(1j), 2 ** 70],
+                                              "x"), id="huge-int-numpy-complex"),
+        pytest.param(lambda aa, p: real_array([[1.0, 2 ** 70], [0.5j, 2.0]],
+                                              "x"), id="huge-int-nested"),
     ])
     def test_complex_values_refused(self, call):
         with pytest.raises(DomainError, match="must be real, not complex"):
