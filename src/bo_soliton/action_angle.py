@@ -33,7 +33,7 @@ from .errors import (
     RootsNotInLowerHalfPlane,
     SingularResolvent,
 )
-from .profiles import SolitonParameters, real_array
+from .profiles import SolitonParameters, _numbers, real_array, real_number
 from .spectral import m_formula, spectral_decompose
 
 log = logging.getLogger("bo_soliton.action_angle")
@@ -104,9 +104,9 @@ def inverse_map(aa):
 
 def evolve_aa(aa, t):
     """Affine flow: r constant (bitwise), alpha_j -> alpha_j - r_j t / pi;
-    an angle that overflows, or a NaN t, raises NonFiniteInput, and a
-    complex t DomainError."""
-    t = real_array(t, "t")
+    an angle that overflows, or a NaN t, raises NonFiniteInput, and a t
+    that is not one real number DomainError."""
+    t = real_number(t, "t")
     with np.errstate(over="ignore"):
         return ActionAngles(aa.rs, aa.alphas - aa.rs * (t / np.pi))
 
@@ -190,7 +190,8 @@ def explicit_solution(aa0, t, x):
     memory for B points a block, not O(N P) for P points.  The per-block
     singular-point test runs only when an eigenvalue of M(t) lies within
     SINGULAR_RTOL * max|T| of the real axis.  A complex x raises DomainError
-    (``pi_u_resolvent`` pairs complex points), and a non-finite t
+    (``pi_u_resolvent`` pairs complex points), as do an x that is not
+    numbers and a t that is not one real number; a non-finite t raises
     NonFiniteInput.  At debug level the ``bo_soliton.action_angle`` logger
     gets N, the point count, the Schur residual max|Q T Q* - M| and the
     seconds spent.
@@ -200,7 +201,7 @@ def explicit_solution(aa0, t, x):
         raise DomainError("explicit_solution takes real points x; "
                           "pi_u_resolvent pairs complex ones")
     m = m_from_aa(evolve_aa(aa0, t))
-    xs = np.asarray(x, dtype=float)
+    xs = real_array(x, "points x")
     vals, (tri, q) = _resolvent_pairing(m, aa0.lambdas, xs)
     out = 2 * np.imag(vals)
     if log.isEnabledFor(logging.DEBUG):
@@ -215,8 +216,13 @@ def explicit_solution(aa0, t, x):
 def pi_u_resolvent(sd, x):
     """Pi u(x) = -i <(M - x)^{-1} X, Y> from spectral data alone; the
     per-block singular-point test runs when some x lies below the real
-    axis, or an eigenvalue of M within SINGULAR_RTOL * max|T| of it."""
-    xs = np.asarray(x, dtype=complex)
+    axis, or an eigenvalue of M within SINGULAR_RTOL * max|T| of it.  An
+    x that is not numbers raises DomainError, an int past the float range
+    NonFiniteInput."""
+    try:
+        xs = np.asarray(_numbers(x, "points x"), dtype=complex)
+    except OverflowError:  # an int past the float range
+        raise NonFiniteInput("points x must lie in the float range") from None
     vals = -1j * _resolvent_pairing(sd.m_matrix, sd.lambdas, xs)[0]
     if np.asarray(x).shape == ():
         return complex(vals)

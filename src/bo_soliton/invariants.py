@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BoundaryNotDecayed, NonFiniteInput, PoleProximity
-from .profiles import SolitonParameters, cauchy_kernel, real_array
+from .profiles import SolitonParameters, cauchy_kernel, integer, real_number
 from .spectral import spectral_decompose
 
 FD_STEP = 1e-5
@@ -109,10 +109,15 @@ def poisson_bracket_table(params):
 def e_n_from_spectrum(sd, n):
     """E_n = sum over j of 2 pi |lambda_j| lambda_j^n; ``sd`` is any record
     with ``.lambdas`` (a SpectralData or an ActionAngles); NonFiniteInput
-    past the float range."""
+    past the float range, and DomainError for an n that is not an integer."""
+    n = integer(n, "order n")
     lam = np.asarray(sd.lambdas, dtype=float)
     with np.errstate(all="ignore"):
-        e_n = float(np.sum(2 * np.pi * np.abs(lam) * lam ** n))
+        try:
+            e_n = float(np.sum(2 * np.pi * np.abs(lam) * lam ** n))
+        except OverflowError:  # an n past the float range
+            raise NonFiniteInput(
+                "order n must lie in the float range") from None
     if not np.isfinite(e_n):
         raise NonFiniteInput(f"E_{n} is not finite in doubles")
     return e_n
@@ -150,8 +155,8 @@ def h_lambda(sd, lam):
     """Generating function H_lambda = -sum 2 pi lambda_j / (lambda + lambda_j);
     ``sd`` is any record with ``.lambdas``, like :func:`e_n_from_spectrum`.
     Infinite lambda gives the limit 0; NaN or an overflow NonFiniteInput,
-    and a complex lambda DomainError."""
-    lam = real_array(lam, "lambda")
+    and a lambda that is not one real number DomainError."""
+    lam = real_number(lam, "lambda")
     lj = np.asarray(sd.lambdas, dtype=float)
     with np.errstate(all="ignore"):
         den = lam + lj

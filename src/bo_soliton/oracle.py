@@ -21,7 +21,7 @@ import mpmath
 import numpy as np
 
 from .errors import InvariantViolation, NonFiniteInput, SingularResolvent
-from .profiles import cauchy_kernel
+from .profiles import cauchy_kernel, real_number
 from .rational import (
     MP_DPS,
     PoleResidueForm,
@@ -184,7 +184,9 @@ def h_lambda_resolvent(params, lam):
     behind :func:`bo_soliton.invariants.h_lambda`.  The solve and the
     pairing run in MP_DPS digits, since the Gram matrix of that basis is
     ill-conditioned for clustered poles; the pairing is O(N) (``wu_defect``).
+    A lambda that is not one real number raises DomainError.
     """
+    lam = real_number(lam, "lambda")
     if not np.isfinite(lam):
         raise NonFiniteInput(f"resolvent shift lambda = {lam} is not finite")
     with mpmath.workdps(MP_DPS):

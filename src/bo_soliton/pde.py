@@ -51,7 +51,7 @@ from .errors import (
     DomainError,
     GridMismatch,
 )
-from .profiles import GridField, profile_values, real_array
+from .profiles import GridField, profile_values, real_number
 
 log = logging.getLogger("bo_soliton.pde")
 
@@ -69,8 +69,7 @@ class PdeConfig:
         if not isinstance(m, (int, np.integer)) or m < 256 or m & (m - 1):
             raise DomainError("modes must be an integer power of two >= 256")
         for f in ("domain_half_width", "dt", "t_end", "snapshot_dt"):
-            value = float(real_array(getattr(self, f), f))
-            object.__setattr__(self, f, value)
+            object.__setattr__(self, f, real_number(getattr(self, f), f))
         lengths = (self.domain_half_width, self.dt, self.t_end, self.snapshot_dt)
         if not np.all(np.isfinite(lengths)):
             raise DomainError(

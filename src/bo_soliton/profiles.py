@@ -18,6 +18,7 @@ K_jk = 1/(conj z_k - z_j) = -i/w_jk, w_jk = (eta_j + eta_k) + i(x_j - x_k).
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -29,26 +30,52 @@ from .errors import DegenerateParameters, DomainError, NonFiniteInput
 DEGENERACY_TOL = 1e-9
 
 
+def _numbers(values, what):
+    """``values`` as an array; DomainError for a ragged nesting or an entry
+    that is not a number (None, a string)."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # a ragged nesting
+        raise DomainError(f"{what} must not be a ragged nesting") from None
+    if arr.dtype.kind not in "biufc":
+        bad = [v for v in arr.flat if not isinstance(v, numbers.Number)]
+        if bad:
+            raise DomainError(f"{what} must be numeric, not {bad[0]!r}")
+    return arr
+
+
 def real_array(values, what):
-    """``values`` as floats; DomainError, not a dropped imaginary part, and
+    """``values`` as floats; DomainError, not a dropped imaginary part, for
+    a complex entry, DomainError for an entry that is not a number, and
     NonFiniteInput, not OverflowError, for an int past the float range."""
-    arr = np.asarray(values)
+    arr = _numbers(values, what)
     # an int past the int64 range makes an object array, which hides a
     # complex entry from iscomplexobj
     if np.iscomplexobj(arr) or (arr.dtype == object
                                 and any(map(np.iscomplexobj, arr.flat))):
         raise DomainError(f"{what} must be real, not complex")
     try:
-        return np.asarray(values, dtype=float)
+        return np.asarray(arr, dtype=float)
     except OverflowError:
         raise NonFiniteInput(f"{what} must lie in the float range") from None
 
 
-def sample_count(n):
+def real_number(value, what):
+    """``value`` read as :func:`real_array` reads it, as one float;
+    DomainError for a list or an array."""
+    arr = real_array(value, what)
+    if arr.ndim:
+        raise DomainError(f"{what} must be one number, not shape {arr.shape}")
+    return float(arr)
+
+
+def integer(value, what):
+    """``value`` as an int (a bool or numpy integer passes); DomainError for
+    anything else, a float with no fraction too."""
     try:
-        return operator.index(n)
+        return operator.index(value)
     except TypeError:
-        raise DomainError(f"sample count {n!r} is not an integer") from None
+        raise DomainError(f"{what} {value!r} is not an integer") from None
 
 
 def cauchy_kernel(ps, qs):
@@ -136,10 +163,15 @@ class SolitonParameters:
         return cls(tuple(complex(x, -e) for x, e in zip(xs, etas)))
 
     def shifted(self, dx):
+        """z -> z + dx for a real shift dx."""
+        dx = real_number(dx, "shift")
         return SolitonParameters(tuple(z + dx for z in self.zs))
 
     def scaled(self, c):
-        """z -> z/c, realizing u_c(x) = c*u(c*x)."""
+        """z -> z/c, realizing u_c(x) = c*u(c*x), for a scale c > 0."""
+        c = real_number(c, "scale")
+        if not c > 0:
+            raise DomainError(f"scale {c} must be positive")
         return SolitonParameters(tuple(z / c for z in self.zs))
 
 
@@ -153,8 +185,8 @@ class GridField:
     values: np.ndarray
 
     def __post_init__(self):
-        x0 = float(real_array(self.x0, "x0"))
-        dx = float(real_array(self.dx, "dx"))
+        x0 = real_number(self.x0, "x0")
+        dx = real_number(self.dx, "dx")
         vals = real_array(self.values, "grid values")
         if vals.ndim != 1 or vals.size < 2:
             raise DomainError("grid needs at least two samples")
@@ -194,9 +226,10 @@ def profile_values(params, x):
 
 
 def profile(params, x0, dx, n):
+    x0, dx = real_number(x0, "x0"), real_number(dx, "dx")
     # a non-finite point gives a NaN value or a refused GridField
     with np.errstate(over="ignore", invalid="ignore"):
-        x = x0 + dx * np.arange(sample_count(n))
+        x = x0 + dx * np.arange(integer(n, "sample count"))
     return GridField(x0, dx, profile_values(params, x))
 
 
@@ -210,7 +243,7 @@ def torus_potential(params, m):
     2*pi-periodization of the line profile u; the same form built from the
     reflected roots exp(i conj z_j), 2*Re[w Qt'(w)/Qt(w)], equals v + 2N.
     """
-    m = sample_count(m)
+    m = integer(m, "sample count")
     if m < 2:
         raise DomainError("need at least two samples")
     dx = 2 * np.pi / m

@@ -14,9 +14,7 @@ import numpy as np
 
 from .action_angle import aa_from_spectral, explicit_solution, inverse_map
 from .invariants import (
-    EDGE_TOL,
     canonical_form_matrix,
-    e1_quadrature,
     e_n_from_spectrum,
     h_lambda,
     poisson_bracket_table,
@@ -24,7 +22,7 @@ from .invariants import (
 )
 from .oracle import h_lambda_resolvent, wu_defect
 from .pde import PdeConfig, compare, run
-from .profiles import GridField, SolitonParameters, profile, profile_values
+from .profiles import GridField, SolitonParameters, cauchy_kernel
 from .spectral import spectral_decompose, verify_m_matrix
 
 # check name -> tolerance, in report order
@@ -87,20 +85,18 @@ def im_m_top(m):
 
 
 def energy_defect(params, sd):
-    """Relative gap between E_1 from the spectrum and by quadrature of u.
+    """Relative gap between E_1 from the spectrum and from the poles.
 
-    The grid spans [-1e4, 1e4) at 2^19 points unless u, about 2 sum eta / x^2
-    there, exceeds e1_quadrature's edge bound; then the point count doubles,
-    at the same spacing, until it does not.
+    E_1 = (1/2)<|D|u, u> - (1/3) integral of u^3 closes in the upper
+    half-plane over K = cauchy_kernel(z, z), K_jk = 1/(conj z_k - z_j):
+    (1/2)<|D|u, u> = <D Pi u, Pi u> = -2 pi sum_jk K_jk^2 and the cubic
+    integral is -12 pi Re sum_k c_k^2, c_k = sum_j K_jk.
     """
-    dx, n = 2e4 / 2 ** 19, 2 ** 19
-    # the first and last value of profile(params, -dx * n / 2, dx, n)
-    while np.abs(profile_values(
-            params, -dx * n / 2 + dx * np.array([0, n - 1]))).max() > EDGE_TOL:
-        n *= 2
+    kern = np.array(cauchy_kernel(params.zs, params.zs))
+    c = kern.sum(axis=0)
+    e_poles = 2 * np.pi * (2 * np.sum(c ** 2).real - np.sum(kern ** 2).real)
     e_spec = e_n_from_spectrum(sd, 1)
-    e_quad = e1_quadrature(profile(params, -dx * n / 2, dx, n))
-    return abs(e_spec - e_quad) / abs(e_spec)
+    return abs(e_spec - e_poles) / abs(e_spec)
 
 
 def h_lambda_defect(params, sd, probes):

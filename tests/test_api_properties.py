@@ -6,7 +6,10 @@ test draws from too, and from ``st.floats()``; a RuntimeWarning fails an
 example, as everywhere in this suite.  Out of scope: the PDE reference (``PdeConfig``, ``run``,
 ``step``, ``compare``), whose cost grows with its grid, and the
 pole-residue calculus of ``rational``, which takes its terms from the
-oracle; ``pi_u`` and ``u_rational`` are called.
+oracle; ``pi_u`` and ``u_rational`` are called.  A second property test
+puts a value of the wrong kind (a pair, a complex number, None, a string,
+an int past the float range) into each slot that takes one number, or
+real points, and expects a ``DomainError``.
 """
 
 import dataclasses
@@ -16,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bo_soliton as bo
-from bo_soliton.errors import BOSolitonError
+from bo_soliton.errors import BOSolitonError, DomainError
 from conftest import FINITE, POSITIVE, SPELLINGS
 
 scalar = st.one_of(st.sampled_from(SPELLINGS).map(float), st.floats())
@@ -122,3 +125,55 @@ def test_a_public_call_returns_finite_values_or_a_typed_error(name, rows, aa,
         return
     bad = [v for v in finite_values(value) if not np.isfinite(v)]
     assert not bad, (name, bad)
+
+
+UNIT_P = bo.SolitonParameters((-1j,))
+UNIT_AA = bo.ActionAngles([-2 * np.pi], [0.0])
+# slot -> call with one value in that slot and valid arguments elsewhere
+SLOTS = {
+    "t": lambda v: bo.evolve_aa(UNIT_AA, v),
+    "t_explicit": lambda v: bo.explicit_solution(UNIT_AA, v, 0.0),
+    "lambda": lambda v: bo.h_lambda(UNIT_AA, v),
+    "lambda_resolvent": lambda v: bo.h_lambda_resolvent(UNIT_P, v),
+    "n": lambda v: bo.e_n_from_spectrum(UNIT_AA, v),
+    "x0": lambda v: bo.GridField(v, 1.0, [0.0, 1.0]),
+    "dx": lambda v: bo.GridField(0.0, v, [0.0, 1.0]),
+    "profile_x0": lambda v: bo.profile(UNIT_P, v, 1.0, 2),
+    "profile_dx": lambda v: bo.profile(UNIT_P, 0.0, v, 2),
+    "pde_dt": lambda v: bo.PdeConfig(dt=v),
+    "pde_half_width": lambda v: bo.PdeConfig(domain_half_width=v),
+    "shift": lambda v: UNIT_P.shifted(v),
+    "scale": lambda v: UNIT_P.scaled(v),
+    "points": lambda v: bo.explicit_solution(UNIT_AA, 0.0, v),
+    "points_resolvent": lambda v: bo.pi_u_resolvent(
+        bo.spectral_decompose(UNIT_P), v),
+}
+# the kinds a slot takes: points come in arrays, and pi_u_resolvent pairs
+# complex ones
+TAKES = {"points": {"pair"}, "points_resolvent": {"pair", "complex"}}
+WRONG_KINDS = {
+    "pair": st.lists(finite, min_size=2, max_size=2),
+    "complex": st.builds(complex, finite, finite.filter(bool)),
+    "none": st.none(),
+    "string": st.text("abcxyz", min_size=1, max_size=3),
+    "huge": st.sampled_from([10 ** 400, -10 ** 400]),
+}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(values=st.fixed_dictionaries(WRONG_KINDS))
+def test_a_wrong_kind_in_a_number_slot_is_a_domain_error(values):
+    missed = []
+    for slot, call in SLOTS.items():
+        for kind, value in values.items():
+            if kind in TAKES.get(slot, ()):
+                continue
+            try:
+                call(value)
+            except DomainError:
+                continue
+            except Exception as exc:
+                missed.append((slot, kind, type(exc).__name__))
+            else:
+                missed.append((slot, kind, "returned"))
+    assert not missed

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -209,11 +210,6 @@ class TestE1Quadrature:
         assert e1_quadrature(g) == pytest.approx(
             e_n_from_spectrum(sd, 1), rel=1e-4)
 
-    def test_validate_grid_widens_for_broad_solitons(self):
-        # sum eta = 90: u at +-1e4 is 1.8e-6, past the 1e-6 edge bound
-        params = random_params(np.random.default_rng(1), 32)
-        assert energy_defect(params, spectral_decompose(params)) <= 1e-4
-
     @pytest.mark.parametrize("kind", ["soliton", "random_even", "random_odd"])
     def test_half_spectrum_matches_full_fft(self, kind, rng):
         if kind == "soliton":
@@ -233,6 +229,35 @@ class TestE1Quadrature:
         g = profile(SolitonParameters((-1j,)), -5, 0.1, 101)
         with pytest.raises(BoundaryNotDecayed):
             e1_quadrature(g)
+
+
+class TestEnergyDefect:
+    """validate's energy_dual: E_1 from the spectrum against its closed
+    form over the Cauchy kernel of the poles."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 16, 32, 48, 64])
+    def test_random_draws(self, n):
+        rng = np.random.default_rng(42)
+        for _ in range(3):
+            params = random_params(rng, n)
+            assert energy_defect(params, spectral_decompose(params)) <= 1e-13
+
+    @pytest.mark.parametrize("eta", [1e-3, 1.0, 1e3])
+    def test_one_soliton(self, eta):
+        params = SolitonParameters((complex(0.3, -eta),))
+        assert energy_defect(params, spectral_decompose(params)) <= 1e-15
+
+    def test_broad_solitons(self):
+        # sum eta = 90: the 1/x^2 tails reach far, but the closed form
+        # reads the poles and samples no grid
+        params = random_params(np.random.default_rng(1), 32)
+        assert energy_defect(params, spectral_decompose(params)) <= 1e-4
+
+    def test_perturbed_spectrum_detected(self, rng):
+        params = random_params(rng, 5)
+        sd = spectral_decompose(params)
+        wrong = dataclasses.replace(sd, lambdas=sd.lambdas * (1 + 1e-8))
+        assert energy_defect(params, wrong) >= 1e-9
 
 
 class TestHLambda:

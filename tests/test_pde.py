@@ -78,6 +78,12 @@ class TestStep:
             PdeConfig(**{field: 10 ** 400})
         assert type(getattr(PdeConfig(t_end=1, snapshot_dt=1), field)) is float
 
+    @pytest.mark.parametrize("field", ["domain_half_width", "dt", "t_end",
+                                       "snapshot_dt"])
+    def test_lengths_are_single_numbers(self, field):
+        with pytest.raises(DomainError, match="must be one number"):
+            PdeConfig(**{field: [1e-3]})
+
     @pytest.mark.parametrize("half_width", [0.0, -1.0])
     def test_domain_half_width_must_be_positive(self, half_width):
         with pytest.raises(DomainError,

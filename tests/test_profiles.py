@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from bo_soliton.action_angle import ActionAngles, evolve_aa, explicit_solution
+from bo_soliton.action_angle import (
+    ActionAngles,
+    evolve_aa,
+    explicit_solution,
+    pi_u_resolvent,
+)
 from bo_soliton.errors import DegenerateParameters, DomainError, NonFiniteInput
-from bo_soliton.invariants import h_lambda
-from bo_soliton.oracle import pi_u, u_rational
+from bo_soliton.invariants import e_n_from_spectrum, h_lambda
+from bo_soliton.oracle import h_lambda_resolvent, pi_u, u_rational
 from bo_soliton.profiles import (
     GridField,
     SolitonParameters,
@@ -14,6 +19,7 @@ from bo_soliton.profiles import (
     torus_potential,
 )
 from bo_soliton.rational import evaluate
+from bo_soliton.spectral import spectral_decompose
 from conftest import random_params
 
 
@@ -55,6 +61,20 @@ class TestParameters:
         q = SolitonParameters(p.zs)
         assert p == q and hash(p) == hash(q)
         assert "zs_array" not in repr(p)
+
+    @pytest.mark.parametrize("call", [
+        # a complex shift thinned every soliton, a complex scale rotated
+        # the poles, and a zero scale raised a bare ZeroDivisionError
+        pytest.param(lambda p: p.shifted(0.2j), id="complex-shift"),
+        pytest.param(lambda p: p.shifted([1.0, 2.0]), id="shift-pair"),
+        pytest.param(lambda p: p.scaled(1j), id="complex-scale"),
+        pytest.param(lambda p: p.scaled(0), id="zero-scale"),
+        pytest.param(lambda p: p.scaled(-2.0), id="negative-scale"),
+        pytest.param(lambda p: p.scaled(np.nan), id="nan-scale"),
+    ])
+    def test_real_shift_and_positive_scale(self, call):
+        with pytest.raises(DomainError, match="(shift|scale)"):
+            call(SolitonParameters((1 - 1j, 2 - 0.5j)))
 
 
 class TestPiU:
@@ -174,9 +194,9 @@ class TestGridField:
 
 
 class TestInputTypes:
-    """A complex value where a real is required, or a sample count that is
-    not an integer, is a DomainError: no imaginary part is dropped, and no
-    bare TypeError escapes."""
+    """A complex value, a list or a non-number where one real number is
+    required, or a count or order that is not an integer, is a DomainError:
+    no imaginary part is dropped, and no bare TypeError escapes."""
 
     aa = ActionAngles([-2 * np.pi], [0.0])
     params = SolitonParameters((-1j,))
@@ -230,11 +250,71 @@ class TestInputTypes:
                      id="GridField-x0"),
         pytest.param(lambda aa, p: GridField(0.0, 10 ** 400, [0.0, 1.0]),
                      id="GridField-dx"),
+        # these four raised a bare OverflowError
+        pytest.param(lambda aa, p: explicit_solution(aa, 0.0, 10 ** 400),
+                     id="explicit_solution-x"),
+        pytest.param(lambda aa, p: pi_u_resolvent(spectral_decompose(p),
+                                                  10 ** 400),
+                     id="pi_u_resolvent"),
+        pytest.param(lambda aa, p: h_lambda_resolvent(p, 10 ** 400),
+                     id="h_lambda_resolvent"),
+        pytest.param(lambda aa, p: e_n_from_spectrum(aa, 10 ** 400),
+                     id="e_n_from_spectrum"),
     ])
     def test_int_past_float_range_refused(self, call):
         # not a bare OverflowError from the float conversion
         with pytest.raises(NonFiniteInput, match="float range"):
             call(self.aa, self.params)
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda aa, p: evolve_aa(aa, [0.0, 5.0]), id="evolve_aa"),
+        # each soliton flowed to its own time
+        pytest.param(lambda aa, p: explicit_solution(
+            ActionAngles([-4.0, -2.0], [0.0, 1.0]), [0.0, 5.0], 0.5),
+            id="explicit_solution"),
+        pytest.param(lambda aa, p: h_lambda(aa, [1.0, 2.0]), id="h_lambda"),
+        pytest.param(lambda aa, p: h_lambda_resolvent(p, [1.0, 2.0]),
+                     id="h_lambda_resolvent"),
+        pytest.param(lambda aa, p: GridField([0.0], 1.0, [1.0, 2.0]),
+                     id="GridField-x0"),
+        pytest.param(lambda aa, p: GridField(0.0, [1.0], [1.0, 2.0]),
+                     id="GridField-dx"),
+        pytest.param(lambda aa, p: profile(p, [0.0, 1.0], 0.1, 4),
+                     id="profile-x0"),
+        pytest.param(lambda aa, p: profile(p, 0.0, [0.1, 0.2], 4),
+                     id="profile-dx"),
+    ])
+    def test_one_number_slots_refuse_arrays(self, call):
+        with pytest.raises(DomainError, match="must be one number"):
+            call(self.aa, self.params)
+
+    @pytest.mark.parametrize("lam", [1 + 1j, "1"])
+    def test_resolvent_shift_is_one_real_number(self, lam):
+        # 1 + 1j lost its imaginary part; "1" raised a bare TypeError
+        params = random_params(np.random.default_rng(1), 3)
+        with pytest.raises(DomainError, match="lambda must be"):
+            h_lambda_resolvent(params, lam)
+
+    @pytest.mark.parametrize("values", [[1.0, None], ["1", 2.0], "a",
+                                        [[1.0, 2.0], [3.0]]])
+    def test_entries_that_are_not_numbers_refused(self, values):
+        # None was read as NaN, and a string raised a bare ValueError
+        with pytest.raises(DomainError, match="must (be numeric|not be)"):
+            real_array(values, "x")
+
+    @pytest.mark.parametrize("x", [None, "a"])
+    def test_points_that_are_not_numbers_refused(self, x):
+        # None ended in SingularResolvent, a numerical error
+        with pytest.raises(DomainError, match="must be numeric"):
+            explicit_solution(self.aa, 0.0, x)
+        with pytest.raises(DomainError, match="must be numeric"):
+            pi_u_resolvent(spectral_decompose(self.params), x)
+
+    @pytest.mark.parametrize("n", [1.5, [1, 2], "1"])
+    def test_non_integer_order_refused(self, n):
+        # 1.5 raised NonFiniteInput("E_1.5 is not finite in doubles")
+        with pytest.raises(DomainError, match="is not an integer"):
+            e_n_from_spectrum(self.aa, n)
 
     def test_grid_spacing_stored_as_floats(self):
         field = GridField(-3, np.float32(0.5), [0.0, 1.0])
