@@ -5,7 +5,7 @@ so that importing one module, or running a CLI command that needs only
 some, does not load the rest: scipy's compiled LAPACK and BLAS extensions
 come in with the first LAPACK call and its compiled pocketfft with the
 first PDE step (:mod:`bo_soliton._lapack`, which never imports scipy.linalg
-or scipy.fft), and mpmath with :mod:`rational` or :mod:`oracle`.
+or scipy.fft), and mpmath with :mod:`oracle`.
 """
 
 import importlib
@@ -17,15 +17,13 @@ _EXPORTS = {
         explicit_solution forward_map inverse_map m_from_aa pi_u_resolvent""",
     "invariants": """e1_quadrature e_n_from_spectrum h_lambda omega_matrix
         poisson_bracket_table symplectomorphism_check""",
-    "oracle": "h_lambda_resolvent pi_u u_rational",
+    "oracle": "h_lambda_resolvent",
     "pde": "PdeConfig compare run step",
     "profiles": "GridField SolitonParameters profile torus_potential",
-    "rational": """PoleResidueForm derivative evaluate inner_product multiply
-        multiply_by_x szego_project""",
     "spectral": "SpectralData spectral_decompose verify_m_matrix",
 }
 _SUBMODULES = ("action_angle", "errors", "invariants", "oracle", "pde",
-               "profiles", "rational", "spectral", "tableio")
+               "profiles", "spectral", "tableio")
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names.split()}
 

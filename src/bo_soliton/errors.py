@@ -24,14 +24,6 @@ class DegenerateParameters(DomainError):
     """Poles/roots collide within the degeneracy tolerance."""
 
 
-class DegreeError(DomainError):
-    """Polynomial degree outside the admissible range."""
-
-
-class NotSquareIntegrable(DomainError):
-    """Rational function has a nonzero constant part, hence is not in L2."""
-
-
 class PoleProximity(DomainError):
     """Evaluation point too close to a pole."""
 

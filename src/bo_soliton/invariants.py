@@ -138,13 +138,14 @@ def e1_quadrature(field, periodic=False):
                 f"edge magnitude {edge:.3e} exceeds 1e-6")
     n = u.size
     dx = field.dx
-    k = 2 * np.pi * np.fft.rfftfreq(n, d=dx)
-    power = k * np.abs(np.fft.rfft(u)) ** 2
+    # mode j has |k| = j dk, dk = 2pi/(n dx)
+    power = np.arange(n // 2 + 1) * np.abs(np.fft.rfft(u)) ** 2
     # u is real, so |uhat(-k)| = |uhat(k)|: each k > 0 stands for two modes,
     # except DC and, for even n, the Nyquist mode, which appear once
     full_sum = 2 * power.sum() - power[0] - (power[-1] if n % 2 == 0 else 0.0)
-    # (1/4pi) * sum |k| |dx*uhat|^2 * dk with dk = 2pi/(n dx)
-    quad_term = (dx / (2 * n)) * float(full_sum)
+    # (1/4pi) * sum |k| |dx*uhat|^2 * dk = (pi/n^2) * sum j |uhat_j|^2: dx
+    # cancels, so a subnormal dx cannot overflow k
+    quad_term = (np.pi / n ** 2) * float(full_sum)
     cubic = float(np.sum(u ** 3) * dx)
     if not periodic:
         cubic -= 0.5 * dx * float(u[0] ** 3 + u[-1] ** 3)

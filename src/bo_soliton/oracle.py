@@ -1,103 +1,37 @@
-"""Independent reference routes in the partial-fraction basis 1/(x - z_r),
-which spans the invariant subspace span{x^k / Q_u} for distinct z_r.
+"""The 40-digit reference routes behind ``validate``, in the
+partial-fraction basis 1/(x - z_r), which spans the invariant subspace
+span{x^k / Q_u} for distinct z_r.
 
 This module is the oracle the production path is checked against, not part
 of that path: ``spectral``, ``action_angle``, ``profiles``, ``invariants``,
-``pde`` and ``tableio`` import neither it, :mod:`bo_soliton.rational` nor
-mpmath.  It holds every route that needs the pole-residue calculus or
-extended precision: ``pi_u`` and ``u_rational``; the eigenfunctions
-``eigen_coeffs(sd)`` and ``eigenfunctions(sd)``, with ``mt_residues``; the
-Lax matrix ``lax_entries`` (plain scalars, so doubles or mpmath) and the
-condition number of its Cauchy Gram, ``cauchy_gram``; the operators
-``lax_apply`` and ``g_apply``; and the independent checks behind
-``validate``, ``h_lambda_resolvent`` and ``wu_defect``, which pair over
-:func:`bo_soliton.profiles.cauchy_kernel` in MP_DPS digits.  That kernel,
-K_rs = 1/(conj z_s - z_r) on the poles, also gives the Lax diagonal and
-the Gram matrix 2 pi i K.
+``pde`` and ``tableio`` import neither it nor mpmath.  It holds the Lax
+matrix ``lax_entries`` (plain scalars, so doubles or mpmath), the
+eigenfunction coefficients ``eigen_coeffs(sd)`` with ``mt_residues``, the
+exact residue sum ``mp_pairing`` and the two checks ``h_lambda_resolvent``
+and ``wu_defect``, which pair over :func:`bo_soliton.profiles.cauchy_kernel`
+in MP_DPS digits.  That kernel, K_rs = 1/(conj z_s - z_r) on the poles,
+also gives the Lax diagonal and the Gram matrix 2 pi i K.  The general
+pole-residue calculus that these routes are tested against lives with the
+tests.
 """
 from __future__ import annotations
 
 import mpmath
 import numpy as np
 
-from .errors import InvariantViolation, NonFiniteInput, SingularResolvent
+from .errors import NonFiniteInput, SingularResolvent
 from .profiles import cauchy_kernel, real_number
-from .rational import (
-    MP_DPS,
-    PoleResidueForm,
-    add,
-    conj_reflect,
-    derivative,
-    inner_product,
-    mp_pairing,
-    multiply,
-    multiply_by_x,
-    scale,
-    szego_project,
-)
 
-ORDER_RESIDUAL_TOL = 1e-8
+# working precision (decimal digits) of every extended-precision route
+MP_DPS = 40
 
 
-def pi_u(params):
-    """Hardy representative Pi u = i Q'/Q = sum_j i/(x - z_j)."""
-    return PoleResidueForm(tuple((z, 1, 1j) for z in params.zs))
-
-
-def u_rational(params):
-    """The real profile as a rational function: Pi u plus its reflection."""
-    return add(pi_u(params), conj_reflect(pi_u(params)))
-
-
-def one_minus_theta(params):
-    """1 - Qbar/Q, with Q = prod (x - z_j) and Qbar = prod (x - conj z_j).
-
-    Unimodular complement of the inner function; lies in the Hardy space with
-    poles exactly at the z_j.  Q - Qbar has degree below N, so there is no
-    constant part, and the residue at z_r is -Qbar(z_r)/Q'(z_r)
-    = -prod_j (z_r - conj z_j) / prod_{j != r} (z_r - z_j).
+def mp_pairing(f, g, kern):
+    """sum_rs f_r K_rs conj(g_s) of mpmath numbers, summed exactly; 2 pi i
+    times it is <f, g> when K is the :func:`cauchy_kernel` of the poles.
     """
-    zs = params.zs
-    terms = []
-    for r, zr in enumerate(zs):
-        num = np.prod([zr - zj.conjugate() for zj in zs])
-        den = np.prod([zr - zj for j, zj in enumerate(zs) if j != r])
-        terms.append((zr, 1, -num / den))
-    return PoleResidueForm(tuple(terms))
-
-
-def lax_apply(params, f):
-    """L_u f = -i f' - P(u f), with P the Szego projection.
-
-    The order-2 intermediates at the z_j must cancel: order >= 2 terms with
-    mass below tolerance are dropped, larger ones raise, so the result is a
-    clean simple-pole element of the invariant subspace.
-    """
-    df = scale(derivative(f), -1j)
-    tuf = szego_project(multiply(u_rational(params), f))
-    out = add(df, scale(tuf, -1.0))
-    worst = max((abs(c) for _, m, c in out.terms if m >= 2), default=0.0)
-    if worst > ORDER_RESIDUAL_TOL * max(out.coeff_scale(), 1.0):
-        raise InvariantViolation(
-            f"lax_apply: residual pole mass {worst:.3e} at order >= 2")
-    return PoleResidueForm(tuple(t for t in out.terms if t[1] == 1),
-                           out.constant)
-
-
-def g_apply(params, f):
-    """G f = x f - (i/2pi) <f, 1 - Theta>, the generator i d/dxi on Fourier side.
-
-    The subtracted constant equals the sum of the simple-pole coefficients of
-    f, so the constant part of the result cancels; the residual is checked.
-    """
-    omt = one_minus_theta(params)
-    xf = multiply_by_x(f)
-    boundary = inner_product(f, omt)  # = hat f at 0+
-    resid = xf.constant - (1j / (2 * np.pi)) * boundary
-    if abs(resid) > ORDER_RESIDUAL_TOL * max(1.0, f.coeff_scale()):
-        raise InvariantViolation(
-            f"g_apply: residual constant {abs(resid):.3e} did not cancel")
-    return PoleResidueForm(xf.terms, 0j)
+    return mpmath.fsum(f[r] * mpmath.conj(g[s]) * kern[r][s]
+                       for r in range(len(f)) for s in range(len(g)))
 
 
 def lax_entries(z, shift=0):
@@ -122,13 +56,6 @@ def lax_entries(z, shift=0):
             acc -= 1j * k_sr
         t[s][s] = acc
     return t
-
-
-def cauchy_gram(zs):
-    """Condition number of the Gram matrix of the basis 1/(x - z_r), which is
-    2 pi i times the :func:`cauchy_kernel` of the poles ``zs``."""
-    kern = 2j * np.pi * np.array(cauchy_kernel(zs, zs))
-    return float(np.linalg.cond(0.5 * (kern.T + kern.conj())))
 
 
 def mt_residues(z):
@@ -167,13 +94,6 @@ def eigen_coeffs(sd):
         rmat = mt_residues([mpmath.mpc(v) for v in sd.zs])
         w = mpmath.matrix(rmat) * mpmath.matrix(sd.vectors.tolist())
         return tuple([w[r, j] for r in range(sd.n)] for j in range(sd.n))
-
-
-def eigenfunctions(sd):
-    """phi_j in pole-residue form, coefficients rounded to doubles."""
-    return tuple(PoleResidueForm(tuple((z, 1, complex(c))
-                                       for z, c in zip(sd.zs, col)))
-                 for col in eigen_coeffs(sd))
 
 
 def h_lambda_resolvent(params, lam):

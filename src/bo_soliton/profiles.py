@@ -6,13 +6,13 @@ amplitude eta_j = 1/c_j) determine the profile
     u(x) = sum_j 2*eta_j / ((x - x_j)**2 + eta_j**2),
 
 its Hardy representative Pi u = i Q'/Q with Q = prod (x - z_j), and the
-periodic gap potential obtained through z -> exp(i z).  The pole-residue
-forms of Pi u and u (``pi_u``, ``u_rational``) live in
-:mod:`bo_soliton.oracle`.  Where a sample is not finite, ``profile_values``
-and ``torus_potential`` raise DomainError; an overflowed term adds 0.
+periodic gap potential obtained through z -> exp(i z).  Pi u and u in
+pole-residue form belong to the tests' calculus, not to the package.
+Where a sample is not finite, ``profile_values`` and ``torus_potential``
+raise DomainError; an overflowed term adds 0.
 
-``cauchy_kernel`` is the one Cauchy kernel of the package, which ``rational``,
-``oracle`` and ``invariants.omega_matrix`` read; on the parameters it is
+``cauchy_kernel`` is the one Cauchy kernel of the package, which ``oracle``
+and ``invariants.omega_matrix`` read; on the parameters it is
 K_jk = 1/(conj z_k - z_j) = -i/w_jk, w_jk = (eta_j + eta_k) + i(x_j - x_k).
 """
 
@@ -38,7 +38,9 @@ def _numbers(values, what):
     except ValueError:  # a ragged nesting
         raise DomainError(f"{what} must not be a ragged nesting") from None
     if arr.dtype.kind not in "biufc":
-        bad = [v for v in arr.flat if not isinstance(v, numbers.Number)]
+        # as objects, since a string array holds its numbers as strings too
+        bad = [v for v in np.asarray(values, dtype=object).flat
+               if not isinstance(v, numbers.Number)]
         if bad:
             raise DomainError(f"{what} must be numeric, not {bad[0]!r}")
     return arr
@@ -115,10 +117,12 @@ class SolitonParameters:
 
     def __post_init__(self):
         try:
-            z = np.array(self.zs, dtype=complex)
+            z = np.array(_numbers(self.zs, "parameters"), dtype=complex)
         except OverflowError:  # an int past the float range
             raise NonFiniteInput("parameters past the float range") from None
-        if z.ndim != 1 or z.size < 1:
+        if z.ndim != 1:
+            raise DomainError(f"parameters must be one flat list, not {z.ndim}-D")
+        if z.size < 1:
             raise DomainError("at least one soliton is required")
         # argmax picks a NaN first, so the top modulus is finite iff all are
         mag = np.abs(z)
@@ -160,6 +164,10 @@ class SolitonParameters:
     @classmethod
     def from_x_eta(cls, xs, etas):
         xs, etas = real_array(xs, "positions"), real_array(etas, "etas")
+        if xs.ndim != 1 or xs.shape != etas.shape:
+            raise DomainError(f"positions and etas must be flat lists of one "
+                              f"length, not of shapes {xs.shape} and "
+                              f"{etas.shape}")
         return cls(tuple(complex(x, -e) for x, e in zip(xs, etas)))
 
     def shifted(self, dx):

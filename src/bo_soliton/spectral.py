@@ -13,9 +13,9 @@ solution L of G L - L G* = iI, the pairing of L_u with G that Gerard &
 Kappeler (CPAM 74, 2021) use on the torus.  One triangular Sylvester solve
 (Bartels & Stewart 1972) gives L and one Hermitian eigensolve its
 eigenpairs; M = U* G U then gives the angles gamma_j = Re M_jj.  The
-module needs numpy and scipy alone: the eigenfunctions in pole-residue form
-(``eigen_coeffs``, ``eigenfunctions``, ``mt_residues``) and the other routes
-in the partial-fraction basis 1/(x - z_r) live in :mod:`bo_soliton.oracle`.
+module needs numpy and scipy alone: the eigenfunction coefficients in the
+partial-fraction basis 1/(x - z_r) (``eigen_coeffs``, ``mt_residues``) live
+in :mod:`bo_soliton.oracle`.
 The LAPACK and BLAS routines come from :mod:`bo_soliton._lapack`, which
 loads scipy's compiled LAPACK and BLAS extensions at the first call, not
 when this module is imported, and never imports scipy.linalg.

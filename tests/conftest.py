@@ -5,8 +5,8 @@ import pytest
 import scipy.integrate
 
 from bo_soliton.profiles import SolitonParameters
-from bo_soliton.rational import PoleResidueForm, evaluate
 from bo_soliton.validation import random_params  # noqa: F401  (reused by tests)
+from polecalc import PoleResidueForm, evaluate
 
 SQRT_PI = np.sqrt(np.pi)
 

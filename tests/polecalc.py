@@ -1,4 +1,6 @@
-"""Exact calculus for rational functions in pole-residue form.
+"""The oracle the closed forms are tested against: exact calculus for
+rational functions in pole-residue form, and the routes of the paper's
+characterization built on it.
 
 A function is stored as ``constant + sum c / (x - p)**m`` with complex poles
 ``p`` off the real axis.  All operations (products, derivatives, Szego
@@ -8,9 +10,13 @@ filters and integrals are finite residue sums.  Membership tests:
 * L2(R): ``constant == 0``;
 * Hardy space L2+: additionally every pole in the lower half-plane.
 
-The calculus serves the reference routes of :mod:`bo_soliton.oracle`; no
-production module imports it.  Its residue sums run over
-:func:`bo_soliton.profiles.cauchy_kernel`, which this module re-exports.
+On it sit the routes in the partial-fraction basis 1/(x - z_r): Pi u = i Q'/Q
+(``pi_u``) and u (``u_rational``), 1 - Theta, the operators ``lax_apply``
+and ``g_apply``, the eigenfunctions and the condition number of the Cauchy
+Gram.  Pairings of simple poles run over
+:func:`bo_soliton.profiles.cauchy_kernel` and are summed by
+:func:`bo_soliton.oracle.mp_pairing`, the package's one exact residue sum.
+No module of the package imports this one.
 """
 
 from __future__ import annotations
@@ -21,19 +27,26 @@ from math import comb
 import mpmath
 import numpy as np
 
-from .errors import (
+from bo_soliton.errors import (
     DegenerateParameters,
-    DegreeError,
+    DomainError,
     InvariantViolation,
-    NotSquareIntegrable,
     PoleProximity,
 )
-from .profiles import DEGENERACY_TOL, cauchy_kernel
+from bo_soliton.oracle import MP_DPS, eigen_coeffs, mp_pairing
+from bo_soliton.profiles import DEGENERACY_TOL, cauchy_kernel
 
 DROP_TOL = 1e-14
 POLE_REAL_TOL = 1e-12
-# working precision (decimal digits) of every extended-precision route
-MP_DPS = 40
+ORDER_RESIDUAL_TOL = 1e-8
+
+
+class DegreeError(DomainError):
+    """Polynomial degree outside the admissible range."""
+
+
+class NotSquareIntegrable(DomainError):
+    """Rational function has a nonzero constant part, hence is not in L2."""
 
 
 @dataclass(frozen=True)
@@ -77,12 +90,8 @@ class PoleResidueForm:
         return not self.terms and self.constant == 0
 
     @property
-    def in_l2(self):
-        return self.constant == 0
-
-    @property
     def in_hardy(self):
-        return self.in_l2 and all(p.imag < 0 for p, _, _ in self.terms)
+        return self.constant == 0 and all(p.imag < 0 for p, _, _ in self.terms)
 
     def poles(self):
         return sorted({p for p, _, _ in self.terms}, key=lambda z: (z.real, z.imag))
@@ -189,14 +198,6 @@ def conj_reflect(f):
         f.constant.conjugate())
 
 
-def mp_pairing(f, g, kern):
-    """sum_rs f_r K_rs conj(g_s) of mpmath numbers, summed exactly; 2 pi i
-    times it is <f, g> when K is the :func:`cauchy_kernel` of the poles.
-    """
-    return mpmath.fsum(f[r] * mpmath.conj(g[s]) * kern[r][s]
-                       for r in range(len(f)) for s in range(len(g)))
-
-
 def inner_product(f, g):
     """L2 pairing <f, g> = integral of f * conj(g) over the real line.
 
@@ -240,3 +241,80 @@ def evaluate(f, x):
     if out.shape == ():
         return complex(out)
     return out
+
+
+# -- the characterization Pi u = i Q'/Q and the operators on its span -------
+
+def pi_u(params):
+    """Hardy representative Pi u = i Q'/Q = sum_j i/(x - z_j)."""
+    return PoleResidueForm(tuple((z, 1, 1j) for z in params.zs))
+
+
+def u_rational(params):
+    """The real profile as a rational function: Pi u plus its reflection."""
+    return add(pi_u(params), conj_reflect(pi_u(params)))
+
+
+def one_minus_theta(params):
+    """1 - Qbar/Q, with Q = prod (x - z_j) and Qbar = prod (x - conj z_j).
+
+    Unimodular complement of the inner function; lies in the Hardy space with
+    poles exactly at the z_j.  Q - Qbar has degree below N, so there is no
+    constant part, and the residue at z_r is -Qbar(z_r)/Q'(z_r)
+    = -prod_j (z_r - conj z_j) / prod_{j != r} (z_r - z_j).
+    """
+    zs = params.zs
+    terms = []
+    for r, zr in enumerate(zs):
+        num = np.prod([zr - zj.conjugate() for zj in zs])
+        den = np.prod([zr - zj for j, zj in enumerate(zs) if j != r])
+        terms.append((zr, 1, -num / den))
+    return PoleResidueForm(tuple(terms))
+
+
+def lax_apply(params, f):
+    """L_u f = -i f' - P(u f), with P the Szego projection.
+
+    The order-2 intermediates at the z_j must cancel: order >= 2 terms with
+    mass below tolerance are dropped, larger ones raise, so the result is a
+    clean simple-pole element of the invariant subspace.
+    """
+    df = scale(derivative(f), -1j)
+    tuf = szego_project(multiply(u_rational(params), f))
+    out = add(df, scale(tuf, -1.0))
+    worst = max((abs(c) for _, m, c in out.terms if m >= 2), default=0.0)
+    if worst > ORDER_RESIDUAL_TOL * max(out.coeff_scale(), 1.0):
+        raise InvariantViolation(
+            f"lax_apply: residual pole mass {worst:.3e} at order >= 2")
+    return PoleResidueForm(tuple(t for t in out.terms if t[1] == 1),
+                           out.constant)
+
+
+def g_apply(params, f):
+    """G f = x f - (i/2pi) <f, 1 - Theta>, the generator i d/dxi on Fourier side.
+
+    The subtracted constant equals the sum of the simple-pole coefficients of
+    f, so the constant part of the result cancels; the residual is checked.
+    """
+    omt = one_minus_theta(params)
+    xf = multiply_by_x(f)
+    boundary = inner_product(f, omt)  # = hat f at 0+
+    resid = xf.constant - (1j / (2 * np.pi)) * boundary
+    if abs(resid) > ORDER_RESIDUAL_TOL * max(1.0, f.coeff_scale()):
+        raise InvariantViolation(
+            f"g_apply: residual constant {abs(resid):.3e} did not cancel")
+    return PoleResidueForm(xf.terms, 0j)
+
+
+def cauchy_gram(zs):
+    """Condition number of the Gram matrix of the basis 1/(x - z_r), which is
+    2 pi i times the :func:`cauchy_kernel` of the poles ``zs``."""
+    kern = 2j * np.pi * np.array(cauchy_kernel(zs, zs))
+    return float(np.linalg.cond(0.5 * (kern.T + kern.conj())))
+
+
+def eigenfunctions(sd):
+    """phi_j in pole-residue form, coefficients rounded to doubles."""
+    return tuple(PoleResidueForm(tuple((z, 1, complex(c))
+                                       for z, c in zip(sd.zs, col)))
+                 for col in eigen_coeffs(sd))

@@ -22,7 +22,6 @@ from bo_soliton.invariants import (
     h_lambda,
     symplectomorphism_check,
 )
-from bo_soliton.oracle import eigenfunctions, pi_u
 from bo_soliton.pde import PdeConfig, compare, run
 from bo_soliton.profiles import (
     GridField,
@@ -30,7 +29,6 @@ from bo_soliton.profiles import (
     profile_values,
     torus_potential,
 )
-from bo_soliton.rational import evaluate, inner_product
 from bo_soliton.spectral import spectral_decompose, verify_m_matrix
 from bo_soliton.validation import (
     bracket_defect,
@@ -38,6 +36,7 @@ from bo_soliton.validation import (
     random_params,
     roundtrip_defect,
 )
+from polecalc import eigenfunctions, evaluate, inner_product, pi_u
 
 SEED = 20240817
 
@@ -104,7 +103,7 @@ def test_criterion_2_roundtrip(sweep):
 
 
 def test_criterion_3_wu_identity(sweep):
-    from bo_soliton.oracle import u_rational
+    from polecalc import u_rational
 
     records, _ = sweep
     worst = 0.0

@@ -24,12 +24,11 @@ from bo_soliton.errors import (
     RootsNotInLowerHalfPlane,
     SingularResolvent,
 )
-from bo_soliton.oracle import pi_u
 from bo_soliton.profiles import SolitonParameters, profile_values
-from bo_soliton.rational import evaluate
 from bo_soliton.spectral import spectral_decompose
 from bo_soliton.validation import im_m_top
 from conftest import random_params
+from polecalc import evaluate, pi_u
 
 
 def unit_aa(alpha=0.0):

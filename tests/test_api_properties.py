@@ -3,13 +3,12 @@ of the right types returns finite values or raises a ``BOSolitonError``.
 
 The scalars are drawn from ``conftest.SPELLINGS``, which the CLI property
 test draws from too, and from ``st.floats()``; a RuntimeWarning fails an
-example, as everywhere in this suite.  Out of scope: the PDE reference (``PdeConfig``, ``run``,
-``step``, ``compare``), whose cost grows with its grid, and the
-pole-residue calculus of ``rational``, which takes its terms from the
-oracle; ``pi_u`` and ``u_rational`` are called.  A second property test
-puts a value of the wrong kind (a pair, a complex number, None, a string,
-an int past the float range) into each slot that takes one number, or
-real points, and expects a ``DomainError``.
+example, as everywhere in this suite.  Out of scope: the PDE reference
+(``PdeConfig``, ``run``, ``step``, ``compare``), whose cost grows with its
+grid.  A second property test puts a value of the wrong kind (a pair, a
+complex number, None, a string, an int past the float range) into each
+slot that takes one number, real points or a pole, and expects a
+``DomainError``.
 """
 
 import dataclasses
@@ -72,8 +71,6 @@ CALLS = {
         bo.symplectomorphism_check(p()),
     "poisson_bracket_table": lambda p, aa, s, k: bo.poisson_bracket_table(p()),
     "h_lambda_resolvent": lambda p, aa, s, k: bo.h_lambda_resolvent(p(), s[0]),
-    "pi_u": lambda p, aa, s, k: bo.pi_u(p()),
-    "u_rational": lambda p, aa, s, k: bo.u_rational(p()),
     "profile": lambda p, aa, s, k: bo.profile(p(), s[0], s[1], 2 + abs(k) % 30),
     "e1_quadrature": lambda p, aa, s, k: bo.e1_quadrature(
         bo.profile(p(), s[0], s[1], 2 + abs(k) % 30)),
@@ -85,10 +82,7 @@ CALLS = {
 
 def finite_values(value):
     """Every number in a result: arrays, scalars, and the fields of the
-    package's records and pole-residue forms."""
-    if isinstance(value, bo.PoleResidueForm):
-        return [value.constant] + [v for p, _, c in value.terms
-                                   for v in (p, c)]
+    package's records."""
     if dataclasses.is_dataclass(value):
         return [v for f in dataclasses.fields(value)
                 for v in finite_values(getattr(value, f.name))]
@@ -147,10 +141,13 @@ SLOTS = {
     "points": lambda v: bo.explicit_solution(UNIT_AA, 0.0, v),
     "points_resolvent": lambda v: bo.pi_u_resolvent(
         bo.spectral_decompose(UNIT_P), v),
+    "parameters": lambda v: bo.SolitonParameters((v,)),
+    "from_x_eta": lambda v: bo.SolitonParameters.from_x_eta([v], [1.0]),
 }
-# the kinds a slot takes: points come in arrays, and pi_u_resolvent pairs
-# complex ones
-TAKES = {"points": {"pair"}, "points_resolvent": {"pair", "complex"}}
+# the kinds a slot takes: points come in arrays, pi_u_resolvent pairs
+# complex ones, and the parameters are complex
+TAKES = {"points": {"pair"}, "points_resolvent": {"pair", "complex"},
+         "parameters": {"complex"}}
 WRONG_KINDS = {
     "pair": st.lists(finite, min_size=2, max_size=2),
     "complex": st.builds(complex, finite, finite.filter(bool)),

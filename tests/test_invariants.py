@@ -21,9 +21,8 @@ from bo_soliton.invariants import (
     poisson_bracket_table,
     symplectomorphism_check,
 )
-from bo_soliton.oracle import h_lambda_resolvent, pi_u
+from bo_soliton.oracle import h_lambda_resolvent
 from bo_soliton.profiles import GridField, SolitonParameters, profile
-from bo_soliton.rational import inner_product
 from bo_soliton.spectral import spectral_decompose
 from bo_soliton.validation import (
     bracket_defect,
@@ -31,6 +30,7 @@ from bo_soliton.validation import (
     h_lambda_defect,
 )
 from conftest import random_params
+from polecalc import inner_product, pi_u
 
 
 def tangent_hat(kind, x0, eta):
@@ -224,6 +224,17 @@ class TestE1Quadrature:
         expected = quad - np.sum(u ** 3) * dx / 3.0
         assert e1_quadrature(g, periodic=True) == pytest.approx(
             expected, rel=1e-12)
+
+    @pytest.mark.parametrize("values, energy", [
+        ([0.0, 0.0], 0.0),
+        # mode 1 of u = (0, 1e-7, 0): (pi / 3^2) * 2 |uhat_1|^2
+        ([0.0, 1e-7, 0.0], 2e-14 * np.pi / 9),
+    ], ids=["zero", "one-mode"])
+    def test_subnormal_spacing(self, values, energy):
+        # 1/(n dx) overflows at a subnormal dx, so the energy must not form
+        # the wave numbers
+        g = GridField(1e300, 2.2250738585e-313, values)
+        assert e1_quadrature(g) == pytest.approx(energy, rel=1e-12, abs=1e-300)
 
     def test_boundary_guard(self):
         g = profile(SolitonParameters((-1j,)), -5, 0.1, 101)

@@ -1,5 +1,5 @@
 """The partial-fraction oracles, and the boundary that keeps them off the
-production path."""
+production path and the test-side calculus out of the package."""
 
 import ast
 import dataclasses
@@ -11,35 +11,30 @@ import pytest
 
 import bo_soliton
 from bo_soliton.errors import InvariantViolation, SingularResolvent
-from bo_soliton.oracle import (
-    eigenfunctions,
-    g_apply,
-    h_lambda_resolvent,
-    lax_apply,
-    lax_entries,
-    one_minus_theta,
-    pi_u,
-    wu_defect,
-)
+from bo_soliton.oracle import MP_DPS, h_lambda_resolvent, lax_entries, wu_defect
 from bo_soliton.profiles import SolitonParameters
-from bo_soliton.rational import (
-    MP_DPS,
-    PoleResidueForm,
-    add,
-    evaluate,
-    inner_product,
-    scale,
-)
 from bo_soliton.spectral import spectral_decompose
 from bo_soliton.validation import CHECKS
 from conftest import SQRT_PI, one_soliton, phi_one, random_params
+from polecalc import (
+    PoleResidueForm,
+    add,
+    eigenfunctions,
+    evaluate,
+    g_apply,
+    inner_product,
+    lax_apply,
+    one_minus_theta,
+    pi_u,
+    scale,
+)
 
 # the modules of the forward map, the inverse map, the explicit solution, the
 # invariants and the PDE reference: none of them may depend on the oracle, on
-# the pole-residue calculus or on extended precision
+# the pole-residue calculus of the tests or on extended precision
 PRODUCTION_MODULES = ("spectral", "action_angle", "profiles", "invariants",
                       "pde", "tableio")
-FORBIDDEN_IMPORTS = {"oracle", "rational", "mpmath"}
+FORBIDDEN_IMPORTS = {"oracle", "polecalc", "mpmath"}
 # the numerical modules write no file: tableio's writers serve the CLI alone
 NUMERICAL_MODULES = ("spectral", "action_angle", "profiles", "invariants",
                      "pde")
@@ -47,14 +42,12 @@ NUMERICAL_MODULES = ("spectral", "action_angle", "profiles", "invariants",
 # every public name of the package namespace; each must keep resolving as
 # bo_soliton.<name> wherever its definition lives
 PACKAGE_NAMES = """
-    ActionAngles GridField PdeConfig PoleResidueForm SolitonParameters
-    SpectralData aa_from_spectral action_angle compare derivative
-    e1_quadrature e_n_from_spectrum errors evaluate evolve_aa
-    explicit_solution forward_map h_lambda h_lambda_resolvent inner_product
-    invariants inverse_map m_from_aa multiply multiply_by_x omega_matrix
-    oracle pde pi_u pi_u_resolvent poisson_bracket_table profile
-    profiles rational run spectral spectral_decompose step
-    symplectomorphism_check szego_project tableio torus_potential u_rational
+    ActionAngles GridField PdeConfig SolitonParameters SpectralData
+    aa_from_spectral action_angle compare e1_quadrature e_n_from_spectrum
+    errors evolve_aa explicit_solution forward_map h_lambda
+    h_lambda_resolvent invariants inverse_map m_from_aa omega_matrix oracle
+    pde pi_u_resolvent poisson_bracket_table profile profiles run spectral
+    spectral_decompose step symplectomorphism_check tableio torus_potential
     verify_m_matrix __version__
 """.split()
 
@@ -87,6 +80,15 @@ def test_production_modules_do_not_import_oracle():
                  for name in imported_names(package / f"{module}.py")
                  if FORBIDDEN_IMPORTS & set(name.split("."))]
     assert not offenders, f"production modules importing oracle code: {offenders}"
+
+
+def test_no_package_module_imports_the_test_calculus():
+    # polecalc, the oracle of the tests, is not shipped with the package
+    package = Path(bo_soliton.__file__).parent
+    offenders = [(path.name, name) for path in sorted(package.glob("*.py"))
+                 for name in imported_names(path)
+                 if "polecalc" in name.split(".")]
+    assert not offenders, f"package modules importing polecalc: {offenders}"
 
 
 def test_numerical_modules_do_not_import_tableio():

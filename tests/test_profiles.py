@@ -9,7 +9,7 @@ from bo_soliton.action_angle import (
 )
 from bo_soliton.errors import DegenerateParameters, DomainError, NonFiniteInput
 from bo_soliton.invariants import e_n_from_spectrum, h_lambda
-from bo_soliton.oracle import h_lambda_resolvent, pi_u, u_rational
+from bo_soliton.oracle import h_lambda_resolvent
 from bo_soliton.profiles import (
     GridField,
     SolitonParameters,
@@ -18,9 +18,9 @@ from bo_soliton.profiles import (
     real_array,
     torus_potential,
 )
-from bo_soliton.rational import evaluate
 from bo_soliton.spectral import spectral_decompose
 from conftest import random_params
+from polecalc import evaluate, pi_u, u_rational
 
 
 class TestParameters:
@@ -42,6 +42,28 @@ class TestParameters:
     def test_non_finite_rejected(self, z):
         with pytest.raises(NonFiniteInput):
             SolitonParameters((z,))
+
+    @pytest.mark.parametrize("zs", [("a",), (None,), ("1-1j",),
+                                    (1 - 1j, "2-1j")],
+                             ids=["letter", "none", "string", "mixed"])
+    def test_entries_that_are_not_numbers_refused(self, zs):
+        # None is not NaN, and a string is not a pole even where it spells
+        # a complex number
+        with pytest.raises(DomainError, match="parameters must be numeric"):
+            SolitonParameters(zs)
+
+    def test_nested_parameters_refused(self):
+        with pytest.raises(DomainError, match="one flat list, not 2-D"):
+            SolitonParameters(((1 - 1j, 2 - 1j),))
+
+    @pytest.mark.parametrize("xs, etas", [([0.0, 1.0], [1.0]),
+                                          ([0.0], [1.0, 2.0]),
+                                          ([[0.0, 1.0]], [[1.0, 0.5]])],
+                             ids=["short-etas", "short-xs", "nested"])
+    def test_from_x_eta_needs_flat_lists_of_one_length(self, xs, etas):
+        # zip would truncate the longer list to a smaller N
+        with pytest.raises(DomainError, match="flat lists of one length"):
+            SolitonParameters.from_x_eta(xs, etas)
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError,

@@ -2,31 +2,28 @@ import mpmath
 import numpy as np
 import pytest
 
-from bo_soliton.errors import (
-    DegenerateParameters,
-    DegreeError,
-    NotSquareIntegrable,
-    PoleProximity,
-)
-from bo_soliton.oracle import eigenfunctions, u_rational
-from bo_soliton.rational import (
-    MP_DPS,
-    PoleResidueForm,
-    ZERO,
-    add,
-    cauchy_kernel,
-    conj_reflect,
-    derivative,
-    evaluate,
-    inner_product,
-    mp_pairing,
-    multiply,
-    multiply_by_x,
-    szego_project,
-)
+from bo_soliton.errors import DegenerateParameters, PoleProximity
+from bo_soliton.oracle import MP_DPS, mp_pairing
+from bo_soliton.profiles import cauchy_kernel
 from bo_soliton.spectral import spectral_decompose
 from bo_soliton.validation import random_params
 from conftest import quad_inner, random_form
+from polecalc import (
+    ZERO,
+    DegreeError,
+    NotSquareIntegrable,
+    PoleResidueForm,
+    add,
+    conj_reflect,
+    derivative,
+    eigenfunctions,
+    evaluate,
+    inner_product,
+    multiply,
+    multiply_by_x,
+    szego_project,
+    u_rational,
+)
 
 
 def form(*terms, constant=0j):

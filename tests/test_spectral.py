@@ -13,21 +13,13 @@ from bo_soliton.errors import (
 )
 from bo_soliton.invariants import h_lambda
 from bo_soliton.oracle import (
-    cauchy_gram,
-    eigenfunctions,
+    MP_DPS,
     h_lambda_resolvent,
     lax_entries,
     mp_pairing,
     mt_residues,
-    u_rational,
 )
-from bo_soliton.profiles import SolitonParameters
-from bo_soliton.rational import (
-    MP_DPS,
-    cauchy_kernel,
-    evaluate,
-    inner_product,
-)
+from bo_soliton.profiles import SolitonParameters, cauchy_kernel
 from bo_soliton.spectral import (
     m_formula,
     mt_generator,
@@ -37,6 +29,13 @@ from bo_soliton.spectral import (
 )
 from bo_soliton.validation import im_m_top, roundtrip_defect
 from conftest import one_soliton, phi_one, random_params
+from polecalc import (
+    cauchy_gram,
+    eigenfunctions,
+    evaluate,
+    inner_product,
+    u_rational,
+)
 
 
 class TestSpectralDecompose:

@@ -66,6 +66,21 @@ def test_lapack_commands_do_not_import_scipy_linalg(tmp_path):
     assert (tmp_path / "f" / "frame_t1.0000.csv").exists()
 
 
+def test_validate_loads_no_pole_residue_calculus(tmp_path):
+    # validate runs the 40-digit references of oracle alone; the calculus
+    # lives in the tests' polecalc, importable here, and rational is gone
+    code = "\n".join([
+        "import sys",
+        f"sys.path.append({str(Path(__file__).resolve().parent)!r})",
+        "from bo_soliton.cli import main",
+        "assert main(['validate', '--n', '3', '--trials', '2']) == 0",
+        "print(sorted({'bo_soliton.rational', 'polecalc', 'bo_soliton.oracle'}"
+        " & set(sys.modules)))",
+    ])
+    last = run_fresh(code, tmp_path).splitlines()[-1]
+    assert last == "['bo_soliton.oracle']"
+
+
 def test_synth_and_torus_load_neither_lapack_nor_mpmath(tmp_path):
     (tmp_path / "p.csv").write_text("x,eta\n-3,1\n3,0.5\n")
     code = "\n".join([
