@@ -33,7 +33,7 @@ from .errors import (
     RootsNotInLowerHalfPlane,
     SingularResolvent,
 )
-from .profiles import SolitonParameters, _numbers, real_array, real_number
+from .profiles import SolitonParameters, complex_array, real_array, real_number
 from .spectral import m_formula, spectral_decompose
 
 log = logging.getLogger("bo_soliton.action_angle")
@@ -214,16 +214,12 @@ def explicit_solution(aa0, t, x):
 
 
 def pi_u_resolvent(sd, x):
-    """Pi u(x) = -i <(M - x)^{-1} X, Y> from spectral data alone; the
-    per-block singular-point test runs when some x lies below the real
-    axis, or an eigenvalue of M within SINGULAR_RTOL * max|T| of it.  An
-    x that is not numbers raises DomainError, an int past the float range
-    NonFiniteInput."""
-    try:
-        xs = np.asarray(_numbers(x, "points x"), dtype=complex)
-    except OverflowError:  # an int past the float range
-        raise NonFiniteInput("points x must lie in the float range") from None
+    """Pi u(x) = -i <(M - x)^{-1} X, Y> from spectral data alone, at the x
+    that ``profiles.complex_array`` reads; the per-block singular-point test
+    runs when some x lies below the real axis, or an eigenvalue of M within
+    SINGULAR_RTOL * max|T| of it."""
+    xs = complex_array(x, "points x")
     vals = -1j * _resolvent_pairing(sd.m_matrix, sd.lambdas, xs)[0]
-    if np.asarray(x).shape == ():
+    if xs.shape == ():
         return complex(vals)
     return vals

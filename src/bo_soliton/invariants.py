@@ -27,7 +27,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BoundaryNotDecayed, NonFiniteInput, PoleProximity
+from .errors import (
+    BoundaryNotDecayed,
+    DomainError,
+    NonFiniteInput,
+    PoleProximity,
+)
 from .profiles import SolitonParameters, cauchy_kernel, integer, real_number
 from .spectral import spectral_decompose
 
@@ -108,16 +113,12 @@ def poisson_bracket_table(params):
 
 def e_n_from_spectrum(sd, n):
     """E_n = sum over j of 2 pi |lambda_j| lambda_j^n; ``sd`` is any record
-    with ``.lambdas`` (a SpectralData or an ActionAngles); NonFiniteInput
-    past the float range, and DomainError for an n that is not an integer."""
+    with ``.lambdas`` (a SpectralData or an ActionAngles) and ``n`` is read
+    by ``profiles.integer``; NonFiniteInput where E_n leaves the doubles."""
     n = integer(n, "order n")
     lam = np.asarray(sd.lambdas, dtype=float)
     with np.errstate(all="ignore"):
-        try:
-            e_n = float(np.sum(2 * np.pi * np.abs(lam) * lam ** n))
-        except OverflowError:  # an n past the float range
-            raise NonFiniteInput(
-                "order n must lie in the float range") from None
+        e_n = float(np.sum(2 * np.pi * np.abs(lam) * lam ** n))
     if not np.isfinite(e_n):
         raise NonFiniteInput(f"E_{n} is not finite in doubles")
     return e_n
@@ -128,8 +129,10 @@ def e1_quadrature(field, periodic=False):
 
     The first term uses the discrete |k| multiplier on the periodic embedding
     of the grid; the cubic term is a trapezoid sum.  Line profiles must decay
-    at the edges unless the field is declared periodic.
+    at the edges unless the field is declared periodic, by a bool ``periodic``.
     """
+    if not isinstance(periodic, (bool, np.bool_)):
+        raise DomainError(f"periodic must be a bool, not {periodic!r}")
     u = field.values
     if not periodic:
         edge = max(abs(u[0]), abs(u[-1]))

@@ -50,8 +50,15 @@ from .errors import (
     BoundaryContamination,
     DomainError,
     GridMismatch,
+    NonFiniteInput,
 )
-from .profiles import GridField, profile_values, real_number
+from .profiles import (
+    GridField,
+    complex_array,
+    integer,
+    profile_values,
+    real_number,
+)
 
 log = logging.getLogger("bo_soliton.pde")
 
@@ -65,8 +72,8 @@ class PdeConfig:
     snapshot_dt: float = 0.1
 
     def __post_init__(self):
-        m = self.modes
-        if not isinstance(m, (int, np.integer)) or m < 256 or m & (m - 1):
+        m = integer(self.modes, "modes")
+        if m < 256 or m & (m - 1):
             raise DomainError("modes must be an integer power of two >= 256")
         for f in ("domain_half_width", "dt", "t_end", "snapshot_dt"):
             object.__setattr__(self, f, real_number(getattr(self, f), f))
@@ -163,10 +170,13 @@ class _Stepper:
 def step(state, cfg):
     """One integrating-factor RK4 step of the half-spectrum ``rfft(u)``.
 
-    Returns a new array; ``state`` is left unchanged."""
-    state = np.asarray(state, dtype=complex)
+    Returns a new array; ``state`` is left unchanged.  A state that is not
+    numbers raises DomainError, and one that is not finite NonFiniteInput."""
+    state = complex_array(state, "state")
     if state.size != cfg.modes // 2 + 1:
         raise DomainError("state length must equal cfg.modes // 2 + 1")
+    if not np.isfinite(state).all():
+        raise NonFiniteInput("state must be finite")
     return _Stepper(cfg).advance(state, np.empty_like(state))
 
 

@@ -14,6 +14,12 @@ raise DomainError; an overflowed term adds 0.
 ``cauchy_kernel`` is the one Cauchy kernel of the package, which ``oracle``
 and ``invariants.omega_matrix`` read; on the parameters it is
 K_jk = 1/(conj z_k - z_j) = -i/w_jk, w_jk = (eta_j + eta_k) + i(x_j - x_k).
+
+Every number of the public API is read here, by one conversion,
+``_numbers``: ``real_number``, ``real_array`` and ``complex_array`` read
+one real number, real arrays and complex arrays, ``integer`` a count or an
+order.  A value that is not a number, or complex where a real one is read,
+raises DomainError; an int past the float range raises NonFiniteInput.
 """
 
 from __future__ import annotations
@@ -30,9 +36,10 @@ from .errors import DegenerateParameters, DomainError, NonFiniteInput
 DEGENERACY_TOL = 1e-9
 
 
-def _numbers(values, what):
-    """``values`` as an array; DomainError for a ragged nesting or an entry
-    that is not a number (None, a string)."""
+def _numbers(values, what, dtype):
+    """``values`` as an array of ``dtype``, float or complex; DomainError for
+    a ragged nesting, an entry that is not a number and, into floats, a
+    complex entry, NonFiniteInput for an int past the float range."""
     try:
         arr = np.asarray(values)
     except ValueError:  # a ragged nesting
@@ -43,23 +50,25 @@ def _numbers(values, what):
                if not isinstance(v, numbers.Number)]
         if bad:
             raise DomainError(f"{what} must be numeric, not {bad[0]!r}")
-    return arr
+    # an int past the int64 range makes an object array, which hides a
+    # complex entry from iscomplexobj
+    if dtype is float and (np.iscomplexobj(arr) or (
+            arr.dtype == object and any(map(np.iscomplexobj, arr.flat)))):
+        raise DomainError(f"{what} must be real, not complex")
+    try:
+        return np.asarray(arr, dtype=dtype)
+    except OverflowError:
+        raise NonFiniteInput(f"{what} must lie in the float range") from None
 
 
 def real_array(values, what):
-    """``values`` as floats; DomainError, not a dropped imaginary part, for
-    a complex entry, DomainError for an entry that is not a number, and
-    NonFiniteInput, not OverflowError, for an int past the float range."""
-    arr = _numbers(values, what)
-    # an int past the int64 range makes an object array, which hides a
-    # complex entry from iscomplexobj
-    if np.iscomplexobj(arr) or (arr.dtype == object
-                                and any(map(np.iscomplexobj, arr.flat))):
-        raise DomainError(f"{what} must be real, not complex")
-    try:
-        return np.asarray(arr, dtype=float)
-    except OverflowError:
-        raise NonFiniteInput(f"{what} must lie in the float range") from None
+    """``values`` as floats, read by :func:`_numbers`."""
+    return _numbers(values, what, float)
+
+
+def complex_array(values, what):
+    """``values`` as complex numbers, read by :func:`_numbers`."""
+    return _numbers(values, what, complex)
 
 
 def real_number(value, what):
@@ -72,12 +81,14 @@ def real_number(value, what):
 
 
 def integer(value, what):
-    """``value`` as an int (a bool or numpy integer passes); DomainError for
-    anything else, a float with no fraction too."""
+    """``value`` as an int (a bool or numpy integer passes), NonFiniteInput
+    past the float range; DomainError for anything else, a float too."""
     try:
-        return operator.index(value)
+        n = operator.index(value)
     except TypeError:
         raise DomainError(f"{what} {value!r} is not an integer") from None
+    _numbers(n, what, float)
+    return n
 
 
 def cauchy_kernel(ps, qs):
@@ -116,10 +127,7 @@ class SolitonParameters:
     zs_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        try:
-            z = np.array(_numbers(self.zs, "parameters"), dtype=complex)
-        except OverflowError:  # an int past the float range
-            raise NonFiniteInput("parameters past the float range") from None
+        z = complex_array(self.zs, "parameters").copy()  # sorted below
         if z.ndim != 1:
             raise DomainError(f"parameters must be one flat list, not {z.ndim}-D")
         if z.size < 1:

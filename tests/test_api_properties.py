@@ -6,12 +6,15 @@ test draws from too, and from ``st.floats()``; a RuntimeWarning fails an
 example, as everywhere in this suite.  Out of scope: the PDE reference
 (``PdeConfig``, ``run``, ``step``, ``compare``), whose cost grows with its
 grid.  A second property test puts a value of the wrong kind (a pair, a
-complex number, None, a string, an int past the float range) into each
-slot that takes one number, real points or a pole, and expects a
-``DomainError``.
+complex number, a float, None, a string, an int past the float range) into
+each slot that reads numbers or a flag, and expects a ``DomainError``.  Its
+slots come from ``KINDS``, which gives every parameter of every public
+callable a kind; a parameter that the table lacks fails
+``test_every_public_parameter_has_a_kind``.
 """
 
 import dataclasses
+import inspect
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -123,54 +126,111 @@ def test_a_public_call_returns_finite_values_or_a_typed_error(name, rows, aa,
 
 UNIT_P = bo.SolitonParameters((-1j,))
 UNIT_AA = bo.ActionAngles([-2 * np.pi], [0.0])
-# slot -> call with one value in that slot and valid arguments elsewhere
-SLOTS = {
-    "t": lambda v: bo.evolve_aa(UNIT_AA, v),
-    "t_explicit": lambda v: bo.explicit_solution(UNIT_AA, v, 0.0),
-    "lambda": lambda v: bo.h_lambda(UNIT_AA, v),
-    "lambda_resolvent": lambda v: bo.h_lambda_resolvent(UNIT_P, v),
-    "n": lambda v: bo.e_n_from_spectrum(UNIT_AA, v),
-    "x0": lambda v: bo.GridField(v, 1.0, [0.0, 1.0]),
-    "dx": lambda v: bo.GridField(0.0, v, [0.0, 1.0]),
-    "profile_x0": lambda v: bo.profile(UNIT_P, v, 1.0, 2),
-    "profile_dx": lambda v: bo.profile(UNIT_P, 0.0, v, 2),
-    "pde_dt": lambda v: bo.PdeConfig(dt=v),
-    "pde_half_width": lambda v: bo.PdeConfig(domain_half_width=v),
-    "shift": lambda v: UNIT_P.shifted(v),
-    "scale": lambda v: UNIT_P.scaled(v),
-    "points": lambda v: bo.explicit_solution(UNIT_AA, 0.0, v),
-    "points_resolvent": lambda v: bo.pi_u_resolvent(
-        bo.spectral_decompose(UNIT_P), v),
-    "parameters": lambda v: bo.SolitonParameters((v,)),
-    "from_x_eta": lambda v: bo.SolitonParameters.from_x_eta([v], [1.0]),
+UNIT_SD = bo.spectral_decompose(UNIT_P)
+FIELD = bo.profile(UNIT_P, -50.0, 1.0, 101)
+CFG = bo.PdeConfig(modes=256)
+REAL, REALS, COMPLEXES = "real number", "real array", "complex array"
+INTEGER, FLAG, RECORD, EXEMPT = "integer", "flag", "record", "exempt"
+# every parameter of every public callable: its kind and a value that the
+# call takes.  Wrong types in a record slot are out of scope, and only
+# spectral_decompose builds a SpectralData, so its fields are exempt.
+KINDS = {
+    "ActionAngles": dict(rs=(REALS, [-1.0]), alphas=(REALS, [0.0])),
+    "GridField": dict(x0=(REAL, 0.0), dx=(REAL, 1.0),
+                      values=(REALS, [0.0, 1.0])),
+    "PdeConfig": dict(domain_half_width=(REAL, 400.0), modes=(INTEGER, 256),
+                      dt=(REAL, 1e-3), t_end=(REAL, 1.0),
+                      snapshot_dt=(REAL, 0.1)),
+    "SolitonParameters": dict(zs=(COMPLEXES, [-1j])),
+    "SolitonParameters.from_x_eta": dict(xs=(REALS, [0.0]),
+                                         etas=(REALS, [1.0])),
+    "SolitonParameters.shifted": dict(self=(RECORD, UNIT_P), dx=(REAL, 1.0)),
+    "SolitonParameters.scaled": dict(self=(RECORD, UNIT_P), c=(REAL, 2.0)),
+    "SpectralData": dict.fromkeys(
+        ["lambdas", "gammas", "m_matrix", "zs", "vectors"], (EXEMPT, None)),
+    "aa_from_spectral": dict(sd=(RECORD, UNIT_SD)),
+    "compare": dict(pde_field=(RECORD, FIELD), explicit_field=(RECORD, FIELD)),
+    "e1_quadrature": dict(field=(RECORD, FIELD), periodic=(FLAG, True)),
+    "e_n_from_spectrum": dict(sd=(RECORD, UNIT_AA), n=(INTEGER, 1)),
+    "evolve_aa": dict(aa=(RECORD, UNIT_AA), t=(REAL, 1.0)),
+    "explicit_solution": dict(aa0=(RECORD, UNIT_AA), t=(REAL, 1.0),
+                              x=(REALS, [0.0])),
+    "forward_map": dict(params=(RECORD, UNIT_P)),
+    "h_lambda": dict(sd=(RECORD, UNIT_AA), lam=(REAL, 0.0)),
+    "h_lambda_resolvent": dict(params=(RECORD, UNIT_P), lam=(REAL, 0.0)),
+    "inverse_map": dict(aa=(RECORD, UNIT_AA)),
+    "m_from_aa": dict(aa=(RECORD, UNIT_AA)),
+    "omega_matrix": dict(params=(RECORD, UNIT_P)),
+    "pi_u_resolvent": dict(sd=(RECORD, UNIT_SD), x=(COMPLEXES, [1j])),
+    "poisson_bracket_table": dict(params=(RECORD, UNIT_P)),
+    "profile": dict(params=(RECORD, UNIT_P), x0=(REAL, 0.0), dx=(REAL, 1.0),
+                    n=(INTEGER, 2)),
+    "run": dict(params0=(RECORD, UNIT_P), cfg=(RECORD, CFG)),
+    "spectral_decompose": dict(params=(RECORD, UNIT_P)),
+    "step": dict(state=(COMPLEXES, [0.0] * 129), cfg=(RECORD, CFG)),
+    "symplectomorphism_check": dict(params=(RECORD, UNIT_P)),
+    "torus_potential": dict(params=(RECORD, UNIT_P), m=(INTEGER, 4)),
+    "verify_m_matrix": dict(sd=(RECORD, UNIT_SD)),
 }
-# the kinds a slot takes: points come in arrays, pi_u_resolvent pairs
-# complex ones, and the parameters are complex
-TAKES = {"points": {"pair"}, "points_resolvent": {"pair", "complex"},
-         "parameters": {"complex"}}
+PUBLIC = {name: getattr(bo, name) for name in bo.__all__
+          if callable(getattr(bo, name))}
+for method in ("from_x_eta", "shifted", "scaled"):
+    PUBLIC[f"SolitonParameters.{method}"] = getattr(bo.SolitonParameters,
+                                                    method)
+# (callable, parameter) of each slot that reads numbers or a flag
+SLOTS = [(name, param) for name, params in KINDS.items()
+         for param, (kind, _) in params.items() if kind not in (RECORD, EXEMPT)]
 WRONG_KINDS = {
     "pair": st.lists(finite, min_size=2, max_size=2),
     "complex": st.builds(complex, finite, finite.filter(bool)),
+    "float": finite,
     "none": st.none(),
     "string": st.text("abcxyz", min_size=1, max_size=3),
     "huge": st.sampled_from([10 ** 400, -10 ** 400]),
 }
+# the wrong kinds that a kind of slot takes
+TAKES = {REAL: {"float"}, REALS: {"pair", "float"},
+         COMPLEXES: {"pair", "complex", "float"}, INTEGER: set(), FLAG: set()}
+
+
+def call(name, **values):
+    """``name`` called on the table's values, with ``values`` in their
+    place."""
+    args = {param: value for param, (_, value) in KINDS[name].items()}
+    return PUBLIC[name](**{**args, **values})
+
+
+def test_every_public_parameter_has_a_kind():
+    signatures = {name: list(inspect.signature(f).parameters)
+                  for name, f in PUBLIC.items()}
+    assert {name: list(params) for name, params in KINDS.items()} == signatures
+
+
+def test_the_table_values_are_valid():
+    # so that a refusal below comes from the slot under test
+    for name in sorted({name for name, _ in SLOTS}):
+        call(name)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=25)
 @given(values=st.fixed_dictionaries(WRONG_KINDS))
 def test_a_wrong_kind_in_a_number_slot_is_a_domain_error(values):
     missed = []
-    for slot, call in SLOTS.items():
-        for kind, value in values.items():
-            if kind in TAKES.get(slot, ()):
+    for name, param in SLOTS:
+        kind, valid = KINDS[name][param]
+        for wrong, value in values.items():
+            if wrong in TAKES[kind]:
                 continue
-            try:
-                call(value)
-            except DomainError:
-                continue
-            except Exception as exc:
-                missed.append((slot, kind, type(exc).__name__))
-            else:
-                missed.append((slot, kind, "returned"))
+            # an array slot gets the value alone and as its first entry
+            tries = [value] + ([[value] + valid[1:]]
+                               if kind in (REALS, COMPLEXES) else [])
+            for v in tries:
+                try:
+                    call(name, **{param: v})
+                except DomainError:
+                    continue
+                except Exception as exc:
+                    missed.append((name, param, wrong, type(exc).__name__))
+                else:
+                    missed.append((name, param, wrong, "returned"))
     assert not missed

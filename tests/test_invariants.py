@@ -10,6 +10,7 @@ from bo_soliton.action_angle import ActionAngles, evolve_aa
 from bo_soliton.errors import (
     BoundaryNotDecayed,
     DegenerateParameters,
+    DomainError,
     NonFiniteInput,
     PoleProximity,
 )
@@ -240,6 +241,16 @@ class TestE1Quadrature:
         g = profile(SolitonParameters((-1j,)), -5, 0.1, 101)
         with pytest.raises(BoundaryNotDecayed):
             e1_quadrature(g)
+
+    @pytest.mark.parametrize("periodic", ["no", None, 1, 0.0, [True]],
+                             ids=["string", "none", "int", "float", "list"])
+    def test_periodic_is_a_flag(self, periodic):
+        # "no" was true, so the line profile got the periodic energy
+        g = profile(SolitonParameters((-1j,)), -50.0, 1.0, 101)
+        assert e1_quadrature(g, periodic=np.True_) == e1_quadrature(
+            g, periodic=True)
+        with pytest.raises(DomainError, match="periodic must be a bool"):
+            e1_quadrature(g, periodic=periodic)
 
 
 class TestEnergyDefect:

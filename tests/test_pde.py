@@ -53,6 +53,18 @@ class TestStep:
         with pytest.raises(DomainError):
             step(np.zeros(cfg.modes, dtype=complex), cfg)
 
+    @pytest.mark.parametrize("state, error, match", [
+        ([np.nan] * 129, NonFiniteInput, "state must be finite"),
+        ([None] * 129, DomainError, "state must be numeric"),
+        ("abc", DomainError, "state must be numeric"),
+        ([10 ** 400] * 129, NonFiniteInput, "float range"),
+    ], ids=["nan", "none", "string", "huge-int"])
+    def test_state_of_finite_numbers_required(self, state, error, match):
+        # NaN and None stepped to NaN with no error, a string raised a bare
+        # ValueError and a huge int a bare OverflowError
+        with pytest.raises(error, match=match):
+            step(state, PdeConfig(modes=256))
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
             PdeConfig(modes=100)

@@ -84,6 +84,13 @@ class TestParameters:
         assert p == q and hash(p) == hash(q)
         assert "zs_array" not in repr(p)
 
+    def test_callers_array_keeps_its_order_and_stays_writeable(self):
+        # the complex reader returns an ndarray as it is, and the sort must
+        # not reorder or freeze it
+        z = np.array([2 - 1j, -1 - 2j])
+        assert SolitonParameters(z).zs == (-1 - 2j, 2 - 1j)
+        assert z.tolist() == [2 - 1j, -1 - 2j] and z.flags.writeable
+
     @pytest.mark.parametrize("call", [
         # a complex shift thinned every soliton, a complex scale rotated
         # the poles, and a zero scale raised a bare ZeroDivisionError
@@ -282,6 +289,11 @@ class TestInputTypes:
                      id="h_lambda_resolvent"),
         pytest.param(lambda aa, p: e_n_from_spectrum(aa, 10 ** 400),
                      id="e_n_from_spectrum"),
+        # a bare ValueError from np.arange and a bare OverflowError
+        pytest.param(lambda aa, p: profile(p, 0.0, 1.0, 10 ** 400),
+                     id="profile-count"),
+        pytest.param(lambda aa, p: torus_potential(p, 10 ** 400),
+                     id="torus_potential"),
     ])
     def test_int_past_float_range_refused(self, call):
         # not a bare OverflowError from the float conversion
@@ -323,6 +335,11 @@ class TestInputTypes:
         # None was read as NaN, and a string raised a bare ValueError
         with pytest.raises(DomainError, match="must (be numeric|not be)"):
             real_array(values, "x")
+
+    def test_the_entry_that_is_not_a_number_is_named(self):
+        # numpy reads the list as strings, whose first entry spells 1.0
+        with pytest.raises(DomainError, match="not 'a'"):
+            real_array([1.0, "a"], "x")
 
     @pytest.mark.parametrize("x", [None, "a"])
     def test_points_that_are_not_numbers_refused(self, x):
