@@ -75,6 +75,7 @@ class PdeConfig:
         m = integer(self.modes, "modes")
         if m < 256 or m & (m - 1):
             raise DomainError("modes must be an integer power of two >= 256")
+        object.__setattr__(self, "modes", m)
         for f in ("domain_half_width", "dt", "t_end", "snapshot_dt"):
             object.__setattr__(self, f, real_number(getattr(self, f), f))
         lengths = (self.domain_half_width, self.dt, self.t_end, self.snapshot_dt)
@@ -173,7 +174,7 @@ def step(state, cfg):
     Returns a new array; ``state`` is left unchanged.  A state that is not
     numbers raises DomainError, and one that is not finite NonFiniteInput."""
     state = complex_array(state, "state")
-    if state.size != cfg.modes // 2 + 1:
+    if state.shape != (cfg.modes // 2 + 1,):
         raise DomainError("state length must equal cfg.modes // 2 + 1")
     if not np.isfinite(state).all():
         raise NonFiniteInput("state must be finite")

@@ -81,8 +81,9 @@ def real_number(value, what):
 
 
 def integer(value, what):
-    """``value`` as an int (a bool or numpy integer passes), NonFiniteInput
-    past the float range; DomainError for anything else, a float too."""
+    """``value`` as an int (a bool or numpy integer passes); DomainError for
+    anything else, a float too.  NonFiniteInput past the float range, the
+    only bound read here: a count too large to allocate fails where used."""
     try:
         n = operator.index(value)
     except TypeError:

@@ -130,20 +130,24 @@ UNIT_SD = bo.spectral_decompose(UNIT_P)
 FIELD = bo.profile(UNIT_P, -50.0, 1.0, 101)
 CFG = bo.PdeConfig(modes=256)
 REAL, REALS, COMPLEXES = "real number", "real array", "complex array"
+# arrays that must be flat lists, unlike the points of explicit_solution
+# and pi_u_resolvent, which may be nested
+FLAT_REALS, FLAT_COMPLEXES = "flat real array", "flat complex array"
 INTEGER, FLAG, RECORD, EXEMPT = "integer", "flag", "record", "exempt"
 # every parameter of every public callable: its kind and a value that the
 # call takes.  Wrong types in a record slot are out of scope, and only
 # spectral_decompose builds a SpectralData, so its fields are exempt.
 KINDS = {
-    "ActionAngles": dict(rs=(REALS, [-1.0]), alphas=(REALS, [0.0])),
+    "ActionAngles": dict(rs=(FLAT_REALS, [-1.0]),
+                         alphas=(FLAT_REALS, [0.0])),
     "GridField": dict(x0=(REAL, 0.0), dx=(REAL, 1.0),
-                      values=(REALS, [0.0, 1.0])),
+                      values=(FLAT_REALS, [0.0, 1.0])),
     "PdeConfig": dict(domain_half_width=(REAL, 400.0), modes=(INTEGER, 256),
                       dt=(REAL, 1e-3), t_end=(REAL, 1.0),
                       snapshot_dt=(REAL, 0.1)),
-    "SolitonParameters": dict(zs=(COMPLEXES, [-1j])),
-    "SolitonParameters.from_x_eta": dict(xs=(REALS, [0.0]),
-                                         etas=(REALS, [1.0])),
+    "SolitonParameters": dict(zs=(FLAT_COMPLEXES, [-1j])),
+    "SolitonParameters.from_x_eta": dict(xs=(FLAT_REALS, [0.0]),
+                                         etas=(FLAT_REALS, [1.0])),
     "SolitonParameters.shifted": dict(self=(RECORD, UNIT_P), dx=(REAL, 1.0)),
     "SolitonParameters.scaled": dict(self=(RECORD, UNIT_P), c=(REAL, 2.0)),
     "SpectralData": dict.fromkeys(
@@ -167,7 +171,8 @@ KINDS = {
                     n=(INTEGER, 2)),
     "run": dict(params0=(RECORD, UNIT_P), cfg=(RECORD, CFG)),
     "spectral_decompose": dict(params=(RECORD, UNIT_P)),
-    "step": dict(state=(COMPLEXES, [0.0] * 129), cfg=(RECORD, CFG)),
+    "step": dict(state=(FLAT_COMPLEXES, [0.0] * 129),
+                 cfg=(RECORD, CFG)),
     "symplectomorphism_check": dict(params=(RECORD, UNIT_P)),
     "torus_potential": dict(params=(RECORD, UNIT_P), m=(INTEGER, 4)),
     "verify_m_matrix": dict(sd=(RECORD, UNIT_SD)),
@@ -188,9 +193,16 @@ WRONG_KINDS = {
     "string": st.text("abcxyz", min_size=1, max_size=3),
     "huge": st.sampled_from([10 ** 400, -10 ** 400]),
 }
-# the wrong kinds that a kind of slot takes
+# the wrong kinds that a kind of slot takes as its value, and that an
+# array slot takes as an entry: a pair is a flat list, not an entry of one
 TAKES = {REAL: {"float"}, REALS: {"pair", "float"},
-         COMPLEXES: {"pair", "complex", "float"}, INTEGER: set(), FLAG: set()}
+         FLAT_REALS: {"pair", "float"},
+         COMPLEXES: {"pair", "complex", "float"},
+         FLAT_COMPLEXES: {"pair", "complex", "float"},
+         INTEGER: set(), FLAG: set()}
+ENTRY_TAKES = {REALS: {"pair", "float"}, FLAT_REALS: {"float"},
+               COMPLEXES: {"pair", "complex", "float"},
+               FLAT_COMPLEXES: {"complex", "float"}}
 
 
 def call(name, **values):
@@ -219,11 +231,10 @@ def test_a_wrong_kind_in_a_number_slot_is_a_domain_error(values):
     for name, param in SLOTS:
         kind, valid = KINDS[name][param]
         for wrong, value in values.items():
-            if wrong in TAKES[kind]:
-                continue
             # an array slot gets the value alone and as its first entry
-            tries = [value] + ([[value] + valid[1:]]
-                               if kind in (REALS, COMPLEXES) else [])
+            tries = [value] if wrong not in TAKES[kind] else []
+            if kind in ENTRY_TAKES and wrong not in ENTRY_TAKES[kind]:
+                tries.append([value] + valid[1:])
             for v in tries:
                 try:
                     call(name, **{param: v})

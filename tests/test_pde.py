@@ -53,6 +53,11 @@ class TestStep:
         with pytest.raises(DomainError):
             step(np.zeros(cfg.modes, dtype=complex), cfg)
 
+    def test_rejects_nested_state(self):
+        # a (1, 129) state had the right size and raised a bare ValueError
+        with pytest.raises(DomainError, match="state length"):
+            step([[0.0] * 129], PdeConfig(modes=256))
+
     @pytest.mark.parametrize("state, error, match", [
         ([np.nan] * 129, NonFiniteInput, "state must be finite"),
         ([None] * 129, DomainError, "state must be numeric"),
@@ -80,6 +85,12 @@ class TestStep:
                     dict(dt=1e-3, t_end=0.0104, snapshot_dt=0.0034)):
             with pytest.raises(DomainError):
                 PdeConfig(**bad)
+
+    @pytest.mark.parametrize("modes", [256, np.int64(256), np.array(256)])
+    def test_modes_stored_as_int(self, modes):
+        # a 0-d array was kept as it was, so the record was not hashable
+        cfg = PdeConfig(modes=modes)
+        assert type(cfg.modes) is int and hash(cfg) == hash(PdeConfig(modes=256))
 
     @pytest.mark.parametrize("field", ["domain_half_width", "dt", "t_end",
                                        "snapshot_dt"])
