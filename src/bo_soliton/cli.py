@@ -146,9 +146,10 @@ def _evolve_times(t0, t1, dt):
         raise CliParseError("--dt must be nonzero when --t1 differs from --t0")
     step = abs(dt) if t1 > t0 else -abs(dt)
     times, names = [], set()
+    slack = 1e-12 * max(1.0, abs(t0), abs(t1))  # the rounding of k * step
     for k in itertools.count():
         t = t0 + k * step
-        if (t > t1 + 1e-12) if step > 0 else (t < t1 - 1e-12):
+        if (t > t1 + slack) if step > 0 else (t < t1 - slack):
             return times
         if k == MAX_FRAMES:
             raise CliParseError(f"--t0, --t1 and --dt give more than "

@@ -55,7 +55,7 @@ from .errors import (
 from .profiles import (
     GridField,
     complex_array,
-    integer,
+    count,
     profile_values,
     real_number,
 )
@@ -72,7 +72,7 @@ class PdeConfig:
     snapshot_dt: float = 0.1
 
     def __post_init__(self):
-        m = integer(self.modes, "modes")
+        m = count(self.modes, "modes")
         if m < 256 or m & (m - 1):
             raise DomainError("modes must be an integer power of two >= 256")
         object.__setattr__(self, "modes", m)

@@ -15,11 +15,11 @@ raise DomainError; an overflowed term adds 0.
 and ``invariants.omega_matrix`` read; on the parameters it is
 K_jk = 1/(conj z_k - z_j) = -i/w_jk, w_jk = (eta_j + eta_k) + i(x_j - x_k).
 
-Every number of the public API is read here, by one conversion,
-``_numbers``: ``real_number``, ``real_array`` and ``complex_array`` read
-one real number, real arrays and complex arrays, ``integer`` a count or an
-order.  A value that is not a number, or complex where a real one is read,
-raises DomainError; an int past the float range raises NonFiniteInput.
+Every public number is read here, into a new array, by ``_numbers``:
+through ``real_number`` (one real number), ``real_array``,
+``complex_array``, ``integer`` (an order) and ``count`` (a count).  A
+non-number, or complex where a real is read, is a DomainError; an int past
+the float range raises NonFiniteInput.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ DEGENERACY_TOL = 1e-9
 
 
 def _numbers(values, what, dtype):
-    """``values`` as an array of ``dtype``, float or complex; DomainError for
-    a ragged nesting, an entry that is not a number and, into floats, a
-    complex entry, NonFiniteInput for an int past the float range."""
+    """A new array of ``dtype``, float or complex, from ``values``, which a
+    record may keep; DomainError for a ragged nesting, a non-number entry
+    and, into floats, a complex one, NonFiniteInput past the float range."""
     try:
         arr = np.asarray(values)
     except ValueError:  # a ragged nesting
@@ -56,7 +56,7 @@ def _numbers(values, what, dtype):
             arr.dtype == object and any(map(np.iscomplexobj, arr.flat)))):
         raise DomainError(f"{what} must be real, not complex")
     try:
-        return np.asarray(arr, dtype=dtype)
+        return np.array(arr, dtype=dtype)
     except OverflowError:
         raise NonFiniteInput(f"{what} must lie in the float range") from None
 
@@ -82,13 +82,22 @@ def real_number(value, what):
 
 def integer(value, what):
     """``value`` as an int (a bool or numpy integer passes); DomainError for
-    anything else, a float too.  NonFiniteInput past the float range, the
-    only bound read here: a count too large to allocate fails where used."""
+    anything else, a float too, and NonFiniteInput past the float range,
+    the only bound on an order; :func:`count` bounds a count."""
     try:
         n = operator.index(value)
     except TypeError:
         raise DomainError(f"{what} {value!r} is not an integer") from None
     _numbers(n, what, float)
+    return n
+
+
+def count(value, what):
+    """``value`` read by :func:`integer`, and DomainError past the most
+    complex128 entries that numpy can size."""
+    n, most = integer(value, what), np.iinfo(np.intp).max // 16
+    if n > most:
+        raise DomainError(f"{what} must be at most {most}")
     return n
 
 
@@ -128,7 +137,7 @@ class SolitonParameters:
     zs_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        z = complex_array(self.zs, "parameters").copy()  # sorted below
+        z = complex_array(self.zs, "parameters")
         if z.ndim != 1:
             raise DomainError(f"parameters must be one flat list, not {z.ndim}-D")
         if z.size < 1:
@@ -246,7 +255,7 @@ def profile(params, x0, dx, n):
     x0, dx = real_number(x0, "x0"), real_number(dx, "dx")
     # a non-finite point gives a NaN value or a refused GridField
     with np.errstate(over="ignore", invalid="ignore"):
-        x = x0 + dx * np.arange(integer(n, "sample count"))
+        x = x0 + dx * np.arange(count(n, "sample count"))
     return GridField(x0, dx, profile_values(params, x))
 
 
@@ -260,7 +269,7 @@ def torus_potential(params, m):
     2*pi-periodization of the line profile u; the same form built from the
     reflected roots exp(i conj z_j), 2*Re[w Qt'(w)/Qt(w)], equals v + 2N.
     """
-    m = integer(m, "sample count")
+    m = count(m, "sample count")
     if m < 2:
         raise DomainError("need at least two samples")
     dx = 2 * np.pi / m

@@ -7,10 +7,11 @@ example, as everywhere in this suite.  Out of scope: the PDE reference
 (``PdeConfig``, ``run``, ``step``, ``compare``), whose cost grows with its
 grid.  A second property test puts a value of the wrong kind (a pair, a
 complex number, a float, None, a string, an int past the float range) into
-each slot that reads numbers or a flag, and expects a ``DomainError``.  Its
-slots come from ``KINDS``, which gives every parameter of every public
-callable a kind; a parameter that the table lacks fails
-``test_every_public_parameter_has_a_kind``.
+each slot that reads numbers or a flag, and checks the class and message
+of each refusal against ``refusal``: this is the one test statement of the
+reading rule of ``profiles``.  Its slots come from ``KINDS``, which gives
+every parameter of every public callable a kind; a parameter that the
+table lacks fails ``test_every_public_parameter_has_a_kind``.
 """
 
 import dataclasses
@@ -21,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bo_soliton as bo
-from bo_soliton.errors import BOSolitonError, DomainError
+from bo_soliton.errors import BOSolitonError, DomainError, NonFiniteInput
 from conftest import FINITE, POSITIVE, SPELLINGS
 
 scalar = st.one_of(st.sampled_from(SPELLINGS).map(float), st.floats())
@@ -169,6 +170,7 @@ KINDS = {
     "poisson_bracket_table": dict(params=(RECORD, UNIT_P)),
     "profile": dict(params=(RECORD, UNIT_P), x0=(REAL, 0.0), dx=(REAL, 1.0),
                     n=(INTEGER, 2)),
+    "profile_values": dict(params=(RECORD, UNIT_P), x=(REALS, [0.0])),
     "run": dict(params0=(RECORD, UNIT_P), cfg=(RECORD, CFG)),
     "spectral_decompose": dict(params=(RECORD, UNIT_P)),
     "step": dict(state=(FLAT_COMPLEXES, [0.0] * 129),
@@ -182,6 +184,8 @@ PUBLIC = {name: getattr(bo, name) for name in bo.__all__
 for method in ("from_x_eta", "shifted", "scaled"):
     PUBLIC[f"SolitonParameters.{method}"] = getattr(bo.SolitonParameters,
                                                     method)
+# not in __all__, but synth and every evolve frame run it
+PUBLIC["profile_values"] = bo.profiles.profile_values
 # (callable, parameter) of each slot that reads numbers or a flag
 SLOTS = [(name, param) for name, params in KINDS.items()
          for param, (kind, _) in params.items() if kind not in (RECORD, EXEMPT)]
@@ -203,6 +207,28 @@ TAKES = {REAL: {"float"}, REALS: {"pair", "float"},
 ENTRY_TAKES = {REALS: {"pair", "float"}, FLAT_REALS: {"float"},
                COMPLEXES: {"pair", "complex", "float"},
                FLAT_COMPLEXES: {"complex", "float"}}
+
+
+def refusal(kind, wrong):
+    """(class, message fragment) of the refusal of a value of the ``wrong``
+    kind in a slot of ``kind``, alone or as an entry; the first rule that
+    applies decides."""
+    if kind == FLAG:
+        return DomainError, "must be a bool"
+    if wrong == "huge":
+        return NonFiniteInput, "float range"
+    if kind == INTEGER:
+        return DomainError, "is not an integer"
+    if wrong == "pair":  # alone: only a one-number slot refuses it
+        return DomainError, "must be one number"
+    if wrong == "complex":
+        return DomainError, "must be real, not complex"
+    return DomainError, "must be numeric"
+
+
+# the one refusal that names another callable
+OVERRIDES = {("explicit_solution", "x", "complex"):
+             (DomainError, "pi_u_resolvent pairs complex ones")}
 
 
 def call(name, **values):
@@ -231,17 +257,23 @@ def test_a_wrong_kind_in_a_number_slot_is_a_domain_error(values):
     for name, param in SLOTS:
         kind, valid = KINDS[name][param]
         for wrong, value in values.items():
-            # an array slot gets the value alone and as its first entry
-            tries = [value] if wrong not in TAKES[kind] else []
+            expected = OVERRIDES.get((name, param, wrong),
+                                     refusal(kind, wrong))
+            # an array slot gets the value alone and as its first entry; a
+            # pair as an entry of a flat list meets the record's own shape
+            # refusal, so only its class is checked (None)
+            tries = [(value, expected)] if wrong not in TAKES[kind] else []
             if kind in ENTRY_TAKES and wrong not in ENTRY_TAKES[kind]:
-                tries.append([value] + valid[1:])
-            for v in tries:
+                tries.append(([value] + valid[1:], (DomainError, None)
+                              if wrong == "pair" else expected))
+            for v, (cls, fragment) in tries:
                 try:
                     call(name, **{param: v})
-                except DomainError:
-                    continue
                 except Exception as exc:
-                    missed.append((name, param, wrong, type(exc).__name__))
+                    if (isinstance(exc, cls) if fragment is None else
+                            type(exc) is cls and fragment in str(exc)):
+                        continue
+                    missed.append((name, param, wrong, repr(exc)))
                 else:
                     missed.append((name, param, wrong, "returned"))
     assert not missed

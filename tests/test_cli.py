@@ -1,5 +1,6 @@
 import csv
 import os
+import random
 import re
 import subprocess
 import sys
@@ -368,6 +369,29 @@ class TestEvolveTimes:
         with pytest.raises(CliParseError, match="more than"):
             list(_evolve_times(0.0, float(MAX_FRAMES), 1.0))
 
+    def test_t1_kept_at_large_times(self, unit_params, tmp_path):
+        # t0 + 34 dt rounds to -63577.104999999996, 7e-12 past t1, and a
+        # slack of an absolute 1e-12 dropped the frame at t1
+        outdir = tmp_path / "d"
+        code = main(["evolve", unit_params, "--t0=-63631.301",
+                     "--t1=-63577.105", "--dt=1.594", "--grid", "-5,5,11",
+                     "--outdir", str(outdir)])
+        assert code == 0
+        frames = sorted(p.name for p in outdir.glob("frame_*.csv"))
+        assert len(frames) == 35 and "frame_t-63577.1050.csv" in frames
+
+    def test_decimal_times_end_on_t1(self):
+        # t1 = t0 + k dt in decimals, with |t0| up to 1e5: k + 1 times
+        rng = random.Random(2)
+        missed = []
+        for _ in range(2000):
+            t0, dt = rng.randint(-10 ** 8, 10 ** 8), rng.randint(1, 10 ** 5)
+            k = rng.randint(1, 49)
+            t1 = t0 + rng.choice([-1, 1]) * k * dt
+            if len(_evolve_times(t0 / 1000, t1 / 1000, dt / 1000)) != k + 1:
+                missed.append((t0 / 1000, t1 / 1000, dt / 1000))
+        assert not missed
+
     def test_single_time_takes_any_finite_step(self):
         assert list(_evolve_times(2.0, 2.0, 0.0)) == [2.0]
         assert list(_evolve_times(2.0, 2.0, 3.0)) == [2.0]
@@ -672,6 +696,12 @@ def test_frames_do_not_depend_on_the_blas_thread_count(tmp_path):
 
 def test_unknown_subcommand_is_usage_error():
     assert main(["frobnicate"]) == 2
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["bo-soliton", "frobnicate"])
+    assert main() == 2
+    assert "frobnicate" in capsys.readouterr().err
 
 
 def test_missing_file_is_usage_error(tmp_path):

@@ -123,6 +123,11 @@ def test_every_exported_name_resolves():
     assert not missing, f"exported names that do not resolve: {missing}"
 
 
+def test_dir_lists_every_exported_name():
+    # the lazy names are absent from the namespace until first read
+    assert set(bo_soliton.__all__) <= set(dir(bo_soliton))
+
+
 class TestHppBasis:
     """The pure-point subspace span{x^k / Q_u} in its partial-fraction
     basis 1/(x - z_r)."""
