@@ -242,9 +242,10 @@ class TestE1Quadrature:
         with pytest.raises(BoundaryNotDecayed):
             e1_quadrature(g)
 
-    @pytest.mark.parametrize("periodic", [1], ids=["int"])
+    @pytest.mark.parametrize("periodic", ["no", None, 1, 0.0, [True]],
+                             ids=["string", "none", "int", "float", "list"])
     def test_periodic_is_a_flag(self, periodic):
-        # 1 is true, but not a bool; the slot table tries the other kinds
+        # "no" was true, so the line profile got the periodic energy
         g = profile(SolitonParameters((-1j,)), -50.0, 1.0, 101)
         assert e1_quadrature(g, periodic=np.True_) == e1_quadrature(
             g, periodic=True)

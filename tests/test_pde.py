@@ -60,9 +60,13 @@ class TestStep:
 
     @pytest.mark.parametrize("state, error, match", [
         ([np.nan] * 129, NonFiniteInput, "state must be finite"),
-    ], ids=["nan"])
+        ([None] * 129, DomainError, "state must be numeric"),
+        ("abc", DomainError, "state must be numeric"),
+        ([10 ** 400] * 129, NonFiniteInput, "float range"),
+    ], ids=["nan", "none", "string", "huge-int"])
     def test_state_of_finite_numbers_required(self, state, error, match):
-        # NaN stepped to NaN with no error
+        # NaN and None stepped to NaN with no error, a string raised a bare
+        # ValueError and a huge int a bare OverflowError
         with pytest.raises(error, match=match):
             step(state, PdeConfig(modes=256))
 
@@ -91,7 +95,17 @@ class TestStep:
     @pytest.mark.parametrize("field", ["domain_half_width", "dt", "t_end",
                                        "snapshot_dt"])
     def test_lengths_are_real_scalars(self, field):
+        with pytest.raises(DomainError, match="must be real, not complex"):
+            PdeConfig(**{field: 1j})
+        with pytest.raises(NonFiniteInput, match="float range"):
+            PdeConfig(**{field: 10 ** 400})
         assert type(getattr(PdeConfig(t_end=1, snapshot_dt=1), field)) is float
+
+    @pytest.mark.parametrize("field", ["domain_half_width", "dt", "t_end",
+                                       "snapshot_dt"])
+    def test_lengths_are_single_numbers(self, field):
+        with pytest.raises(DomainError, match="must be one number"):
+            PdeConfig(**{field: [1e-3]})
 
     @pytest.mark.parametrize("half_width", [0.0, -1.0])
     def test_domain_half_width_must_be_positive(self, half_width):

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from bo_soliton.action_angle import ActionAngles, inverse_map
+from bo_soliton.action_angle import (
+    ActionAngles,
+    evolve_aa,
+    explicit_solution,
+    inverse_map,
+    pi_u_resolvent,
+)
 from bo_soliton.errors import DegenerateParameters, DomainError, NonFiniteInput
+from bo_soliton.invariants import e_n_from_spectrum, h_lambda
+from bo_soliton.oracle import h_lambda_resolvent
 from bo_soliton.pde import PdeConfig
 from bo_soliton.profiles import (
     GridField,
@@ -12,6 +20,7 @@ from bo_soliton.profiles import (
     real_array,
     torus_potential,
 )
+from bo_soliton.spectral import spectral_decompose
 from conftest import random_params
 from polecalc import evaluate, pi_u, u_rational
 
@@ -36,9 +45,12 @@ class TestParameters:
         with pytest.raises(NonFiniteInput):
             SolitonParameters((z,))
 
-    @pytest.mark.parametrize("zs", [(1 - 1j, "2-1j")], ids=["mixed"])
+    @pytest.mark.parametrize("zs", [("a",), (None,), ("1-1j",),
+                                    (1 - 1j, "2-1j")],
+                             ids=["letter", "none", "string", "mixed"])
     def test_entries_that_are_not_numbers_refused(self, zs):
-        # a string is not a pole even where it spells a complex number
+        # None is not NaN, and a string is not a pole even where it spells
+        # a complex number
         with pytest.raises(DomainError, match="parameters must be numeric"):
             SolitonParameters(zs)
 
@@ -213,17 +225,34 @@ class TestGridField:
 
 
 class TestInputTypes:
-    """What the slot table of ``test_api_properties`` does not try, which
-    puts one value of each wrong kind into each public slot, alone and as
-    the first entry: a complex entry beside an int past the int64 range,
-    an int past the float range after the first entry, the entries that
-    ``real_array`` names, counts numpy cannot size, and records that keep
-    their own copy of what they read."""
+    """A complex value, a list or a non-number where one real number is
+    required, or a count or order that is not an integer, is a DomainError:
+    no imaginary part is dropped, and no bare TypeError escapes. Each case
+    names a call that once failed in its own way; the slot table of
+    ``test_api_properties`` states the rule for every public slot. The
+    table does not try a complex entry beside an int past the int64 range,
+    an int past the float range after the first entry, counts numpy cannot
+    size, or whether a record keeps its own copy of what it read."""
 
     aa = ActionAngles([-2 * np.pi], [0.0])
     params = SolitonParameters((-1j,))
 
     @pytest.mark.parametrize("call", [
+        pytest.param(lambda aa, p: ActionAngles([-1 + 0.5j], [0.0]), id="rs"),
+        pytest.param(lambda aa, p: ActionAngles([-1.0], np.array([0j])),
+                     id="alphas"),
+        pytest.param(lambda aa, p: evolve_aa(aa, 1j), id="evolve_aa"),
+        pytest.param(lambda aa, p: explicit_solution(aa, 1j, [0.0]),
+                     id="explicit_solution"),
+        pytest.param(lambda aa, p: h_lambda(aa, 1j), id="h_lambda"),
+        pytest.param(lambda aa, p: profile_values(p, np.array([1j])),
+                     id="profile_values"),
+        pytest.param(lambda aa, p: GridField(0.0, 1.0, np.array([1j, 2.0])),
+                     id="GridField"),
+        pytest.param(lambda aa, p: GridField(1j, 1.0, [0.0, 1.0]),
+                     id="GridField-x0"),
+        pytest.param(lambda aa, p: GridField(0.0, 1j, [0.0, 1.0]),
+                     id="GridField-dx"),
         # an int past the int64 range makes an object array, which
         # iscomplexobj reads as real: no bare TypeError, no NonFiniteInput
         # and no dropped imaginary part
@@ -241,13 +270,71 @@ class TestInputTypes:
             call(self.aa, self.params)
 
     @pytest.mark.parametrize("call", [
+        pytest.param(lambda aa, p: h_lambda(aa, 10 ** 400), id="h_lambda"),
+        pytest.param(lambda aa, p: evolve_aa(aa, 10 ** 400), id="evolve_aa"),
+        pytest.param(lambda aa, p: ActionAngles([-10 ** 400], [0.0]),
+                     id="ActionAngles"),
+        pytest.param(lambda aa, p: profile_values(p, [10 ** 400]),
+                     id="profile_values"),
+        pytest.param(lambda aa, p: SolitonParameters((10 ** 400,)),
+                     id="SolitonParameters"),
         pytest.param(lambda aa, p: SolitonParameters((-1j, 10 ** 400)),
                      id="SolitonParameters-second"),
+        pytest.param(lambda aa, p: SolitonParameters.from_x_eta(
+            [10 ** 400], [1.0]), id="from_x_eta"),
+        pytest.param(lambda aa, p: GridField(10 ** 400, 1.0, [0.0, 1.0]),
+                     id="GridField-x0"),
+        pytest.param(lambda aa, p: GridField(0.0, 10 ** 400, [0.0, 1.0]),
+                     id="GridField-dx"),
+        # these four raised a bare OverflowError
+        pytest.param(lambda aa, p: explicit_solution(aa, 0.0, 10 ** 400),
+                     id="explicit_solution-x"),
+        pytest.param(lambda aa, p: pi_u_resolvent(spectral_decompose(p),
+                                                  10 ** 400),
+                     id="pi_u_resolvent"),
+        pytest.param(lambda aa, p: h_lambda_resolvent(p, 10 ** 400),
+                     id="h_lambda_resolvent"),
+        pytest.param(lambda aa, p: e_n_from_spectrum(aa, 10 ** 400),
+                     id="e_n_from_spectrum"),
+        # a bare ValueError from np.arange and a bare OverflowError
+        pytest.param(lambda aa, p: profile(p, 0.0, 1.0, 10 ** 400),
+                     id="profile-count"),
+        pytest.param(lambda aa, p: torus_potential(p, 10 ** 400),
+                     id="torus_potential"),
     ])
     def test_int_past_float_range_refused(self, call):
         # not a bare OverflowError from the float conversion
         with pytest.raises(NonFiniteInput, match="float range"):
             call(self.aa, self.params)
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda aa, p: evolve_aa(aa, [0.0, 5.0]), id="evolve_aa"),
+        # each soliton flowed to its own time
+        pytest.param(lambda aa, p: explicit_solution(
+            ActionAngles([-4.0, -2.0], [0.0, 1.0]), [0.0, 5.0], 0.5),
+            id="explicit_solution"),
+        pytest.param(lambda aa, p: h_lambda(aa, [1.0, 2.0]), id="h_lambda"),
+        pytest.param(lambda aa, p: h_lambda_resolvent(p, [1.0, 2.0]),
+                     id="h_lambda_resolvent"),
+        pytest.param(lambda aa, p: GridField([0.0], 1.0, [1.0, 2.0]),
+                     id="GridField-x0"),
+        pytest.param(lambda aa, p: GridField(0.0, [1.0], [1.0, 2.0]),
+                     id="GridField-dx"),
+        pytest.param(lambda aa, p: profile(p, [0.0, 1.0], 0.1, 4),
+                     id="profile-x0"),
+        pytest.param(lambda aa, p: profile(p, 0.0, [0.1, 0.2], 4),
+                     id="profile-dx"),
+    ])
+    def test_one_number_slots_refuse_arrays(self, call):
+        with pytest.raises(DomainError, match="must be one number"):
+            call(self.aa, self.params)
+
+    @pytest.mark.parametrize("lam", [1 + 1j, "1"])
+    def test_resolvent_shift_is_one_real_number(self, lam):
+        # 1 + 1j lost its imaginary part; "1" raised a bare TypeError
+        params = random_params(np.random.default_rng(1), 3)
+        with pytest.raises(DomainError, match="lambda must be"):
+            h_lambda_resolvent(params, lam)
 
     @pytest.mark.parametrize("values", [[1.0, None], ["1", 2.0], "a",
                                         [[1.0, 2.0], [3.0]]])
@@ -261,10 +348,31 @@ class TestInputTypes:
         with pytest.raises(DomainError, match="not 'a'"):
             real_array([1.0, "a"], "x")
 
+    @pytest.mark.parametrize("x", [None, "a"])
+    def test_points_that_are_not_numbers_refused(self, x):
+        # None ended in SingularResolvent, a numerical error
+        with pytest.raises(DomainError, match="must be numeric"):
+            explicit_solution(self.aa, 0.0, x)
+        with pytest.raises(DomainError, match="must be numeric"):
+            pi_u_resolvent(spectral_decompose(self.params), x)
+
+    @pytest.mark.parametrize("n", [1.5, [1, 2], "1"])
+    def test_non_integer_order_refused(self, n):
+        # 1.5 raised NonFiniteInput("E_1.5 is not finite in doubles")
+        with pytest.raises(DomainError, match="is not an integer"):
+            e_n_from_spectrum(self.aa, n)
+
     def test_grid_spacing_stored_as_floats(self):
         field = GridField(-3, np.float32(0.5), [0.0, 1.0])
         assert type(field.x0) is float and type(field.dx) is float
         assert field.xs().tolist() == [-3.0, -2.5]
+
+    @pytest.mark.parametrize("count", [256.0, 3.5, "256", None])
+    def test_non_integer_sample_count_refused(self, count):
+        with pytest.raises(DomainError, match="is not an integer"):
+            torus_potential(self.params, count)
+        with pytest.raises(DomainError, match="is not an integer"):
+            profile(self.params, 0.0, 1.0, count)
 
     def test_numpy_integer_sample_count(self):
         assert torus_potential(self.params, np.int64(4)).values.size == 4
